@@ -2,9 +2,10 @@
 
 Subcommands: convert, extract, fit, synth, sweep, report, plus a hidden
 make-fixtures generator for self-contained test data.  Exit codes: 0 ok,
-2 unparseable input, 3 extraction/domain failure, 4 file I/O, 5 fit did
-not converge.  Diagnostics go to stderr; stdout carries data only when an
-output path of '-' is chosen.
+2 unparseable input or invalid option value, 3 extraction/domain failure,
+4 file I/O, 5 fit did not converge.  Commands raise; `main` alone maps an
+escaping exception to its exit code.  Diagnostics go to stderr; stdout
+carries data only when an output path of '-' is chosen.
 """
 
 from __future__ import annotations
@@ -17,44 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from . import design, extract, fit, mbvd, network, touchstone
-from .errors import (
-    DegenerateLocus,
-    DomainError,
-    EmptyBand,
-    EmptyData,
-    MalformedOptionLine,
-    NegativeStaticCapacitance,
-    NonFiniteResidual,
-    NonMonotonicFrequency,
-    OutOfTableRange,
-    ResonanceNotBracketed,
-    SingularReflection,
-    TargetOutOfRange,
-    TooFewPoints,
-    WrongColumnCount,
-)
+from .errors import SawkitError
+from .extract import SCHEMA_VERSION
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_EXTRACT = 3
 EXIT_IO = 4
 EXIT_NO_CONVERGENCE = 5
-
-SCHEMA_VERSION = 1
-
-_PARSE_ERRORS = (MalformedOptionLine, NonMonotonicFrequency, WrongColumnCount, EmptyData)
-_EXTRACT_ERRORS = (
-    SingularReflection,
-    TooFewPoints,
-    DegenerateLocus,
-    ResonanceNotBracketed,
-    DomainError,
-    EmptyBand,
-    NegativeStaticCapacitance,
-    NonFiniteResidual,
-    OutOfTableRange,
-    TargetOutOfRange,
-)
 
 # target metrics per fixture device: lambda_nm, f_s Hz, coupling fraction, motional Q
 FIXTURE_DEVICES = {
@@ -74,7 +45,7 @@ FIXTURE_R_0 = 0.5
 
 
 class _CliIOError(Exception):
-    pass
+    exit_code = EXIT_IO
 
 
 def _diag(message: str) -> None:
@@ -122,10 +93,12 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _parse_trace(path: str) -> touchstone.OnePortTrace:
+def _parse_trace(path: str) -> tuple[touchstone.OnePortTrace, touchstone.TouchstoneFormat]:
     text = _read_text(path)
-    trace, _ = touchstone.parse_touchstone(text)
-    return trace
+    try:
+        return touchstone.parse_touchstone(text)
+    except SawkitError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _band(values) -> tuple[float, float] | None:
@@ -139,29 +112,16 @@ def _band(values) -> tuple[float, float] | None:
 
 
 def cmd_convert(args) -> int:
-    try:
-        text = _read_text(args.input)
-    except _CliIOError as exc:
-        return _fail(EXIT_IO, str(exc))
-    try:
-        trace, fmt = touchstone.parse_touchstone(text)
-    except _PARSE_ERRORS as exc:
-        return _fail(EXIT_PARSE, f"{args.input}: {exc}")
+    trace, fmt = _parse_trace(args.input)
     if args.z0 is not None:
-        try:
-            trace = network.renormalize(trace, args.z0)
-        except SingularReflection as exc:
-            return _fail(EXIT_EXTRACT, str(exc))
+        trace = network.renormalize(trace, args.z0)
     out_fmt = touchstone.TouchstoneFormat(
         frequency_unit=args.unit or fmt.frequency_unit,
         parameter_kind="S",
         value_format=args.format or fmt.value_format,
         reference_resistance=trace.z0,
     )
-    try:
-        _write_text(args.output, touchstone.write_touchstone(trace, out_fmt))
-    except _CliIOError as exc:
-        return _fail(EXIT_IO, str(exc))
+    _write_text(args.output, touchstone.write_touchstone(trace, out_fmt))
     return EXIT_OK
 
 
@@ -169,32 +129,19 @@ def cmd_convert(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    try:
-        trace = _parse_trace(args.input)
-    except _CliIOError as exc:
-        return _fail(EXIT_IO, str(exc))
-    except _PARSE_ERRORS as exc:
-        return _fail(EXIT_PARSE, f"{args.input}: {exc}")
+    trace, _ = _parse_trace(args.input)
     options = extract.ExtractOptions(
         tune_band=_band(args.tune_band),
         qmax_band=_band(args.qmax_band),
         smooth_window=args.smooth,
     )
-    try:
-        report = extract.full_extraction(trace, options)
-    except _EXTRACT_ERRORS as exc:
-        return _fail(EXIT_EXTRACT, str(exc))
+    report = extract.full_extraction(trace, options)
     output = args.output or str(Path(args.input).with_suffix(".report.json"))
     payload = extract.report_to_json(report, device=args.device, lambda_nm=args.lambda_nm)
-    try:
-        _write_json(output, payload)
-        if args.csv:
-            row = extract.report_csv_row(
-                report, device=args.device or "", lambda_nm=args.lambda_nm
-            )
-            _write_text(args.csv, extract.CSV_HEADER + "\n" + row + "\n")
-    except _CliIOError as exc:
-        return _fail(EXIT_IO, str(exc))
+    _write_json(output, payload)
+    if args.csv:
+        row = extract.report_csv_row(report, device=args.device or "", lambda_nm=args.lambda_nm)
+        _write_text(args.csv, extract.CSV_HEADER + "\n" + row + "\n")
     label = args.device or Path(args.input).stem
     _diag(
         f"{label}: f_s {_fmt(report.f_s / 1e9)} GHz  f_p {_fmt(report.f_p / 1e9)} GHz  "
@@ -208,33 +155,14 @@ def cmd_extract(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    try:
-        trace = _parse_trace(args.input)
-    except _CliIOError as exc:
-        return _fail(EXIT_IO, str(exc))
-    except _PARSE_ERRORS as exc:
-        return _fail(EXIT_PARSE, f"{args.input}: {exc}")
-    try:
-        admittance = network.s_to_y(trace)
-    except SingularReflection as exc:
-        return _fail(EXIT_EXTRACT, str(exc))
+    trace, _ = _parse_trace(args.input)
+    admittance = network.s_to_y(trace)
     if args.init:
-        try:
-            init = mbvd.params_from_json(_read_json(args.init))
-        except _CliIOError as exc:
-            return _fail(EXIT_IO, str(exc))
-        except ValueError as exc:
-            return _fail(EXIT_PARSE, str(exc))
+        init = mbvd.params_from_json(_read_json(args.init))
     else:
-        try:
-            init = fit.initial_guess(admittance)
-        except _EXTRACT_ERRORS as exc:
-            return _fail(EXIT_EXTRACT, str(exc))
+        init = fit.initial_guess(admittance)
     config = fit.FitConfig(max_iterations=args.max_iter)
-    try:
-        result = fit.fit_mbvd(admittance, init, config)
-    except NonFiniteResidual as exc:
-        return _fail(EXIT_EXTRACT, str(exc))
+    result = fit.fit_mbvd(admittance, init, config)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "params": mbvd.params_to_json(result.params),
@@ -243,12 +171,9 @@ def cmd_fit(args) -> int:
         "converged": result.converged,
     }
     if args.report:
-        try:
-            raw_report = extract.full_extraction(trace)
-            model_trace = mbvd.synthesize_s11(result.params, trace.frequencies, trace.z0)
-            model_report = extract.full_extraction(model_trace)
-        except _EXTRACT_ERRORS as exc:
-            return _fail(EXIT_EXTRACT, str(exc))
+        raw_report = extract.full_extraction(trace)
+        model_trace = mbvd.synthesize_s11(result.params, trace.frequencies, trace.z0)
+        model_report = extract.full_extraction(model_trace)
         payload["comparison"] = {
             "keff2_measured": raw_report.keff2,
             "keff2_fitted_model": model_report.keff2,
@@ -260,10 +185,7 @@ def cmd_fit(args) -> int:
             f"from elements {_fmt(mbvd.derived_keff2(result.params) * 100)} %"
         )
     output = args.output or str(Path(args.input).with_suffix(".fit.json"))
-    try:
-        _write_json(output, payload)
-    except _CliIOError as exc:
-        return _fail(EXIT_IO, str(exc))
+    _write_json(output, payload)
     _diag(
         f"fit {'converged' if result.converged else 'DID NOT converge'} after "
         f"{result.iterations} iterations; rms residual {result.rms_residual:.3e} S"
@@ -275,16 +197,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    try:
-        params_obj = _read_json(args.params)
-    except _CliIOError as exc:
-        return _fail(EXIT_IO, str(exc))
-    except ValueError as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    try:
-        params = mbvd.params_from_json(params_obj)
-    except ValueError as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    params = mbvd.params_from_json(_read_json(args.params))
     if args.points < 2:
         return _fail(EXIT_PARSE, "grid needs at least 2 points")
     if not args.f_lo > 0 or not args.f_hi > args.f_lo:
@@ -308,10 +221,7 @@ def cmd_synth(args) -> int:
     fmt = touchstone.TouchstoneFormat(
         frequency_unit=args.unit, value_format=args.format, reference_resistance=args.z0
     )
-    try:
-        _write_text(args.output, touchstone.write_touchstone(trace, fmt))
-    except _CliIOError as exc:
-        return _fail(EXIT_IO, str(exc))
+    _write_text(args.output, touchstone.write_touchstone(trace, fmt))
     return EXIT_OK
 
 
@@ -319,19 +229,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        geometry = design.geometry_from_json(_read_json(args.geometry))
-    except _CliIOError as exc:
-        return _fail(EXIT_IO, str(exc))
-    except ValueError as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    geometry = design.geometry_from_json(_read_json(args.geometry))
     if args.table:
-        try:
-            table = design.load_dispersion_csv(_read_text(args.table))
-        except _CliIOError as exc:
-            return _fail(EXIT_IO, str(exc))
-        except ValueError as exc:
-            return _fail(EXIT_PARSE, str(exc))
+        table = design.load_dispersion_csv(_read_text(args.table))
     else:
         table = design.builtin_dispersion_table()
     try:
@@ -340,12 +240,7 @@ def cmd_sweep(args) -> int:
         return _fail(EXIT_PARSE, f"cannot parse sweep values {args.values!r}")
     if not values:
         return _fail(EXIT_PARSE, "no sweep values given")
-    try:
-        rows = design.sweep(
-            geometry, args.axis, values, table, args.family, args.allow_extrapolation
-        )
-    except ValueError as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    rows = design.sweep(geometry, args.axis, values, table, args.family, args.allow_extrapolation)
     lines = [f"{args.axis},f_s_GHz,keff2_pct,warnings,error"]
     for row in rows:
         warn = ";".join(row.warnings).replace(",", ";")
@@ -353,10 +248,7 @@ def cmd_sweep(args) -> int:
         f_s = "" if row.f_s is None else _fmt(row.f_s / 1e9)
         k2 = "" if row.keff2 is None else _fmt(row.keff2 * 100)
         lines.append(f"{_fmt(row.value)},{f_s},{k2},{warn},{err}")
-    try:
-        _write_text(args.output, "\n".join(lines) + "\n")
-    except _CliIOError as exc:
-        return _fail(EXIT_IO, str(exc))
+    _write_text(args.output, "\n".join(lines) + "\n")
     failed = [row for row in rows if row.error]
     if failed:
         return _fail(EXIT_EXTRACT, f"{len(failed)} of {len(rows)} sweep rows failed: {failed[0].error}")
@@ -372,12 +264,7 @@ def cmd_report(args) -> int:
     rows = []
     seen: dict[str, int] = {}
     for path in args.reports:
-        try:
-            obj = _read_json(path)
-        except _CliIOError as exc:
-            return _fail(EXIT_IO, str(exc))
-        except ValueError as exc:
-            return _fail(EXIT_PARSE, str(exc))
+        obj = _read_json(path)
         missing = [k for k in _REPORT_KEYS if k not in obj]
         if missing:
             return _fail(
@@ -410,10 +297,7 @@ def cmd_report(args) -> int:
         lines += ["| " + " | ".join(r) + " |" for r in table_rows]
     else:
         lines = [extract.CSV_HEADER] + [",".join(r) for r in table_rows]
-    try:
-        _write_text(args.output, "\n".join(lines) + "\n")
-    except _CliIOError as exc:
-        return _fail(EXIT_IO, str(exc))
+    _write_text(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -433,7 +317,7 @@ def cmd_make_fixtures(args) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        return _fail(EXIT_IO, f"cannot create {out_dir}: {exc}")
+        raise _CliIOError(f"cannot create {out_dir}: {exc}") from exc
     for device, (lambda_nm, f_s, coupling, q_m) in FIXTURE_DEVICES.items():
         params = fixture_params(device)
         f_p = mbvd.derived_fp(params)
@@ -451,14 +335,11 @@ def cmd_make_fixtures(args) -> int:
         fmt = touchstone.TouchstoneFormat(
             frequency_unit="GHZ", value_format="RI", reference_resistance=50.0
         )
-        try:
-            _write_text(str(out_dir / f"device{device}.s1p"), touchstone.write_touchstone(trace, fmt))
-            _write_json(
-                str(out_dir / f"device{device}.params.json"),
-                {"schema_version": SCHEMA_VERSION, **mbvd.params_to_json(params)},
-            )
-        except _CliIOError as exc:
-            return _fail(EXIT_IO, str(exc))
+        _write_text(str(out_dir / f"device{device}.s1p"), touchstone.write_touchstone(trace, fmt))
+        _write_json(
+            str(out_dir / f"device{device}.params.json"),
+            {"schema_version": SCHEMA_VERSION, **mbvd.params_to_json(params)},
+        )
         _diag(f"wrote device{device}.s1p ({args.points} points)")
     return EXIT_OK
 
@@ -548,7 +429,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (_CliIOError, SawkitError) as exc:
+        return _fail(exc.exit_code, str(exc))
+    except ValueError as exc:
+        # invalid option values and malformed JSON/CSV content
+        return _fail(EXIT_PARSE, str(exc))
 
 
 if __name__ == "__main__":

@@ -289,6 +289,23 @@ def _h_elec_warning(geometry: DeviceGeometry, point: TablePoint) -> tuple[str, .
     return ()
 
 
+def _predict(
+    geometry: DeviceGeometry,
+    table: DispersionTable,
+    family: str,
+    allow_extrapolation: bool,
+) -> tuple[Prediction, Prediction]:
+    """(f_s, keff2) predictions from a single table lookup."""
+    point = table.lookup(
+        geometry.h_ln_ratio, family, geometry.duty, allow_extrapolation
+    )
+    warnings_ = point.warnings + _h_elec_warning(geometry, point)
+    return (
+        Prediction(point.v_p / geometry.wavelength, warnings_),
+        Prediction(point.keff2, warnings_),
+    )
+
+
 def predict_fs(
     geometry: DeviceGeometry,
     table: DispersionTable,
@@ -296,11 +313,7 @@ def predict_fs(
     allow_extrapolation: bool = False,
 ) -> Prediction:
     """Series resonance f_s = v_p(h_ln/lambda) / lambda for a geometry."""
-    point = table.lookup(
-        geometry.h_ln_ratio, family, geometry.duty, allow_extrapolation
-    )
-    warnings_ = point.warnings + _h_elec_warning(geometry, point)
-    return Prediction(point.v_p / geometry.wavelength, warnings_)
+    return _predict(geometry, table, family, allow_extrapolation)[0]
 
 
 def predict_keff2(
@@ -310,11 +323,7 @@ def predict_keff2(
     allow_extrapolation: bool = False,
 ) -> Prediction:
     """Interpolated coupling fraction for a geometry."""
-    point = table.lookup(
-        geometry.h_ln_ratio, family, geometry.duty, allow_extrapolation
-    )
-    warnings_ = point.warnings + _h_elec_warning(geometry, point)
-    return Prediction(point.keff2, warnings_)
+    return _predict(geometry, table, family, allow_extrapolation)[1]
 
 
 def scale_to_frequency(
@@ -394,18 +403,16 @@ def sweep(
         cast = int(value) if field in _INT_FIELDS else float(value)
         geometry = replace(base, **{field: cast})
         try:
-            fs_pred = predict_fs(geometry, table, family, allow_extrapolation)
-            k2_pred = predict_keff2(geometry, table, family, allow_extrapolation)
+            fs_pred, k2_pred = _predict(geometry, table, family, allow_extrapolation)
         except OutOfTableRange as exc:
             rows.append(SweepRow(value=float(value), f_s=None, keff2=None, error=str(exc)))
             continue
-        merged = tuple(dict.fromkeys(fs_pred.warnings + k2_pred.warnings))
         rows.append(
             SweepRow(
                 value=float(value),
                 f_s=fs_pred.value,
                 keff2=k2_pred.value,
-                warnings=merged,
+                warnings=fs_pred.warnings,
             )
         )
     return rows

@@ -1,8 +1,14 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+Each class carries the exit code the command-line front end returns when
+it escapes a command: 2 for unparseable input, 3 for every other failure.
+"""
 
 
 class SawkitError(Exception):
     """Base class for all toolkit-specific errors."""
+
+    exit_code = 3
 
 
 # Touchstone parsing
@@ -11,17 +17,25 @@ class SawkitError(Exception):
 class MalformedOptionLine(SawkitError):
     """Option line is missing, duplicated, or contains unknown tokens."""
 
+    exit_code = 2
+
 
 class NonMonotonicFrequency(SawkitError):
     """Frequencies must be positive and strictly increasing."""
+
+    exit_code = 2
 
 
 class WrongColumnCount(SawkitError):
     """A data row is not three whitespace-separated numbers."""
 
+    exit_code = 2
+
 
 class EmptyData(SawkitError):
     """File contains fewer than two data rows."""
+
+    exit_code = 2
 
 
 # One-port network math

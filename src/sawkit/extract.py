@@ -24,6 +24,9 @@ Q_FLAG_EPS = 1e-6
 
 CSV_HEADER = "device,lambda_nm,f_s_GHz,keff2_pct,q_max,fom"
 
+# version stamped on report, fit and fixture-parameter JSON
+SCHEMA_VERSION = 1
+
 
 class AdmittanceRatio(NamedTuple):
     linear: float
@@ -198,7 +201,7 @@ def full_extraction(
         y_ratio_db=ratio.db,
         q_bode=q_trace,
         q_max=best_q,
-        fom=coupling * best_q,
+        fom=fom(coupling, best_q),
         z0_star=z0_star,
     )
 
@@ -214,7 +217,7 @@ def report_to_json(
 ) -> dict:
     """JSON-ready dict with SI units; q_bode carried as parallel arrays."""
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "device": device,
         "lambda_nm": lambda_nm,
         "f_s_hz": report.f_s,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sawkit import cli, mbvd
+from sawkit.errors import SawkitError
 from sawkit.touchstone import parse_touchstone
 
 from conftest import C_0, F_S, KEFF2, Q_M
@@ -324,3 +325,145 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("bad")
+    (out / "bad.s1p").write_text("# GHZ S RI R 50\n1 0\n2 0\n")
+    # S11 = -1 in the first row: the admittance is undefined there
+    (out / "singular.s1p").write_text("# GHZ S RI R 50\n1 -1 0\n2 0.5 0\n3 0.5 0.1\n")
+    f = np.linspace(1e9, 2e9, 201)
+    y = 1j * 2 * np.pi * f * 1e-12
+    s = (1 - 50 * y) / (1 + 50 * y)
+    (out / "cap.s1p").write_text(
+        "# HZ S RI R 50\n"
+        + "".join(f"{fi:.6e} {si.real:.9e} {si.imag:.9e}\n" for fi, si in zip(f, s))
+    )
+    (out / "garbage.json").write_text("{not json")
+    (out / "list.json").write_text("[1, 2]")
+    (out / "no_params.json").write_text(json.dumps({"schema_version": 1}))
+    (out / "bad_table.csv").write_text("not,a,dispersion,header\n")
+    (out / "geometry.json").write_text(
+        json.dumps(
+            {
+                "lambda_m": 400e-9, "h_ln_m": 0.7e-6, "h_elec_m": 40e-9,
+                "duty": 0.5, "n_e": 40, "n_r": 40, "aperture_lambdas": 20.0,
+            }
+        )
+    )
+    return out
+
+
+# (command line, exit code, stderr fragment); {fx} is the fixture directory,
+# {bad} the bad-input directory, {wide} a trace the closed-form guess accepts,
+# {tmp} a fresh directory for outputs
+EXIT_CODE_CASES = {
+    # file I/O -> 4
+    "convert-missing-input": ("convert {tmp}/nope.s1p {tmp}/o.s1p", 4, "nope.s1p"),
+    "extract-missing-input": ("extract {tmp}/nope.s1p", 4, "nope.s1p"),
+    "extract-unwritable-output": (
+        "extract {fx}/deviceA.s1p -o {tmp}/no/such/dir/r.json", 4, "cannot write"
+    ),
+    "fit-missing-input": ("fit {tmp}/nope.s1p", 4, "nope.s1p"),
+    "fit-missing-init": (
+        "fit {fx}/deviceA.s1p --init {tmp}/nope.json -o {tmp}/f.json", 4, "nope.json"
+    ),
+    "synth-missing-params": (
+        "synth {tmp}/nope.json -o {tmp}/o.s1p --f-lo 1e9 --f-hi 2e9 --points 11", 4, "nope.json"
+    ),
+    "sweep-missing-geometry": ("sweep {tmp}/nope.json --axis lambda --values 4e-7", 4, "nope.json"),
+    "sweep-missing-table": (
+        "sweep {bad}/geometry.json --axis lambda --values 4e-7 --table {tmp}/nope.csv",
+        4,
+        "nope.csv",
+    ),
+    "report-missing-input": ("report {tmp}/nope.json", 4, "nope.json"),
+    "make-fixtures-unwritable": ("make-fixtures -o {bad}/bad.s1p/sub", 4, "cannot create"),
+    # unparseable Touchstone -> 2, message prefixed with the path
+    "convert-malformed": ("convert {bad}/bad.s1p {tmp}/o.s1p", 2, "bad.s1p: line"),
+    "extract-malformed": ("extract {bad}/bad.s1p", 2, "bad.s1p: line"),
+    "fit-malformed": ("fit {bad}/bad.s1p", 2, "bad.s1p: line"),
+    # extraction or domain failure -> 3
+    "convert-singular": ("convert {bad}/singular.s1p {tmp}/o.s1p --z0 75", 3, "S11 = -1"),
+    "extract-singular": ("extract {bad}/singular.s1p -o {tmp}/r.json", 3, "S11 = -1"),
+    "extract-not-bracketed": ("extract {bad}/cap.s1p -o {tmp}/r.json", 3, "not bracketed"),
+    "fit-singular": ("fit {bad}/singular.s1p -o {tmp}/f.json", 3, "S11 = -1"),
+    "fit-no-static-branch": ("fit {fx}/deviceA.s1p -o {tmp}/f.json", 3, "static capacitance"),
+    "sweep-out-of-table": (
+        "sweep {bad}/geometry.json --axis lambda --values 4e-7,1e-7 -o {tmp}/s.csv",
+        3,
+        "sweep rows failed",
+    ),
+    # invalid option values and malformed JSON/CSV content -> 2
+    "convert-negative-z0": ("convert {fx}/deviceA.s1p {tmp}/o.s1p --z0 -5", 2, "z0 must be positive"),
+    "extract-even-smooth": (
+        "extract {fx}/deviceA.s1p -o {tmp}/r.json --smooth 4", 2, "smooth_window must be odd"
+    ),
+    "extract-smooth-longer-than-trace": (
+        "extract {fx}/deviceA.s1p -o {tmp}/r.json --smooth 4003", 2, "exceeds the trace length"
+    ),
+    "fit-zero-iterations": (
+        "fit {fx}/deviceA.s1p --init {fx}/deviceA.params.json -o {tmp}/f.json --max-iter 0",
+        2,
+        "max_iterations",
+    ),
+    "fit-init-without-elements": (
+        "fit {fx}/deviceA.s1p --init {bad}/no_params.json -o {tmp}/f.json", 2, "missing keys"
+    ),
+    "synth-negative-z0": (
+        "synth {fx}/deviceA.params.json -o {tmp}/o.s1p --f-lo 1e9 --f-hi 2e9 --points 11 --z0 -1",
+        2,
+        "z0 must be positive",
+    ),
+    "synth-invalid-json": (
+        "synth {bad}/garbage.json -o {tmp}/o.s1p --f-lo 1e9 --f-hi 2e9 --points 11",
+        2,
+        "invalid JSON",
+    ),
+    "synth-bad-grid": (
+        "synth {fx}/deviceA.params.json -o {tmp}/o.s1p --f-lo 2e9 --f-hi 1e9 --points 11",
+        2,
+        "f-lo < f-hi",
+    ),
+    "sweep-unknown-axis": ("sweep {bad}/geometry.json --axis color --values 1", 2, "unknown sweep axis"),
+    "sweep-unknown-family": (
+        "sweep {bad}/geometry.json --axis lambda --values 4e-7 --family nope", 2, "unknown family"
+    ),
+    "sweep-bad-table": (
+        "sweep {bad}/geometry.json --axis lambda --values 4e-7 --table {bad}/bad_table.csv",
+        2,
+        "header",
+    ),
+    "sweep-bad-values": ("sweep {bad}/geometry.json --axis lambda --values 4e-7,x", 2, "sweep values"),
+    "report-not-an-object": ("report {bad}/list.json", 2, "expected a JSON object"),
+    "report-foreign-json": ("report {bad}/no_params.json", 2, "missing keys"),
+    # fit did not converge -> 5
+    "fit-no-convergence": ("fit {wide} -o {tmp}/f.json --max-iter 1", 5, "DID NOT converge"),
+}
+
+
+@pytest.mark.parametrize("case", list(EXIT_CODE_CASES), ids=list(EXIT_CODE_CASES))
+def test_exit_code_map(case, fixture_dir, bad_inputs, wide_s1p, tmp_path, capsys):
+    command, code, fragment = EXIT_CODE_CASES[case]
+    places = {"fx": fixture_dir, "bad": bad_inputs, "wide": wide_s1p, "tmp": tmp_path}
+    argv = [token.format(**places) for token in command.split()]
+    capsys.readouterr()
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert fragment in err
+    if code != 5:
+        assert err.startswith("error: ")
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_type_has_a_cli_exit_code():
+    found = list(_subclasses(SawkitError))
+    assert len(found) >= 14
+    for cls in [SawkitError, *found]:
+        assert cls.exit_code in (cli.EXIT_PARSE, cli.EXIT_EXTRACT), cls.__name__
