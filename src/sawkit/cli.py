@@ -270,6 +270,9 @@ def cmd_report(args) -> int:
             return _fail(
                 EXIT_PARSE, f"{path}: report JSON missing keys: {', '.join(missing)}"
             )
+        for k in _REPORT_KEYS:
+            if isinstance(obj[k], bool) or not isinstance(obj[k], (int, float)):
+                return _fail(EXIT_PARSE, f"{path}: report key '{k}' must be a number")
         name = obj.get("device") or Path(path).stem
         count = seen.get(name, 0) + 1
         seen[name] = count

@@ -1,14 +1,17 @@
 """One-port network transforms.
 
 S11 <-> admittance conversion, reference-impedance renormalization,
-algebraic Smith-chart circle fitting, and the source-impedance search that
-centers the reflection locus at the chart origin.
+algebraic (Kasa 1976, IEEE T-IM 25:8) circle fitting, and the source
+impedance that centers the reflection locus at the Smith-chart origin.
+A change of reference impedance is a Moebius map of the admittance, so one
+circle fit in the admittance plane gives the reflection circle for every
+z0 in closed form, and that impedance is found without a search.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +23,6 @@ _PASSIVITY_EPS = 1e-6
 # |1 + S11| below this makes the admittance transform singular
 _SINGULAR_EPS = 1e-12
 _COLLINEAR_TOL = 1e-12
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -125,54 +127,39 @@ def fit_smith_circle(trace: OnePortTrace, band: tuple[float, float]) -> SmithCir
     return SmithCircle(center=center, radius=radius, rms_residual=rms)
 
 
-def _golden_min(fun, lo: float, hi: float, xtol: float) -> float:
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    while (b - a) > xtol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
-
-
 def tune_source_impedance(
     trace: OnePortTrace,
     band: tuple[float, float],
     z0_min: float = 1.0,
     z0_max: float = 5000.0,
-    resolution: float = 0.1,
 ) -> tuple[float, OnePortTrace]:
     """Find the source impedance that centers the in-band S11 locus.
 
-    Minimizes |center| of the fitted Smith circle over z0 in [z0_min, z0_max]
-    by golden-section search to the requested resolution, cross-checked
-    against a coarse geometric grid in case the objective is not unimodal.
+    S11 = (1 - z0 Y) / (1 + z0 Y) is a Moebius map of the admittance, and
+    Moebius maps take circles to circles.  So one Kasa circle fit to the
+    in-band Y locus, center g + jb and radius r, gives the S-plane circle
+    for every z0: with K = g^2 + b^2 - r^2 its center is
+    ((1 - K z0^2) - 2j b z0) / (1 + 2 g z0 + K z0^2).  The derivative of
+    that center's squared magnitude vanishes only where
+    (K z0^2 - 1) (g K z0^2 + 2 (g^2 - r^2) z0 + g) = 0, so the minimizer over
+    [z0_min, z0_max] is a bound or a real root of one of the two factors.
     Returns (z0_star, trace renormalized to z0_star).
     """
     if not 0 < z0_min < z0_max:
         raise ValueError("need 0 < z0_min < z0_max")
     mask = _band_mask(trace.frequencies, band)
-    y_band = s_to_y(trace).y[mask]
-
-    def center_distance(z0: float) -> float:
-        zy = z0 * y_band
-        s = (1.0 - zy) / (1.0 + zy)
-        center, _, _ = _kasa_circle(s)
-        return abs(center)
-
-    z_golden = _golden_min(center_distance, z0_min, z0_max, resolution)
-    grid = np.geomspace(z0_min, z0_max, 64)
-    grid_values = [center_distance(z) for z in grid]
-    k = int(np.argmin(grid_values))
-    z_refined = _golden_min(
-        center_distance, grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)], resolution
-    )
-    z_star = float(min((z_golden, z_refined), key=center_distance))
-    return z_star, renormalize(trace, z_star)
+    y = s_to_y(trace)
+    center, radius, _ = _kasa_circle(y.y[mask])
+    # in x = z0 * scale every coefficient below is at most 1 in magnitude
+    scale = np.hypot(abs(center), radius)
+    g, b, r = center.real / scale, center.imag / scale, radius / scale
+    k = g * g + b * b - r * r
+    roots = np.concatenate([np.roots([k, 0.0, -1.0]), np.roots([g * k, 2.0 * (g * g - r * r), g])])
+    # the real part of a complex root is just one more feasible point, so no
+    # tolerance is needed to tell real roots from near-real ones
+    z = np.array([z0_min, z0_max, *(roots.real / scale)])
+    z = z[(z >= z0_min) & (z <= z0_max)]
+    x = z * scale
+    offset = np.abs((1.0 - k * x * x - 2j * b * x) / (1.0 + 2.0 * g * x + k * x * x))
+    z_star = float(z[np.argmin(offset)])
+    return z_star, replace(y_to_s(y, z_star), comments=trace.comments)

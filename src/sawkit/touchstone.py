@@ -33,7 +33,7 @@ def _as_frequency_grid(values) -> np.ndarray:
         raise ValueError("frequency grid must be one-dimensional")
     if freqs.size < 2:
         raise ValueError("frequency grid needs at least 2 samples")
-    if freqs[0] <= 0.0 or np.any(np.diff(freqs) <= 0.0):
+    if not (np.all(np.isfinite(freqs)) and freqs[0] > 0.0 and np.all(np.diff(freqs) > 0.0)):
         raise ValueError("frequencies must be positive and strictly increasing")
     return freqs
 
@@ -201,7 +201,7 @@ def parse_touchstone(text: str) -> tuple[OnePortTrace, TouchstoneFormat]:
         raise EmptyData(f"need at least 2 data rows, got {len(rows)}")
     data = np.asarray(rows, dtype=float)
     freqs = data[:, 0] * _UNIT_SCALE[fmt.frequency_unit]
-    if freqs[0] <= 0.0 or np.any(np.diff(freqs) <= 0.0):
+    if not (np.all(np.isfinite(freqs)) and freqs[0] > 0.0 and np.all(np.diff(freqs) > 0.0)):
         raise NonMonotonicFrequency("frequencies must be positive and strictly increasing")
     s11 = _to_complex(fmt.value_format, data[:, 1], data[:, 2])
     trace = OnePortTrace(freqs, s11, z0=fmt.reference_resistance, comments=tuple(comments))

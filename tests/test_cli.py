@@ -129,6 +129,30 @@ def test_synth_validates_grid(fixture_dir, tmp_path, capsys):
     assert "at least 2 points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_convert_rejects_non_finite_frequency(value, tmp_path, capsys):
+    src = tmp_path / "bad.s1p"
+    src.write_text(f"# GHZ S RI R 50\n1 0.1 0\n2 0.2 0\n{value} 0.1 0.1\n")
+    out = tmp_path / "out.s1p"
+    assert cli.main(["convert", str(src), str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "bad.s1p: frequencies must be positive and strictly increasing" in err
+    assert not out.exists()
+
+
+def test_synth_rejects_infinite_grid(fixture_dir, capsys):
+    rc = cli.main(
+        [
+            "synth", str(fixture_dir / "deviceA.params.json"), "-o", "-",
+            "--f-lo", "1e9", "--f-hi", "inf", "--points", "3",
+        ]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "frequencies must be positive and strictly increasing" in captured.err
+    assert captured.out == ""
+
+
 def test_synth_lossless_is_unimodular(tmp_path):
     params = mbvd.params_from_metrics(F_S, KEFF2, q_m=float("inf"), c_0=C_0)
     params_path = tmp_path / "lossless.json"
@@ -319,6 +343,19 @@ def test_report_rejects_foreign_json(tmp_path, capsys):
     rc = cli.main(["report", str(path), "-o", str(tmp_path / "t.csv")])
     assert rc == 2
     assert "missing keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["9e9", None, True, [9e9], {"hz": 9e9}])
+@pytest.mark.parametrize("key", ["f_s_hz", "keff2", "q_max", "fom"])
+def test_report_rejects_non_numeric_metric(key, value, tmp_path, capsys):
+    path = tmp_path / "r.json"
+    _write_report(path, "deviceA", 400.0, 9.05e9, 0.15, 213.0)
+    obj = json.loads(path.read_text())
+    obj[key] = value
+    path.write_text(json.dumps(obj))
+    rc = cli.main(["report", str(path), "-o", str(tmp_path / "t.csv")])
+    assert rc == 2
+    assert f"{path}: report key '{key}' must be a number" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

@@ -258,3 +258,30 @@ def test_report_csv_row(device_trace):
     row = report_csv_row(rep, device="deviceA", lambda_nm=400)
     assert row == "deviceA,400,9.04906,15.0545,210.542,31.696"
     assert CSV_HEADER == "device,lambda_nm,f_s_GHz,keff2_pct,q_max,fom"
+
+
+def test_extraction_work_counts(monkeypatch, device_trace, device_fp):
+    # operation counts, not timings: one circle fit per tune and at most
+    # two admittance conversions per extraction
+    from sawkit import extract, network
+
+    calls = {"circle_fit": 0, "s_to_y": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(network, "_kasa_circle", counted("circle_fit", network._kasa_circle))
+    s_to_y_counted = counted("s_to_y", network.s_to_y)
+    monkeypatch.setattr(network, "s_to_y", s_to_y_counted)
+    monkeypatch.setattr(extract, "s_to_y", s_to_y_counted)
+
+    network.tune_source_impedance(device_trace, (0.98 * F_S, 1.02 * device_fp))
+    assert calls["circle_fit"] == 1
+    calls.update(circle_fit=0, s_to_y=0)
+    extract.full_extraction(device_trace)
+    assert calls["circle_fit"] == 1
+    assert calls["s_to_y"] <= 2

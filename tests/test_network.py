@@ -142,3 +142,58 @@ def test_tune_regression_value(device_trace, device_fp):
 def test_admittance_trace_rejects_length_mismatch():
     with pytest.raises(ValueError):
         AdmittanceTrace(frequencies=np.array([1e9, 2e9]), y=np.zeros(3, complex))
+
+
+def test_tune_matches_a_dense_scan(device_trace, device_fp):
+    band = (0.98 * F_S, 1.02 * device_fp)
+    _, tuned = tune_source_impedance(device_trace, band)
+    got = abs(fit_smith_circle(tuned, band).center)
+    scan = min(
+        abs(fit_smith_circle(renormalize(device_trace, z), band).center)
+        for z in np.geomspace(1.0, 5000.0, 4001)
+    )
+    assert got <= scan + 1e-6
+
+
+def test_tune_returns_the_bound_it_hits(device_trace, device_fp):
+    # the optimum sits near 166 ohm, outside both ranges
+    band = (0.98 * F_S, 1.02 * device_fp)
+    assert tune_source_impedance(device_trace, band, z0_max=100.0)[0] == 100.0
+    assert tune_source_impedance(device_trace, band, z0_min=300.0)[0] == 300.0
+
+
+def test_tune_keeps_comments(device_trace, device_fp):
+    trace = OnePortTrace(
+        device_trace.frequencies, device_trace.s11, device_trace.z0, comments=("! wafer 3",)
+    )
+    _, tuned = tune_source_impedance(trace, (0.98 * F_S, 1.02 * device_fp))
+    assert tuned.comments == ("! wafer 3",)
+
+
+def test_tune_is_independent_of_the_input_reference(device_params, device_trace, device_fp):
+    band = (0.98 * F_S, 1.02 * device_fp)
+    z_star, tuned = tune_source_impedance(device_trace, band)
+    np.testing.assert_allclose(tune_source_impedance(tuned, band)[0], z_star, rtol=1e-9)
+    for z0 in (25.0, 50.0, 75.0, 200.0):
+        trace = mbvd.synthesize_s11(device_params, device_trace.frequencies, z0=z0)
+        np.testing.assert_allclose(tune_source_impedance(trace, band)[0], z_star, rtol=1e-9)
+
+
+def test_tune_centers_an_exact_circle_at_fifty():
+    th = np.linspace(0.2 * np.pi, 1.8 * np.pi, 201)
+    trace = _trace(0.6 * np.exp(1j * th), f=np.linspace(1e9, 2e9, 201))
+    z_star, tuned = tune_source_impedance(trace, (1e9, 2e9))
+    np.testing.assert_allclose(z_star, 50.0, rtol=1e-9)
+    np.testing.assert_allclose(tuned.s11, trace.s11, atol=1e-9)
+
+
+def test_tune_rejects_bad_range_and_degenerate_locus(device_trace):
+    with pytest.raises(ValueError):
+        tune_source_impedance(device_trace, (9e9, 9.1e9), z0_min=100.0, z0_max=100.0)
+    with pytest.raises(ValueError):
+        tune_source_impedance(device_trace, (9e9, 9.1e9), z0_min=0.0)
+    with pytest.raises(TooFewPoints):
+        tune_source_impedance(device_trace, (9e9, 9e9 + 1.0))
+    # a constant reflection maps to a single admittance point
+    with pytest.raises(DegenerateLocus):
+        tune_source_impedance(_trace(np.full(30, 0.3 + 0.1j)), (1e9, 2e9))

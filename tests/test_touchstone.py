@@ -118,6 +118,22 @@ def test_non_monotonic_frequency():
         parse_touchstone("# GHZ S RI R 50\n1 0 0\n1 0 0\n")
 
 
+@pytest.mark.parametrize("row", ["nan 0 0", "inf 0 0", "-inf 0 0"])
+def test_non_finite_frequency_rejected(row):
+    # a NaN compares False against everything, so only a positive check catches it
+    for rows in ([row, "2 0 0", "3 0 0"], ["1 0 0", row, "3 0 0"], ["1 0 0", "2 0 0", row]):
+        with pytest.raises(NonMonotonicFrequency, match="positive and strictly increasing"):
+            parse_touchstone("# GHZ S RI R 50\n" + "\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_trace_rejects_non_finite_frequency(bad):
+    with pytest.raises(ValueError, match="positive and strictly increasing"):
+        OnePortTrace(frequencies=[1e9, bad, 3e9], s11=np.zeros(3, complex), z0=50.0)
+    with pytest.raises(ValueError, match="positive and strictly increasing"):
+        OnePortTrace(frequencies=[1e9, 2e9, bad], s11=np.zeros(3, complex), z0=50.0)
+
+
 def _random_trace(rng, n=40):
     f = np.sort(rng.uniform(1e8, 2e10, n))
     while np.any(np.diff(f) <= 0):  # pragma: no cover - vanishingly unlikely
