@@ -202,6 +202,8 @@ def cmd_synth(args) -> int:
         return _fail(EXIT_PARSE, "grid needs at least 2 points")
     if not args.f_lo > 0 or not args.f_hi > args.f_lo:
         return _fail(EXIT_PARSE, "need 0 < f-lo < f-hi")
+    if not np.isfinite(args.f_hi):
+        return _fail(EXIT_PARSE, "frequencies must be positive and strictly increasing")
     grid = np.linspace(args.f_lo, args.f_hi, args.points)
     trace = mbvd.synthesize_s11(params, grid, z0=args.z0)
     if args.noise > 0:

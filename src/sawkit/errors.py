@@ -27,7 +27,7 @@ class NonMonotonicFrequency(SawkitError):
 
 
 class WrongColumnCount(SawkitError):
-    """A data row is not three whitespace-separated numbers."""
+    """A data row is not three whitespace-separated numbers with finite S11."""
 
     exit_code = 2
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import savgol_filter
 
 from .errors import DomainError, EmptyBand, ResonanceNotBracketed, TooFewPoints
 from .network import AdmittanceTrace, s_to_y, tune_source_impedance
@@ -132,13 +131,35 @@ def admittance_ratio(trace: AdmittanceTrace, f_s: float, f_p: float) -> Admittan
     return AdmittanceRatio(linear=ratio, db=float(20.0 * np.log10(ratio)))
 
 
+def _savgol_cubic(x: np.ndarray, window: int) -> np.ndarray:
+    """Cubic Savitzky-Golay smoothing (Savitzky & Golay 1964, Anal. Chem. 36:1627).
+
+    Each interior sample becomes the value at its centre of the least-squares
+    cubic through its odd-length window; the first and last window // 2
+    samples take the cubic fitted to the first and last window.  Needs
+    5 <= window <= x.size, window odd.
+    """
+    half = window // 2
+    # offsets scaled to [-1, 1] keep the Vandermonde matrix well conditioned
+    vander = np.vander(np.arange(-half, half + 1) / half, 4, increasing=True)
+    fit = np.linalg.pinv(vander)  # window samples -> cubic coefficients
+    # the fitted cubic at the centre is its constant term; fit[0] is
+    # symmetric, so convolving with it is correlating
+    y = np.convolve(x, fit[0], mode="same")
+    y[:half] = vander[:half] @ (fit @ x[:window])
+    y[-half:] = vander[half + 1 :] @ (fit @ x[-window:])
+    return y
+
+
 def bode_q(trace: OnePortTrace, smooth_window: int | None = None) -> QTrace:
     """Reflection-derived Q(w) = w |dS11/dw| / (1 - |S11|^2).
 
     Central differences on the (possibly non-uniform) angular-frequency
     grid, one-sided at the endpoints.  Samples too close to |S11| = 1 are
     returned in .flagged instead of producing huge values.  Optional
-    odd-length Savitzky-Golay smoothing of S11 assumes near-uniform spacing.
+    smoothing runs the in-house cubic Savitzky-Golay filter _savgol_cubic
+    on S11 (near-uniform spacing assumed); its edge samples take the cubic
+    fitted to the first or last full window, like scipy's mode="interp".
     """
     if trace.frequencies.size < 3:
         raise TooFewPoints("need at least 3 samples to differentiate S11")
@@ -148,9 +169,7 @@ def bode_q(trace: OnePortTrace, smooth_window: int | None = None) -> QTrace:
             raise ValueError("smooth_window must be odd and >= 5")
         if smooth_window > s.size:
             raise ValueError("smooth_window exceeds the trace length")
-        s = savgol_filter(s.real, smooth_window, 3) + 1j * savgol_filter(
-            s.imag, smooth_window, 3
-        )
+        s = _savgol_cubic(s, smooth_window)
     omega = 2.0 * np.pi * trace.frequencies
     denominator = 1.0 - np.abs(s) ** 2
     derivative = np.gradient(s, omega)

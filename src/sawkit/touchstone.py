@@ -154,15 +154,38 @@ def _from_complex(value_format: str, s: np.ndarray) -> tuple[np.ndarray, np.ndar
     return 20.0 * np.log10(np.maximum(magnitude, _DB_MAG_FLOOR)), angle
 
 
+def _data_rows(rows: list[str], linenos: list[int]) -> np.ndarray:
+    """Convert the data rows in one call; on failure name the first bad row."""
+    try:
+        data = np.loadtxt(rows, ndmin=2, comments=None)
+        if data.shape[1] == 3:
+            return data
+    except ValueError:
+        pass
+    for lineno, row in zip(linenos, rows):
+        tokens = row.split()
+        if len(tokens) != 3:
+            raise WrongColumnCount(
+                f"line {lineno}: one-port data needs 3 columns, got {len(tokens)}"
+            )
+        try:
+            np.loadtxt([row], comments=None)
+        except ValueError:
+            raise WrongColumnCount(f"line {lineno}: non-numeric value in data row") from None
+    raise AssertionError("rows failed to convert together but not one by one")
+
+
 def parse_touchstone(text: str) -> tuple[OnePortTrace, TouchstoneFormat]:
     """Parse one-port Touchstone text into a trace and its declared format.
 
-    Raises MalformedOptionLine, WrongColumnCount, NonMonotonicFrequency or
-    EmptyData.  Comment lines are preserved verbatim on the trace.
+    Raises MalformedOptionLine, WrongColumnCount (also for a row whose S11
+    is not finite), NonMonotonicFrequency or EmptyData.  Comment lines are
+    preserved verbatim on the trace.
     """
     comments: list[str] = []
     fmt: TouchstoneFormat | None = None
-    rows: list[list[float]] = []
+    rows: list[str] = []
+    linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -186,24 +209,21 @@ def parse_touchstone(text: str) -> tuple[OnePortTrace, TouchstoneFormat]:
                 continue
         if fmt is None:
             raise MalformedOptionLine(f"line {lineno}: data row before the option line")
-        tokens = line.split()
-        if len(tokens) != 3:
-            raise WrongColumnCount(
-                f"line {lineno}: one-port data needs 3 columns, got {len(tokens)}"
-            )
-        try:
-            rows.append([float(t) for t in tokens])
-        except ValueError:
-            raise WrongColumnCount(f"line {lineno}: non-numeric value in data row") from None
+        rows.append(line)
+        linenos.append(lineno)
     if fmt is None:
         raise MalformedOptionLine("missing option line")
-    if len(rows) < 2:
-        raise EmptyData(f"need at least 2 data rows, got {len(rows)}")
-    data = np.asarray(rows, dtype=float)
+    data = _data_rows(rows, linenos) if rows else np.empty((0, 3))
+    if len(data) < 2:
+        raise EmptyData(f"need at least 2 data rows, got {len(data)}")
     freqs = data[:, 0] * _UNIT_SCALE[fmt.frequency_unit]
     if not (np.all(np.isfinite(freqs)) and freqs[0] > 0.0 and np.all(np.diff(freqs) > 0.0)):
         raise NonMonotonicFrequency("frequencies must be positive and strictly increasing")
-    s11 = _to_complex(fmt.value_format, data[:, 1], data[:, 2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        s11 = _to_complex(fmt.value_format, data[:, 1], data[:, 2])
+    bad = np.flatnonzero(~np.isfinite(s11))
+    if bad.size:
+        raise WrongColumnCount(f"line {linenos[bad[0]]}: non-finite value in data row")
     trace = OnePortTrace(freqs, s11, z0=fmt.reference_resistance, comments=tuple(comments))
     return trace, fmt
 
@@ -219,12 +239,11 @@ def write_touchstone(trace: OnePortTrace, fmt: TouchstoneFormat) -> str:
             f"format declares R {fmt.reference_resistance:g} but trace z0 is {trace.z0:g}; "
             "renormalize the trace first"
         )
-    lines = list(trace.comments)
-    lines.append(
+    header = list(trace.comments)
+    header.append(
         f"# {fmt.frequency_unit} S {fmt.value_format} R {fmt.reference_resistance:.12g}"
     )
     freqs = trace.frequencies / _UNIT_SCALE[fmt.frequency_unit]
     col_a, col_b = _from_complex(fmt.value_format, trace.s11)
-    for f, a, b in zip(freqs, col_a, col_b):
-        lines.append(f"{f:.12e} {a:.12e} {b:.12e}")
-    return "\n".join(lines) + "\n"
+    values = np.column_stack((freqs, col_a, col_b)).ravel().tolist()
+    return "\n".join(header) + "\n" + ("%.12e %.12e %.12e\n" * freqs.size) % tuple(values)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -504,3 +505,17 @@ def test_every_error_type_has_a_cli_exit_code():
     assert len(found) >= 14
     for cls in [SawkitError, *found]:
         assert cls.exit_code in (cli.EXIT_PARSE, cli.EXIT_EXTRACT), cls.__name__
+
+
+def test_extract_rejects_non_finite_s11(fixture_dir, tmp_path, capsys):
+    lines = (fixture_dir / "deviceA.s1p").read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("#")) + 1
+    f, _, b = lines[first + 10].split()
+    lines[first + 10] = f"{f} nan {b}"
+    path = tmp_path / "nan.s1p"
+    path.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["extract", str(path)])
+    assert rc == 2
+    assert f"line {first + 11}: non-finite value in data row" in capsys.readouterr().err

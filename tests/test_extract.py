@@ -285,3 +285,27 @@ def test_extraction_work_counts(monkeypatch, device_trace, device_fp):
     extract.full_extraction(device_trace)
     assert calls["circle_fit"] == 1
     assert calls["s_to_y"] <= 2
+
+
+@pytest.mark.parametrize("window", [5, 31, 101])
+def test_savgol_reproduces_cubics(window):
+    # a least-squares cubic fit returns any cubic unchanged: interior and edges
+    from sawkit.extract import _savgol_cubic
+
+    t = np.linspace(-1.0, 2.0, 101)
+    cubic = (0.3 - 2.0 * t + 1.5 * t**2 - 0.7 * t**3) + 1j * (0.1 + t - 0.4 * t**3)
+    np.testing.assert_allclose(_savgol_cubic(cubic, window), cubic, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("window", [5, 31, 201])
+def test_savgol_matches_scipy(window):
+    signal = pytest.importorskip("scipy.signal")
+    from sawkit.extract import _savgol_cubic
+
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(201) + 1j * rng.standard_normal(201)
+    expected = signal.savgol_filter(x.real, window, 3) + 1j * signal.savgol_filter(
+        x.imag, window, 3
+    )
+    got = _savgol_cubic(x, window)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))

@@ -195,3 +195,70 @@ def test_comments_roundtrip():
     text = write_touchstone(trace, TouchstoneFormat("GHZ", "S", "RI", 50.0))
     back, _ = parse_touchstone(text)
     assert back.comments == trace.comments
+
+
+def _write_rows_reference(trace, fmt):
+    # the per-row writer the bulk format replaced, kept as the reference
+    lines = list(trace.comments)
+    lines.append(f"# {fmt.frequency_unit} S {fmt.value_format} R {fmt.reference_resistance:.12g}")
+    scale = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}[fmt.frequency_unit]
+    s = trace.s11
+    if fmt.value_format == "RI":
+        col_a, col_b = s.real, s.imag
+    else:
+        angle = np.degrees(np.angle(s))
+        angle = np.where(angle <= -180.0, angle + 360.0, angle)
+        col_a, col_b = np.abs(s), angle
+        if fmt.value_format == "DB":
+            col_a = 20.0 * np.log10(np.maximum(col_a, 1e-300))
+    for f, a, b in zip(trace.frequencies / scale, col_a, col_b):
+        lines.append(f"{f:.12e} {a:.12e} {b:.12e}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("value_format", ["RI", "MA", "DB"])
+def test_write_matches_per_row_reference(value_format):
+    rng = np.random.default_rng(3)
+    trace = _random_trace(rng, n=64)
+    extremes = np.array([-0.0 + 0.0j, 0.0 - 0.0j, 1e-300 - 1e-300j, 1e300 + 0.5j, -1e300 - 0.0j])
+    trace = OnePortTrace(
+        frequencies=np.concatenate(([1e-300, 1.0, 2.0], trace.frequencies, [1e299, 1e300])),
+        s11=np.concatenate((extremes[:3], trace.s11, extremes[3:])),
+        z0=50.0,
+        comments=("! reference",),
+    )
+    fmt = TouchstoneFormat("GHZ", "S", value_format, 50.0)
+    assert write_touchstone(trace, fmt) == _write_rows_reference(trace, fmt)
+
+
+_PREAMBLE = "! header\n\n# GHZ S RI R 50\n! note\n\n1 0 0 ! inline\n   \n2 0 0\n"  # lines 1-8
+
+
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ("3 0 0 0", "line 9: one-port data needs 3 columns, got 4"),
+        ("3 0 ! inline comment", "line 9: one-port data needs 3 columns, got 2"),
+        ("3 0 x", "line 9: non-numeric value in data row"),
+        ("3 1_000 0", "line 9: non-numeric value in data row"),
+        ("3 nan 0", "line 9: non-finite value in data row"),
+        ("3 0 inf ! inline comment", "line 9: non-finite value in data row"),
+    ],
+)
+def test_parse_error_names_the_bad_line(bad_row, message):
+    text = _PREAMBLE + bad_row + "\n4 0 0\n"
+    with pytest.raises(WrongColumnCount) as info:
+        parse_touchstone(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value_format, row", [("MA", "3 inf 0"), ("MA", "3 0.5 nan"), ("DB", "3 1e300 0")])
+def test_non_finite_s11_rejected_in_every_format(value_format, row):
+    text = f"# GHZ S {value_format} R 50\n1 0.5 0\n{row}\n4 0.5 0\n"
+    with pytest.raises(WrongColumnCount, match="line 3: non-finite value in data row"):
+        parse_touchstone(text)
+
+
+def test_db_minus_infinity_is_an_exact_zero():
+    trace, _ = parse_touchstone("# GHZ S DB R 50\n1 -inf 0\n2 -6 90\n")
+    assert trace.s11[0] == 0.0
