@@ -161,8 +161,7 @@ def cmd_fit(args) -> int:
         init = mbvd.params_from_json(_read_json(args.init))
     else:
         init = fit.initial_guess(admittance)
-    config = fit.FitConfig(max_iterations=args.max_iter)
-    result = fit.fit_mbvd(admittance, init, config)
+    result = fit.fit_mbvd(admittance, init, args.max_iter)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "params": mbvd.params_to_json(result.params),
@@ -202,8 +201,9 @@ def cmd_synth(args) -> int:
         return _fail(EXIT_PARSE, "grid needs at least 2 points")
     if not args.f_lo > 0 or not args.f_hi > args.f_lo:
         return _fail(EXIT_PARSE, "need 0 < f-lo < f-hi")
-    if not np.isfinite(args.f_hi):
-        return _fail(EXIT_PARSE, "frequencies must be positive and strictly increasing")
+    if not np.isfinite(2.0 * np.pi * args.f_hi):  # the model works in angular frequency
+        msg = "frequencies must be positive and strictly increasing; 2 pi f-hi must be finite"
+        return _fail(EXIT_PARSE, msg)
     grid = np.linspace(args.f_lo, args.f_hi, args.points)
     trace = mbvd.synthesize_s11(params, grid, z0=args.z0)
     if args.noise > 0:

@@ -69,8 +69,6 @@ class ExtractOptions:
 
     tune_band: tuple[float, float] | None = None
     qmax_band: tuple[float, float] | None = None
-    z0_min: float = 1.0
-    z0_max: float = 5000.0
     smooth_window: int | None = None
 
 
@@ -208,7 +206,7 @@ def full_extraction(
     coupling = keff2(f_s, f_p)
     ratio = admittance_ratio(y, f_s, f_p)
     tune_band = opts.tune_band or (0.98 * f_s, 1.02 * f_p)
-    z0_star, tuned = tune_source_impedance(trace, tune_band, opts.z0_min, opts.z0_max)
+    z0_star, tuned = tune_source_impedance(trace, tune_band)
     q_trace = bode_q(tuned, opts.smooth_window)
     search_band = opts.qmax_band or (0.9 * f_s, 1.1 * f_p)
     best_q = q_max(q_trace, search_band)

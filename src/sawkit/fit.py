@@ -3,44 +3,39 @@
 Damped Gauss-Newton on the logs of the six elements.  Residuals are the
 stacked real and imaginary admittance misfits, weighted toward relative
 error so the series peak and the parallel notch carry comparable weight.
+The Jacobian is the closed-form dY/dlog(element) of the mBVD kernel
+(mbvd.element_admittance_jacobian), so an iteration evaluates the model
+once per trial step and never by finite differences.
 The procedure is deterministic: no randomness, fixed traversal order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NegativeStaticCapacitance, NonFiniteResidual, ResonanceNotBracketed
 from .extract import find_fs_fp
-from .mbvd import MbvdParams, admittance, element_admittance, params_to_json
+from .mbvd import (
+    MbvdParams, admittance, element_admittance, element_admittance_jacobian, params_to_json,
+)
 from .network import AdmittanceTrace
 
 # same sanity cap MbvdParams enforces (c_m < 8 c_0), in log space
 _LOG_CM_C0_CAP = np.log(8.0)
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    max_iterations: int = 200
-    # stop when the relative cost improvement of an accepted step drops below this
-    residual_tol: float = 1e-10
-    # or when the relative parameter step does
-    step_tol: float = 1e-8
-    # forward-difference step, relative in linear element space
-    jacobian_step: float = 1e-6
-    initial_damping: float = 1e-3
-    damping_factor: float = 10.0
-    max_damping: float = 1e12
-    r_floor: float = 1e-6
-    # largest accepted per-iteration move of any single log-parameter;
-    # near-flat directions otherwise produce basin-hopping steps
-    max_log_step: float = 4.0
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+# stop when the relative cost improvement of an accepted step drops below this
+_RESIDUAL_TOL = 1e-10
+# or when the relative parameter step does
+_STEP_TOL = 1e-8
+_INITIAL_DAMPING = 1e-3
+_DAMPING_FACTOR = 10.0
+_MAX_DAMPING = 1e12
+# resistances are held at or above this many ohms
+_R_FLOOR = 1e-6
+# largest accepted per-iteration move of any single log-parameter;
+# near-flat directions otherwise produce basin-hopping steps
+_MAX_LOG_STEP = 4.0
 
 
 @dataclass(frozen=True)
@@ -84,31 +79,17 @@ def initial_guess(trace: AdmittanceTrace) -> MbvdParams:
     return MbvdParams(r_s=0.5, r_0=0.1, r_m=r_m, l_m=l_m, c_m=c_m, c_0=c_0)
 
 
-def _log_vector(params: MbvdParams, r_floor: float) -> np.ndarray:
-    return np.log(
-        np.array(
-            [
-                max(params.r_s, r_floor),
-                max(params.r_0, r_floor),
-                max(params.r_m, r_floor),
-                params.l_m,
-                params.c_m,
-                params.c_0,
-            ]
-        )
-    )
+def _log_vector(params: MbvdParams) -> np.ndarray:
+    values = np.array([params.r_s, params.r_0, params.r_m, params.l_m, params.c_m, params.c_0])
+    values[:3] = np.maximum(values[:3], _R_FLOOR)
+    return np.log(values)
 
 
-def _params_from_log(x: np.ndarray, r_floor: float) -> MbvdParams:
+def _elements(x: np.ndarray) -> np.ndarray:
+    """Element values r_s, r_0, r_m, l_m, c_m, c_0 at log-vector x, resistances floored."""
     values = np.exp(x)
-    return MbvdParams(
-        r_s=max(float(values[0]), r_floor),
-        r_0=max(float(values[1]), r_floor),
-        r_m=max(float(values[2]), r_floor),
-        l_m=float(values[3]),
-        c_m=float(values[4]),
-        c_0=float(values[5]),
-    )
+    values[:3] = np.maximum(values[:3], _R_FLOOR)
+    return values
 
 
 def _align_resonance(trace: AdmittanceTrace, init: MbvdParams) -> MbvdParams:
@@ -130,14 +111,7 @@ def _align_resonance(trace: AdmittanceTrace, init: MbvdParams) -> MbvdParams:
         return init
     ratio = fs_init / fs_data
     try:
-        return MbvdParams(
-            r_s=init.r_s,
-            r_0=init.r_0,
-            r_m=init.r_m,
-            l_m=init.l_m * ratio,
-            c_m=init.c_m * ratio,
-            c_0=init.c_0,
-        )
+        return replace(init, l_m=init.l_m * ratio, c_m=init.c_m * ratio)
     except ValueError:
         return init
 
@@ -145,17 +119,19 @@ def _align_resonance(trace: AdmittanceTrace, init: MbvdParams) -> MbvdParams:
 def fit_mbvd(
     trace: AdmittanceTrace,
     init: MbvdParams,
-    config: FitConfig | None = None,
+    max_iterations: int = 200,
 ) -> FitResult:
     """Refine mBVD elements against measured admittance.
 
     The initial point is first retuned onto the measured |Y| peak (see
-    _align_resonance), then polished by damped Gauss-Newton.  Returns
-    best-so-far with converged=False when the iteration budget or the
-    damping range is exhausted.  Raises NonFiniteResidual when the model
-    cannot be evaluated at the initial point.
+    _align_resonance), then polished by damped Gauss-Newton for at most
+    max_iterations steps.  Returns best-so-far with converged=False when
+    the iteration budget or the damping range is exhausted.  Raises
+    ValueError when max_iterations < 1 and NonFiniteResidual when the
+    model cannot be evaluated at the initial point.
     """
-    cfg = config or FitConfig()
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
     freqs = trace.frequencies
     target = trace.y
     scale = float(np.abs(target).max())
@@ -165,51 +141,52 @@ def fit_mbvd(
 
     def residual(x: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            r_s, r_0, r_m = np.maximum(np.exp(x[:3]), cfg.r_floor)
-            l_m, c_m, c_0 = np.exp(x[3:])
-            model = element_admittance(r_s, r_0, r_m, l_m, c_m, c_0, freqs)
-            diff = model - target
+            diff = element_admittance(*_elements(x), freqs) - target
             return np.concatenate([sqrt_weight * diff.real, sqrt_weight * diff.imag])
 
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        """(6, 2n): d residual / d x, one row per log-element."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = element_admittance_jacobian(*_elements(x), freqs) * sqrt_weight
+        # a resistance held at the floor does not move with its log-parameter
+        rows[:3][x[:3] < np.log(_R_FLOOR)] = 0.0
+        return np.concatenate([rows.real, rows.imag], axis=1)
+
     init = _align_resonance(trace, init)
-    x = _log_vector(init, cfg.r_floor)
+    x = _log_vector(init)
     current = residual(x)
     if not np.all(np.isfinite(current)):
         raise NonFiniteResidual("model admittance is not finite at the initial point")
     cost = float(current @ current)
     history = [cost]
-    damping = cfg.initial_damping
+    damping = _INITIAL_DAMPING
     identity = np.eye(x.size)
     converged = False
     iterations = 0
 
-    for iterations in range(1, cfg.max_iterations + 1):
-        jacobian = np.empty((current.size, x.size))
-        for j in range(x.size):
-            probe = x.copy()
-            probe[j] += cfg.jacobian_step
-            jacobian[:, j] = (residual(probe) - current) / cfg.jacobian_step
-        if not np.all(np.isfinite(jacobian)):
+    for iterations in range(1, max_iterations + 1):
+        jac = jacobian(x)
+        if not np.all(np.isfinite(jac)):
             raise NonFiniteResidual("Jacobian is not finite")
-        jtj = jacobian.T @ jacobian
-        jtr = jacobian.T @ current
+        jtj = jac @ jac.T
+        jtr = jac @ current
         accepted = False
         best_gap = np.inf
-        while damping <= cfg.max_damping:
+        while damping <= _MAX_DAMPING:
             try:
                 step = np.linalg.solve(jtj + damping * identity, -jtr)
             except np.linalg.LinAlgError:
-                damping *= cfg.damping_factor
+                damping *= _DAMPING_FACTOR
                 continue
             x_trial = x + step
             # reject steps that leave the parameter sanity region or move
             # too far at once: near-flat directions otherwise carry the
             # iterate arbitrarily far for a vanishing cost change
             if (
-                float(np.abs(step).max()) > cfg.max_log_step
+                float(np.abs(step).max()) > _MAX_LOG_STEP
                 or x_trial[4] >= x_trial[5] + _LOG_CM_C0_CAP
             ):
-                damping *= cfg.damping_factor
+                damping *= _DAMPING_FACTOR
                 continue
             trial = residual(x_trial)
             trial_cost = float(trial @ trial) if np.all(np.isfinite(trial)) else np.inf
@@ -218,11 +195,11 @@ def fit_mbvd(
                 break
             if np.isfinite(trial_cost):
                 best_gap = min(best_gap, trial_cost - cost)
-            damping *= cfg.damping_factor
+            damping *= _DAMPING_FACTOR
         if not accepted:
             # no strictly decreasing step exists in the damping range; a
             # vanishing gap means we are sitting at a minimum
-            converged = best_gap <= cfg.residual_tol * max(cost, 1e-300)
+            converged = best_gap <= _RESIDUAL_TOL * max(cost, 1e-300)
             break
         improvement = (cost - trial_cost) / cost if cost > 0 else 0.0
         step_size = float(np.linalg.norm(step)) / max(float(np.linalg.norm(x)), 1.0)
@@ -230,12 +207,12 @@ def fit_mbvd(
         current = trial
         cost = trial_cost
         history.append(cost)
-        damping = max(damping / cfg.damping_factor, 1e-15)
-        if improvement < cfg.residual_tol or step_size < cfg.step_tol:
+        damping = max(damping / _DAMPING_FACTOR, 1e-15)
+        if improvement < _RESIDUAL_TOL or step_size < _STEP_TOL:
             converged = True
             break
 
-    params = _params_from_log(x, cfg.r_floor)
+    params = MbvdParams(*(float(v) for v in _elements(x)))
     model = admittance(params, freqs)
     rms = float(np.sqrt(np.mean(np.abs(model - target) ** 2)))
     return FitResult(

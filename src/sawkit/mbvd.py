@@ -7,7 +7,7 @@ series with its dielectric loss r_0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -43,6 +43,13 @@ class MbvdParams:
             raise ValueError("c_m must be smaller than 8 * c_0")
 
 
+def _branches(r_0, r_m, l_m, c_m, c_0, w):
+    """Motional-branch impedance z_m and static-branch admittance y_0 at w rad/s."""
+    z_m = r_m + 1j * (w * l_m - 1.0 / (w * c_m))
+    y_0 = 1j * w * c_0 / (1.0 + 1j * w * c_0 * r_0)
+    return z_m, y_0
+
+
 def element_admittance(r_s, r_0, r_m, l_m, c_m, c_0, f):
     """Raw admittance kernel on unchecked element values (fit hot path)."""
     w = 2.0 * np.pi * np.asarray(f, dtype=float)
@@ -51,8 +58,7 @@ def element_admittance(r_s, r_0, r_m, l_m, c_m, c_0, f):
         # 0-d numpy complex division by zero raises instead of warning
         w = w[None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        z_m = r_m + 1j * (w * l_m - 1.0 / (w * c_m))
-        y_0 = 1j * w * c_0 / (1.0 + 1j * w * c_0 * r_0)
+        z_m, y_0 = _branches(r_0, r_m, l_m, c_m, c_0, w)
         # ratio form keeps the value finite when the motional branch hits
         # exact series resonance with r_m = 0 (then z_m = 0 and Y = 1/r_s)
         core = 1.0 + z_m * y_0
@@ -62,6 +68,29 @@ def element_admittance(r_s, r_0, r_m, l_m, c_m, c_0, f):
             # denominator vanished against a unit numerator: the limit is a short
             y = np.where(bad, complex(np.inf, 0.0), y)
     return y[0] if scalar else y
+
+
+def element_admittance_jacobian(r_s, r_0, r_m, l_m, c_m, c_0, f):
+    """dY/dlog(element) of element_admittance on a frequency array.
+
+    Returns a (6, n) complex array, one row per element in the order
+    r_s, r_0, r_m, l_m, c_m, c_0 (Larson et al. 2000, IEEE Ultrason. Symp.).
+    With d = z_m + r_s core the kernel's denominator and z_0 = 1/y_0:
+    dY/dr_s = -(core/d)^2, dY/dz_m = -1/d^2 and dY/dz_0 = -(z_m y_0/d)^2.
+    Each row is its branch derivative times the element's own impedance
+    term: r, j w l, or j/(w c) for a capacitor.
+    """
+    w = 2.0 * np.pi * np.asarray(f, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z_m, y_0 = _branches(r_0, r_m, l_m, c_m, c_0, w)
+        core = 1.0 + z_m * y_0
+        inv_d = 1.0 / (z_m + r_s * core)
+        d_z_m = -(inv_d * inv_d)
+        d_z_0 = d_z_m * (z_m * y_0) ** 2
+        return np.stack([
+            -r_s * (core * inv_d) ** 2, r_0 * d_z_0, r_m * d_z_m,
+            1j * w * l_m * d_z_m, 1j / (w * c_m) * d_z_m, 1j / (w * c_0) * d_z_0,
+        ])
 
 
 def admittance(params: MbvdParams, f):
@@ -127,14 +156,7 @@ def synthesize_s11(params: MbvdParams, frequencies, z0: float = 50.0) -> OnePort
 
 def params_to_json(params: MbvdParams) -> dict:
     """Flat JSON-ready dict with SI-unit keys."""
-    return {
-        "r_s_ohm": params.r_s,
-        "r_0_ohm": params.r_0,
-        "r_m_ohm": params.r_m,
-        "l_m_h": params.l_m,
-        "c_m_f": params.c_m,
-        "c_0_f": params.c_0,
-    }
+    return dict(zip(_JSON_KEYS, astuple(params)))
 
 
 def params_from_json(obj: dict) -> MbvdParams:

@@ -83,10 +83,7 @@ def renormalize(trace: OnePortTrace, z0_new: float) -> OnePortTrace:
         raise ValueError("z0 must be positive")
     if z0_new == trace.z0:
         return trace
-    y = s_to_y(trace).y
-    zy = z0_new * y
-    s_new = (1.0 - zy) / (1.0 + zy)
-    return OnePortTrace(trace.frequencies, s_new, z0=z0_new, comments=trace.comments)
+    return replace(y_to_s(s_to_y(trace), z0_new), comments=trace.comments)
 
 
 def _kasa_circle(points: np.ndarray) -> tuple[complex, float, float]:

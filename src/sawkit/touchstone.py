@@ -78,6 +78,8 @@ class OnePortTrace:
         s11 = np.asarray(self.s11, dtype=complex)
         if s11.shape != freqs.shape:
             raise ValueError("frequencies and s11 must have the same length")
+        if not np.all(np.isfinite(s11)):
+            raise ValueError("s11 must be finite")
         if not self.z0 > 0:
             raise ValueError("z0 must be positive")
         object.__setattr__(self, "frequencies", freqs)

@@ -464,6 +464,12 @@ EXIT_CODE_CASES = {
         2,
         "f-lo < f-hi",
     ),
+    # 1e308 Hz is finite but 2 pi f overflows in the model
+    "synth-overflowing-grid": (
+        "synth {fx}/deviceA.params.json -o - --f-lo 1e9 --f-hi 1e308 --points 3",
+        2,
+        "2 pi f-hi must be finite",
+    ),
     "sweep-unknown-axis": ("sweep {bad}/geometry.json --axis color --values 1", 2, "unknown sweep axis"),
     "sweep-unknown-family": (
         "sweep {bad}/geometry.json --axis lambda --values 4e-7 --family nope", 2, "unknown family"

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from sawkit import mbvd
+from sawkit import fit, mbvd
 from sawkit.errors import (
     NegativeStaticCapacitance,
     NonFiniteResidual,
     ResonanceNotBracketed,
 )
-from sawkit.fit import FitConfig, fit_mbvd, initial_guess, result_to_json
+from sawkit.fit import fit_mbvd, initial_guess, result_to_json
 from sawkit.network import AdmittanceTrace, s_to_y
 
 from conftest import C_0, F_S, KEFF2, Q_M
@@ -150,9 +150,33 @@ def test_fit_reports_nonconvergence_as_state(device_params, wide_trace):
         c_m=device_params.c_m * 0.85,
         c_0=1.2e-13,
     )
-    result = fit_mbvd(wide_trace, start, FitConfig(max_iterations=1))
+    result = fit_mbvd(wide_trace, start, max_iterations=1)
     assert not result.converged
     assert result.iterations == 1
+
+
+def test_fit_rejects_zero_iterations_before_any_work(device_params):
+    # the budget is checked before the trace, so even a dead trace gives ValueError
+    f = np.linspace(8e9, 11e9, 100)
+    dead = AdmittanceTrace(frequencies=f, y=np.zeros(f.size, complex))
+    with pytest.raises(ValueError, match="max_iterations"):
+        fit_mbvd(dead, device_params, max_iterations=0)
+
+
+def test_fit_evaluates_the_model_once_per_trial_step(wide_trace, monkeypatch):
+    # the Jacobian is closed form: the model runs once for the start and once
+    # per trial step, not once per parameter probe
+    calls = []
+    kernel = fit.element_admittance
+
+    def counted(*args):
+        calls.append(None)
+        return kernel(*args)
+
+    monkeypatch.setattr(fit, "element_admittance", counted)
+    result = fit_mbvd(wide_trace, initial_guess(wide_trace))
+    assert result.converged
+    assert len(calls) <= 2 * result.iterations + 1
 
 
 def test_fit_cost_never_increases(device_params, wide_trace):

@@ -8,6 +8,8 @@ from sawkit.mbvd import (
     derived_fs,
     derived_keff2,
     derived_q_m,
+    element_admittance,
+    element_admittance_jacobian,
     params_from_json,
     params_from_metrics,
     params_to_json,
@@ -15,6 +17,23 @@ from sawkit.mbvd import (
 )
 
 from conftest import C_0, F_S, KEFF2, Q_M
+
+
+@pytest.mark.parametrize("q_m", [58.0, 213.0])
+def test_element_jacobian_matches_central_differences(q_m):
+    p = params_from_metrics(F_S, KEFF2, q_m=q_m, c_0=C_0, r_s=0.5, r_0=0.5)
+    values = np.array([p.r_s, p.r_0, p.r_m, p.l_m, p.c_m, p.c_0])
+    f = np.linspace(0.85 * derived_fs(p), 1.15 * derived_fp(p), 4001)
+    jacobian = element_admittance_jacobian(*values, f)
+    assert jacobian.shape == (6, f.size)
+    h = 1e-5
+    for k in range(6):
+        up, down = values.copy(), values.copy()
+        up[k] *= np.exp(h)
+        down[k] *= np.exp(-h)
+        central = (element_admittance(*up, f) - element_admittance(*down, f)) / (2 * h)
+        row = jacobian[k]
+        assert np.abs(row - central).max() <= 1e-5 * np.abs(row).max()
 
 
 def test_series_resonance_unit_algebra():

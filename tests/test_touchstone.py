@@ -134,6 +134,14 @@ def test_trace_rejects_non_finite_frequency(bad):
         OnePortTrace(frequencies=[1e9, 2e9, bad], s11=np.zeros(3, complex), z0=50.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.1, np.nan), complex(-np.inf, 0.2)])
+def test_trace_rejects_non_finite_s11(bad):
+    # a trace built in code must not bypass the parser's finiteness check
+    s11 = np.array([0.1, bad, 0.3], dtype=complex)
+    with pytest.raises(ValueError, match="s11 must be finite"):
+        OnePortTrace(frequencies=[1e9, 2e9, 3e9], s11=s11, z0=50.0)
+
+
 def _random_trace(rng, n=40):
     f = np.sort(rng.uniform(1e8, 2e10, n))
     while np.any(np.diff(f) <= 0):  # pragma: no cover - vanishingly unlikely
