@@ -162,13 +162,10 @@ def cmd_fit(args) -> int:
     else:
         init = fit.initial_guess(admittance)
     result = fit.fit_mbvd(admittance, init, args.max_iter)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "params": mbvd.params_to_json(result.params),
-        "rms_residual_s": result.rms_residual,
-        "iterations": result.iterations,
-        "converged": result.converged,
-    }
+    params = mbvd.params_to_json(result.params)
+    # the fit JSON is defined once, in fit.result_to_json; only the elements nest here
+    payload = {"schema_version": SCHEMA_VERSION, "params": params}
+    payload.update((k, v) for k, v in fit.result_to_json(result).items() if k not in params)
     if args.report:
         raw_report = extract.full_extraction(trace)
         model_trace = mbvd.synthesize_s11(result.params, trace.frequencies, trace.z0)
@@ -187,7 +184,8 @@ def cmd_fit(args) -> int:
     _write_json(output, payload)
     _diag(
         f"fit {'converged' if result.converged else 'DID NOT converge'} after "
-        f"{result.iterations} iterations; rms residual {result.rms_residual:.3e} S"
+        f"{result.iterations} iterations ({result.stop_reason}); "
+        f"rms residual {result.rms_residual:.3e} S"
     )
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 

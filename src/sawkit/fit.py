@@ -1,12 +1,17 @@
 """Least-squares mBVD element extraction from an admittance trace.
 
 Damped Gauss-Newton on the logs of the six elements.  Residuals are the
-stacked real and imaginary admittance misfits, weighted toward relative
-error so the series peak and the parallel notch carry comparable weight.
-The Jacobian is the closed-form dY/dlog(element) of the mBVD kernel
+real and imaginary admittance misfits, weighted toward relative error so
+the series peak and the parallel notch carry comparable weight.  The
+Jacobian is the closed-form dY/dlog(element) of the mBVD kernel
 (mbvd.element_admittance_jacobian), so an iteration evaluates the model
-once per trial step and never by finite differences.
-The procedure is deterministic: no randomness, fixed traversal order.
+once per trial step and never by finite differences.  The normal equations
+are built without copies: the Jacobian rows are weighted in place and read
+through a float view, real and imaginary parts interleaved, which gives
+the same J J^T and J r as stacking them.  The damping ladder stops as soon
+as the damped step is below the step tolerance, since more damping only
+shortens it.  The procedure is deterministic: no randomness, fixed
+traversal order.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from .network import AdmittanceTrace
 _LOG_CM_C0_CAP = np.log(8.0)
 # stop when the relative cost improvement of an accepted step drops below this
 _RESIDUAL_TOL = 1e-10
-# or when the relative parameter step does
+# or when a damped step, relative to the parameter vector, is shorter than
+# this; checked before the trial step is evaluated
 _STEP_TOL = 1e-8
 _INITIAL_DAMPING = 1e-3
 _DAMPING_FACTOR = 10.0
@@ -40,10 +46,20 @@ _MAX_LOG_STEP = 4.0
 
 @dataclass(frozen=True)
 class FitResult:
+    """Fitted elements and how the fit got there.
+
+    stop_reason is one of "cost_tolerance" (an accepted step improved the
+    cost by less than the tolerance), "step_tolerance" (the damped step
+    shrank below the step tolerance), "damping_exhausted" (no damping in
+    range lowered the cost; converged tells whether the remaining gap was
+    within tolerance) or "iteration_budget".
+    """
+
     params: MbvdParams
     rms_residual: float
     iterations: int
     converged: bool
+    stop_reason: str
     cost_history: tuple[float, ...] = ()
 
 
@@ -140,17 +156,20 @@ def fit_mbvd(
     sqrt_weight = 1.0 / np.maximum(np.abs(target), 0.01 * scale)
 
     def residual(x: np.ndarray) -> np.ndarray:
+        """Weighted misfit, real and imaginary parts interleaved (2n floats)."""
         with np.errstate(over="ignore", invalid="ignore"):
             diff = element_admittance(*_elements(x), freqs) - target
-            return np.concatenate([sqrt_weight * diff.real, sqrt_weight * diff.imag])
+            diff *= sqrt_weight
+        return diff.view(float)
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        """(6, 2n): d residual / d x, one row per log-element."""
+        """(6, 2n): d residual / d x, one row per log-element, same interleaving."""
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = element_admittance_jacobian(*_elements(x), freqs) * sqrt_weight
+            rows = element_admittance_jacobian(*_elements(x), freqs)
+            rows *= sqrt_weight
         # a resistance held at the floor does not move with its log-parameter
         rows[:3][x[:3] < np.log(_R_FLOOR)] = 0.0
-        return np.concatenate([rows.real, rows.imag], axis=1)
+        return rows.view(float)
 
     init = _align_resonance(trace, init)
     x = _log_vector(init)
@@ -162,6 +181,7 @@ def fit_mbvd(
     damping = _INITIAL_DAMPING
     identity = np.eye(x.size)
     converged = False
+    stop_reason = "iteration_budget"
     iterations = 0
 
     for iterations in range(1, max_iterations + 1):
@@ -178,6 +198,11 @@ def fit_mbvd(
             except np.linalg.LinAlgError:
                 damping *= _DAMPING_FACTOR
                 continue
+            # more damping only shortens the step: once it is this small
+            # there is nothing left to try at this point
+            if float(np.linalg.norm(step)) / max(float(np.linalg.norm(x)), 1.0) < _STEP_TOL:
+                converged, stop_reason = True, "step_tolerance"
+                break
             x_trial = x + step
             # reject steps that leave the parameter sanity region or move
             # too far at once: near-flat directions otherwise carry the
@@ -196,20 +221,22 @@ def fit_mbvd(
             if np.isfinite(trial_cost):
                 best_gap = min(best_gap, trial_cost - cost)
             damping *= _DAMPING_FACTOR
+        if converged:
+            break
         if not accepted:
             # no strictly decreasing step exists in the damping range; a
             # vanishing gap means we are sitting at a minimum
             converged = best_gap <= _RESIDUAL_TOL * max(cost, 1e-300)
+            stop_reason = "damping_exhausted"
             break
         improvement = (cost - trial_cost) / cost if cost > 0 else 0.0
-        step_size = float(np.linalg.norm(step)) / max(float(np.linalg.norm(x)), 1.0)
-        x = x + step
+        x = x_trial
         current = trial
         cost = trial_cost
         history.append(cost)
         damping = max(damping / _DAMPING_FACTOR, 1e-15)
-        if improvement < _RESIDUAL_TOL or step_size < _STEP_TOL:
-            converged = True
+        if improvement < _RESIDUAL_TOL:
+            converged, stop_reason = True, "cost_tolerance"
             break
 
     params = MbvdParams(*(float(v) for v in _elements(x)))
@@ -220,6 +247,7 @@ def fit_mbvd(
         rms_residual=rms,
         iterations=iterations,
         converged=converged,
+        stop_reason=stop_reason,
         cost_history=tuple(history),
     )
 
@@ -231,5 +259,7 @@ def result_to_json(result: FitResult) -> dict:
         rms_residual_s=result.rms_residual,
         iterations=result.iterations,
         converged=result.converged,
+        stop_reason=result.stop_reason,
+        cost_history=list(result.cost_history),
     )
     return payload

@@ -81,16 +81,29 @@ def element_admittance_jacobian(r_s, r_0, r_m, l_m, c_m, c_0, f):
     term: r, j w l, or j/(w c) for a capacitor.
     """
     w = 2.0 * np.pi * np.asarray(f, dtype=float)
+    rows = np.empty((6,) + w.shape, dtype=complex)
+    # every row is filled in place; the branch arrays are reused as work space
     with np.errstate(divide="ignore", invalid="ignore"):
         z_m, y_0 = _branches(r_0, r_m, l_m, c_m, c_0, w)
-        core = 1.0 + z_m * y_0
-        inv_d = 1.0 / (z_m + r_s * core)
-        d_z_m = -(inv_d * inv_d)
-        d_z_0 = d_z_m * (z_m * y_0) ** 2
-        return np.stack([
-            -r_s * (core * inv_d) ** 2, r_0 * d_z_0, r_m * d_z_m,
-            1j * w * l_m * d_z_m, 1j / (w * c_m) * d_z_m, 1j / (w * c_0) * d_z_0,
-        ])
+        zy = np.multiply(z_m, y_0, out=y_0)
+        core = zy + 1.0
+        inv_d = np.reciprocal(np.add(z_m, r_s * core, out=z_m), out=z_m)
+        core *= inv_d  # core/d
+        zy *= inv_d  # z_m y_0/d
+        r_s_row, r_0_row, r_m_row, l_m_row, c_m_row, c_0_row = rows
+        np.square(core, out=r_s_row)
+        r_s_row *= -r_s
+        d_z_m = np.negative(np.square(inv_d, out=r_m_row), out=r_m_row)
+        d_z_0 = np.negative(np.square(zy, out=r_0_row), out=r_0_row)
+        np.multiply(d_z_m, w, out=l_m_row)
+        l_m_row *= 1j * l_m
+        np.divide(d_z_m, w, out=c_m_row)
+        c_m_row *= 1j / c_m
+        np.divide(d_z_0, w, out=c_0_row)
+        c_0_row *= 1j / c_0
+        d_z_0 *= r_0
+        d_z_m *= r_m
+    return rows
 
 
 def admittance(params: MbvdParams, f):

@@ -177,18 +177,18 @@ def _data_rows(rows: list[str], linenos: list[int]) -> np.ndarray:
     raise AssertionError("rows failed to convert together but not one by one")
 
 
-def parse_touchstone(text: str) -> tuple[OnePortTrace, TouchstoneFormat]:
-    """Parse one-port Touchstone text into a trace and its declared format.
+def _scan_lines(lines: list[str], header_only: bool):
+    """Walk the lines in order: comments, the option line, then data rows.
 
-    Raises MalformedOptionLine, WrongColumnCount (also for a row whose S11
-    is not finite), NonMonotonicFrequency or EmptyData.  Comment lines are
-    preserved verbatim on the trace.
+    Returns (comments, format, rows, their line numbers, lines walked).
+    With header_only the walk stops at the option line, so the last item
+    is the index of the first body line and no rows are returned.
     """
     comments: list[str] = []
     fmt: TouchstoneFormat | None = None
     rows: list[str] = []
     linenos: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -204,6 +204,8 @@ def parse_touchstone(text: str) -> tuple[OnePortTrace, TouchstoneFormat]:
             if fmt is not None:
                 raise MalformedOptionLine(f"line {lineno}: duplicate option line")
             fmt = _parse_option_line(line, lineno)
+            if header_only:
+                return comments, fmt, rows, linenos, lineno
             continue
         if "!" in line:
             line = line.split("!", 1)[0].strip()
@@ -215,7 +217,43 @@ def parse_touchstone(text: str) -> tuple[OnePortTrace, TouchstoneFormat]:
         linenos.append(lineno)
     if fmt is None:
         raise MalformedOptionLine("missing option line")
-    data = _data_rows(rows, linenos) if rows else np.empty((0, 3))
+    return comments, fmt, rows, linenos, len(lines)
+
+
+def _plain_body(body: list[str]) -> np.ndarray | None:
+    """The rows after the option line in one conversion, or None.
+
+    None when the body holds a comment, a second option line or a keyword,
+    has no data (numpy would warn), or does not convert to three columns:
+    the line walk then sorts it out and names the offending line.
+    """
+    joined = "\n".join(body)
+    if not joined or joined.isspace() or "!" in joined or "#" in joined or "[" in joined:
+        return None
+    try:
+        data = np.loadtxt(body, ndmin=2, comments=None)
+    except ValueError:
+        return None
+    return data if data.shape[1] == 3 else None
+
+
+def parse_touchstone(text: str) -> tuple[OnePortTrace, TouchstoneFormat]:
+    """Parse one-port Touchstone text into a trace and its declared format.
+
+    Only the header is walked line by line.  A body of plain rows (no '!',
+    '#' or '[' after the option line) is converted by one np.loadtxt call;
+    any other body goes through the line walk, which names the first bad
+    line.  Raises MalformedOptionLine, WrongColumnCount (also for a row
+    whose S11 is not finite), NonMonotonicFrequency or EmptyData.  Comment
+    lines are preserved verbatim on the trace.
+    """
+    lines = text.splitlines()
+    comments, fmt, _, _, body_start = _scan_lines(lines, header_only=True)
+    data = _plain_body(lines[body_start:])
+    linenos = None
+    if data is None:
+        comments, fmt, rows, linenos, _ = _scan_lines(lines, header_only=False)
+        data = _data_rows(rows, linenos) if rows else np.empty((0, 3))
     if len(data) < 2:
         raise EmptyData(f"need at least 2 data rows, got {len(data)}")
     freqs = data[:, 0] * _UNIT_SCALE[fmt.frequency_unit]
@@ -225,6 +263,10 @@ def parse_touchstone(text: str) -> tuple[OnePortTrace, TouchstoneFormat]:
         s11 = _to_complex(fmt.value_format, data[:, 1], data[:, 2])
     bad = np.flatnonzero(~np.isfinite(s11))
     if bad.size:
+        if linenos is None:
+            # a plain body: every non-blank line after the option line is a row
+            body = enumerate(lines[body_start:], start=body_start + 1)
+            linenos = [n for n, raw in body if raw.strip()]
         raise WrongColumnCount(f"line {linenos[bad[0]]}: non-finite value in data row")
     trace = OnePortTrace(freqs, s11, z0=fmt.reference_resistance, comments=tuple(comments))
     return trace, fmt

@@ -216,6 +216,19 @@ def test_fit_with_automatic_guess_and_report(wide_s1p, tmp_path, capsys):
     assert "keff2" in capsys.readouterr().err
 
 
+def test_fit_json_carries_the_fit_diagnostics(wide_s1p, tmp_path):
+    # one definition of the fit JSON: the CLI nests the elements and keeps
+    # every other key of fit.result_to_json, stop reason and cost history too
+    out = tmp_path / "fit.json"
+    assert cli.main(["fit", str(wide_s1p), "-o", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    assert obj["stop_reason"] in ("cost_tolerance", "step_tolerance")
+    history = obj["cost_history"]
+    assert len(history) >= 2 and history == sorted(history, reverse=True)
+    assert set(obj["params"]) == {"r_s_ohm", "r_0_ohm", "r_m_ohm", "l_m_h", "c_m_f", "c_0_f"}
+    assert not set(obj["params"]) & set(obj)
+
+
 def test_fit_guess_needs_out_of_band_samples(fixture_dir, tmp_path, capsys):
     # the fixture grid covers exactly [0.9 f_s, 1.1 f_p]: nothing to read the
     # static branch from, so the closed-form guess must refuse

@@ -9,6 +9,7 @@ from sawkit.errors import (
 )
 from sawkit.fit import fit_mbvd, initial_guess, result_to_json
 from sawkit.network import AdmittanceTrace, s_to_y
+from sawkit.touchstone import OnePortTrace
 
 from conftest import C_0, F_S, KEFF2, Q_M
 
@@ -207,3 +208,87 @@ def test_result_serialization(device_params, wide_trace):
     assert obj["rms_residual_s"] == result.rms_residual
     for key in ("r_s_ohm", "r_0_ohm", "r_m_ohm", "l_m_h", "c_m_f", "c_0_f"):
         assert key in obj
+
+
+NOISE_SIGMA = 1e-3
+NOISE_SEED = 402
+
+
+@pytest.fixture(scope="module")
+def noisy_wide_trace(device_params):
+    # complex S11 noise of rms NOISE_SIGMA, as on a measured trace
+    grid = np.linspace(0.85 * F_S, 1.15 * mbvd.derived_fp(device_params), 4001)
+    clean = mbvd.synthesize_s11(device_params, grid, z0=50.0)
+    rng = np.random.default_rng(NOISE_SEED)
+    noise = NOISE_SIGMA * (
+        rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    ) / np.sqrt(2.0)
+    return s_to_y(OnePortTrace(grid, clean.s11 + noise, z0=50.0))
+
+
+def _logged_fit(trace, monkeypatch, **kwargs):
+    """Fit with the kernel ("k") and Jacobian ("j") calls logged in order."""
+    log = []
+    kernel, jacobian = fit.element_admittance, fit.element_admittance_jacobian
+
+    def logged_kernel(*args):
+        log.append("k")
+        return kernel(*args)
+
+    def logged_jacobian(*args):
+        log.append("j")
+        return jacobian(*args)
+
+    monkeypatch.setattr(fit, "element_admittance", logged_kernel)
+    monkeypatch.setattr(fit, "element_admittance_jacobian", logged_jacobian)
+    return fit_mbvd(trace, initial_guess(trace), **kwargs), log
+
+
+def test_fit_builds_one_jacobian_per_iteration(noisy_wide_trace, monkeypatch):
+    result, log = _logged_fit(noisy_wide_trace, monkeypatch)
+    assert result.converged
+    assert log.count("j") == result.iterations
+
+
+def test_fit_stops_the_damping_ladder_at_step_tolerance(noisy_wide_trace, monkeypatch):
+    # once the damped step is below the step tolerance more damping cannot
+    # help: the last Jacobian is followed by at most a couple of trial steps,
+    # not by a climb to the largest damping
+    result, log = _logged_fit(noisy_wide_trace, monkeypatch)
+    assert result.converged
+    last_jacobian = len(log) - 1 - log[::-1].index("j")
+    assert log[last_jacobian + 1:].count("k") <= 2
+
+
+def test_interleaved_normal_equations_match_stacked(noisy_wide_trace):
+    freqs, target = noisy_wide_trace.frequencies, noisy_wide_trace.y
+    start = initial_guess(noisy_wide_trace)
+    elements = tuple(getattr(start, f) for f in PARAM_FIELDS)
+    weight = 1.0 / np.maximum(np.abs(target), 0.01 * np.abs(target).max())
+    rows = mbvd.element_admittance_jacobian(*elements, freqs) * weight
+    diff = (mbvd.element_admittance(*elements, freqs) - target) * weight
+    stacked = np.concatenate([rows.real, rows.imag], axis=1)
+    stacked_residual = np.concatenate([diff.real, diff.imag])
+    interleaved = rows.view(float)
+    for got, want in (
+        (interleaved @ interleaved.T, stacked @ stacked.T),
+        (interleaved @ diff.view(float), stacked @ stacked_residual),
+    ):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_fit_records_why_it_stopped(device_params, wide_trace):
+    start = mbvd.MbvdParams(
+        r_s=0.6, r_0=0.4, r_m=8.0,
+        l_m=device_params.l_m * 1.18,
+        c_m=device_params.c_m * 0.85,
+        c_0=1.2e-13,
+    )
+    budget = fit_mbvd(wide_trace, start, max_iterations=1)
+    assert budget.stop_reason == "iteration_budget"
+    done = fit_mbvd(wide_trace, initial_guess(wide_trace))
+    assert done.converged
+    assert done.stop_reason in ("cost_tolerance", "step_tolerance")
+    obj = result_to_json(done)
+    assert obj["stop_reason"] == done.stop_reason
+    assert obj["cost_history"] == list(done.cost_history)

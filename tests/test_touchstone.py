@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sawkit import touchstone
 from sawkit.errors import (
     EmptyData,
     MalformedOptionLine,
@@ -270,3 +271,87 @@ def test_non_finite_s11_rejected_in_every_format(value_format, row):
 def test_db_minus_infinity_is_an_exact_zero():
     trace, _ = parse_touchstone("# GHZ S DB R 50\n1 -inf 0\n2 -6 90\n")
     assert trace.s11[0] == 0.0
+
+
+# --- the one-call body conversion and the line walk must agree ----------
+
+_HEADER = "! device A\n# GHZ S RI R 50\n"  # lines 1-2
+_ROWS = ["9.00 0.125 -0.5", "9.01 0.25 -0.375", "9.02 -0.625 0.75", "9.03 0.875 1e-3"]
+
+
+def _clean_text():
+    return _HEADER + "\n".join(_ROWS) + "\n"
+
+
+def _spy_line_walk(monkeypatch):
+    """Count calls of the line-walk locator, which only the fallback uses."""
+    calls = []
+    locate = touchstone._data_rows
+
+    def spied(rows, linenos):
+        calls.append(len(rows))
+        return locate(rows, linenos)
+
+    monkeypatch.setattr(touchstone, "_data_rows", spied)
+    return calls
+
+
+def _assert_same_trace(got, want):
+    assert got.frequencies.tobytes() == want.frequencies.tobytes()
+    assert got.s11.tobytes() == want.s11.tobytes()
+    assert got.z0 == want.z0
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "\r\n".join(_ROWS) + "\r\n",
+        "\n".join(row.replace(" ", "\t") for row in _ROWS) + "\n",
+        "\n\n" + "\n   \n".join(_ROWS) + "\n\n",
+        "\n".join(row + " \t " for row in _ROWS),
+        "\n".join("  " + row for row in _ROWS) + "\n",
+    ],
+    ids=["crlf", "tabs", "blank-lines", "trailing-whitespace", "leading-whitespace"],
+)
+def test_whitespace_variants_take_the_one_call_path(body, monkeypatch):
+    want, want_fmt = parse_touchstone(_clean_text())
+    walks = _spy_line_walk(monkeypatch)
+    got, fmt = parse_touchstone(_HEADER.replace("\n", "\r\n") + body)
+    assert walks == []
+    _assert_same_trace(got, want)
+    assert got.comments == want.comments == ("! device A",)
+    assert fmt == want_fmt
+
+
+def test_comment_between_rows_takes_the_line_walk(monkeypatch):
+    want, _ = parse_touchstone(_clean_text())
+    walks = _spy_line_walk(monkeypatch)
+    body = "\n".join(_ROWS[:2] + ["! between rows"] + _ROWS[2:]) + "\n"
+    got, _ = parse_touchstone(_HEADER + body)
+    assert walks == [len(_ROWS)]
+    _assert_same_trace(got, want)
+    assert got.comments == ("! device A", "! between rows")
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("# GHZ S RI R 50", "line 4: duplicate option line"),
+        ("[Version] 2.0", "line 4: Touchstone v2 keyword [Version] is not supported"),
+        ("9.015 0 0 [x]", "line 4: one-port data needs 3 columns, got 4"),
+    ],
+)
+def test_body_markers_fall_back_to_the_exact_line_message(extra, message):
+    body = "\n".join(_ROWS[:1] + [extra] + _ROWS[1:]) + "\n"
+    with pytest.raises((MalformedOptionLine, WrongColumnCount)) as info:
+        parse_touchstone(_HEADER + body)
+    assert str(info.value) == message
+
+
+def test_non_finite_row_in_a_plain_body_names_its_line(monkeypatch):
+    walks = _spy_line_walk(monkeypatch)
+    body = "\n\n".join(_ROWS[:2] + ["9.015 nan 0"] + _ROWS[2:]) + "\n"  # rows on lines 3, 5, 7 ...
+    with pytest.raises(WrongColumnCount) as info:
+        parse_touchstone(_HEADER + body)
+    assert str(info.value) == "line 7: non-finite value in data row"
+    assert walks == []
