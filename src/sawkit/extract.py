@@ -206,7 +206,7 @@ def full_extraction(
     coupling = keff2(f_s, f_p)
     ratio = admittance_ratio(y, f_s, f_p)
     tune_band = opts.tune_band or (0.98 * f_s, 1.02 * f_p)
-    z0_star, tuned = tune_source_impedance(trace, tune_band)
+    z0_star, tuned = tune_source_impedance(y, tune_band)
     q_trace = bode_q(tuned, opts.smooth_window)
     search_band = opts.qmax_band or (0.9 * f_s, 1.1 * f_p)
     best_q = q_max(q_trace, search_band)

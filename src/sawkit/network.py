@@ -125,7 +125,7 @@ def fit_smith_circle(trace: OnePortTrace, band: tuple[float, float]) -> SmithCir
 
 
 def tune_source_impedance(
-    trace: OnePortTrace,
+    trace: OnePortTrace | AdmittanceTrace,
     band: tuple[float, float],
     z0_min: float = 1.0,
     z0_max: float = 5000.0,
@@ -140,12 +140,18 @@ def tune_source_impedance(
     that center's squared magnitude vanishes only where
     (K z0^2 - 1) (g K z0^2 + 2 (g^2 - r^2) z0 + g) = 0, so the minimizer over
     [z0_min, z0_max] is a bound or a real root of one of the two factors.
-    Returns (z0_star, trace renormalized to z0_star).
+    Returns (z0_star, trace renormalized to z0_star).  An admittance trace
+    is used as it is, so a caller that holds Y need not convert S11 again;
+    the tuned trace keeps the comments of a reflection trace and has none
+    for an admittance one.
     """
     if not 0 < z0_min < z0_max:
         raise ValueError("need 0 < z0_min < z0_max")
     mask = _band_mask(trace.frequencies, band)
-    y = s_to_y(trace)
+    if isinstance(trace, AdmittanceTrace):
+        y, comments = trace, ()
+    else:
+        y, comments = s_to_y(trace), trace.comments
     center, radius, _ = _kasa_circle(y.y[mask])
     # in x = z0 * scale every coefficient below is at most 1 in magnitude
     scale = np.hypot(abs(center), radius)
@@ -159,4 +165,4 @@ def tune_source_impedance(
     x = z * scale
     offset = np.abs((1.0 - k * x * x - 2j * b * x) / (1.0 + 2.0 * g * x + k * x * x))
     z_star = float(z[np.argmin(offset)])
-    return z_star, replace(y_to_s(y, z_star), comments=trace.comments)
+    return z_star, replace(y_to_s(y, z_star), comments=comments)

@@ -5,10 +5,21 @@ then rows of three whitespace-separated numbers.  Value encodings are RI
 (real/imag), MA (linear magnitude / angle in degrees) and DB
 (20*log10 magnitude / angle in degrees).  Frequencies are converted to Hz
 on read.  Touchstone v2 keywords and multi-port row shapes are rejected.
+
+The writer prints every value as '%.12e' would, byte for byte, but with
+numpy instead of Python's formatter: the decimal exponent and a 13-digit
+integer mantissa come from one product with a correctly rounded power of
+ten, whose error (at most 2u * 1e13, about 2.3e-3) cannot change the
+rounding unless the scaled value lies within 4e-3 of a .5 tie.  Those
+values, zeros and magnitudes outside [1e-280, 1e280] go to Python's own
+'%' in one call.  The digits are assembled from ASCII tables in rows of
+2048 at a time, so the temporaries stay below those of one '%' call over
+the whole body.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +36,54 @@ _VALUE_FORMATS = ("RI", "MA", "DB")
 _OTHER_PARAMETER_KINDS = ("Y", "Z", "G", "H")
 # floor keeps the dB column of a true zero finite (parses back to ~0)
 _DB_MAG_FLOOR = 1e-300
+
+# Body formatter (see _format_rows).  Magnitudes the vectorised path takes;
+# outside them 10**(12 - e) would leave the normal range of the table.
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+# 2u * 1e13 bounds the scaling error; a wider margin leaves no doubt
+_TIE_MARGIN = 4e-3
+# rows per formatting pass, so temporaries stay small on long traces
+_CHUNK_ROWS = 2048
+# lowest k in the table of 10**k, and lowest exponent in the exponent table
+_POW10_LOW = -270
+_EXP_LOW = -282
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, ...]:
+    """The formatter's tables, built on the first write.
+
+    The first is 10**k, correctly rounded, at [k - _POW10_LOW] for every k
+    that an exponent in [-282, 282] asks for.  The others are ASCII bytes
+    viewed as native words, so a cell assembled from them reads in byte
+    order on any endianness; a 0 byte marks a position the value does not
+    use.  Commands that never write do not pay for them.
+    """
+    pow10 = np.array([float("1e%d" % k) for k in range(_POW10_LOW, 295)])
+    # row n holds the four digits of n, n < 10**4
+    digits = (np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1) + ord("0")).T.copy()
+    # sign, leading digit, '.' at [lead + 10 * negative]
+    head = np.zeros((2, 10, 4), dtype=np.uint8)
+    head[1, :, 0] = ord("-")
+    head[:, :, 1] = np.arange(10) + ord("0")
+    head[:, :, 2] = ord(".")
+    # 'e', exponent sign and two or three digits at [e - _EXP_LOW]
+    e = np.arange(_EXP_LOW, -_EXP_LOW + 1)
+    tail = np.zeros((e.size, 8), dtype=np.uint8)
+    tail[:, 0] = ord("e")
+    tail[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    tail[:, 2:5] = digits[np.abs(e), 1:]
+    tail[np.abs(e) < 100, 2] = 0
+    # the separator after each of a row's three cells, in the tail's sixth byte
+    sep = np.zeros((3, 8), dtype=np.uint8)
+    sep[:, 5] = (ord(" "), ord(" "), ord("\n"))
+    return (
+        pow10,
+        digits.view(np.uint32).ravel(),
+        head.view(np.uint32).ravel(),
+        tail.view(np.uint64).ravel(),
+        sep.view(np.uint64).ravel(),
+    )
 
 
 def _as_frequency_grid(values) -> np.ndarray:
@@ -82,10 +141,15 @@ class OnePortTrace:
             raise ValueError("s11 must be finite")
         if not self.z0 > 0:
             raise ValueError("z0 must be positive")
+        comments = tuple(self.comments)
+        for comment in comments:
+            # written verbatim above the option line, so anything else breaks the file
+            if not comment.startswith("!") or comment.splitlines() != [comment]:
+                raise ValueError(f"comment {comment!r} must be one line starting with '!'")
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "s11", s11)
         object.__setattr__(self, "z0", float(self.z0))
-        object.__setattr__(self, "comments", tuple(self.comments))
+        object.__setattr__(self, "comments", comments)
 
 
 def _parse_option_line(line: str, lineno: int) -> TouchstoneFormat:
@@ -276,7 +340,12 @@ def write_touchstone(trace: OnePortTrace, fmt: TouchstoneFormat) -> str:
     """Serialize a trace in the requested format; inverse of parse_touchstone.
 
     The option line's R token is the trace's z0, so the two must agree;
-    renormalize first to change the reference impedance.
+    renormalize first to change the reference impedance.  Each row is
+    exactly what '%.12e %.12e %.12e' prints: a numpy formatter (see
+    _format_rows) writes the body 2048 rows at a time, and hands the few
+    values it cannot round with certainty (within 4e-3 of a .5 tie after
+    scaling, whose error is at most 2.3e-3) and zeros, subnormals and
+    magnitudes beyond 1e280 to Python's '%'.
     """
     if abs(fmt.reference_resistance - trace.z0) > 1e-12 * trace.z0:
         raise ValueError(
@@ -289,5 +358,65 @@ def write_touchstone(trace: OnePortTrace, fmt: TouchstoneFormat) -> str:
     )
     freqs = trace.frequencies / _UNIT_SCALE[fmt.frequency_unit]
     col_a, col_b = _from_complex(fmt.value_format, trace.s11)
-    values = np.column_stack((freqs, col_a, col_b)).ravel().tolist()
-    return "\n".join(header) + "\n" + ("%.12e %.12e %.12e\n" * freqs.size) % tuple(values)
+    rows = np.column_stack((freqs, col_a, col_b))
+    chunks = (_format_rows(rows[i : i + _CHUNK_ROWS]) for i in range(0, len(rows), _CHUNK_ROWS))
+    return "".join(["\n".join(header) + "\n", *chunks])
+
+
+def _format_exactly(values: np.ndarray) -> np.ndarray:
+    """'%.12e' of each value by Python's own formatter, as (n, 21) ASCII codes.
+
+    Every float formats to at most 20 characters; the padding is 0, which
+    _format_rows drops.
+    """
+    text = ("%-21.12e" * values.size) % tuple(values.tolist())
+    return np.frombuffer(text.replace(" ", "\0").encode("ascii"), dtype=np.uint8).reshape(-1, 21)
+
+
+def _format_rows(rows: np.ndarray) -> str:
+    """'%.12e %.12e %.12e\\n' for each row of an (n, 3) array, byte for byte.
+
+    With e = floor(log10 |v|), corrected by one where the scaled value
+    leaves [1e12, 1e13), the mantissa is m = rint(|v| * 10**(12 - e)), and
+    m = 10**13 carries into e.  The product by a correctly rounded power of
+    ten is within 2u * 1e13 (about 2.3e-3) of the exact scaled value, so
+    rint rounds it as '%.12e' does unless its fraction lies within
+    _TIE_MARGIN of one half.  Those values, and every |v| outside
+    [_FAST_MIN, _FAST_MAX] (zeros, subnormals, huge values), are formatted
+    by _format_exactly instead.
+
+    Each value fills a 24-byte cell of table words: sign, leading digit and
+    '.'; three groups of four digits; 'e', exponent sign, two or three
+    exponent digits and the separator.  Bytes a value does not use (a
+    positive sign, a third exponent digit, padding) are 0, and one pass
+    drops every 0 byte.
+    """
+    pow10, quad, head, tail, sep = _tables()
+    values = rows.ravel()
+    magnitude = np.abs(values)
+    fast = (magnitude >= _FAST_MIN) & (magnitude <= _FAST_MAX)
+    magnitude[~fast] = 1.0
+    exponent = np.floor(np.log10(magnitude)).astype(np.int64)
+    scaled = magnitude * pow10[12 - exponent - _POW10_LOW]
+    exponent += scaled >= 1e13
+    exponent -= scaled < 1e12
+    scaled = magnitude * pow10[12 - exponent - _POW10_LOW]
+    fast &= np.abs(scaled - np.floor(scaled) - 0.5) >= _TIE_MARGIN
+    mantissa = np.rint(scaled).astype(np.int64)
+    carry = mantissa == 10**13
+    mantissa[carry] = 10**12
+    exponent += carry
+
+    lead, rest = np.divmod(mantissa, 10**12)
+    cells = np.empty((values.size, 3), dtype=np.uint64)
+    words = cells.view(np.uint32)
+    words[:, 0] = head[lead + 10 * (values < 0.0)]
+    words[:, 1] = quad[rest // 10**8]
+    words[:, 2] = quad[rest // 10**4 % 10**4]
+    words[:, 3] = quad[rest % 10**4]
+    cells[:, 2] = tail[exponent - _EXP_LOW]
+    cells.reshape(-1, 3, 3)[:, :, 2] |= sep
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        cells.view(np.uint8)[slow, :21] = _format_exactly(values[slow])
+    return cells.tobytes().translate(None, b"\0").decode("ascii")

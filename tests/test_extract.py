@@ -287,6 +287,21 @@ def test_extraction_work_counts(monkeypatch, device_trace, device_fp):
     assert calls["s_to_y"] <= 2
 
 
+def test_full_extraction_converts_s11_to_y_once(monkeypatch, device_trace):
+    from sawkit import extract, network
+
+    calls = []
+
+    def counted(trace):
+        calls.append(trace)
+        return s_to_y(trace)
+
+    monkeypatch.setattr(network, "s_to_y", counted)
+    monkeypatch.setattr(extract, "s_to_y", counted)
+    extract.full_extraction(device_trace)
+    assert calls == [device_trace]
+
+
 @pytest.mark.parametrize("window", [5, 31, 101])
 def test_savgol_reproduces_cubics(window):
     # a least-squares cubic fit returns any cubic unchanged: interior and edges

@@ -197,3 +197,15 @@ def test_tune_rejects_bad_range_and_degenerate_locus(device_trace):
     # a constant reflection maps to a single admittance point
     with pytest.raises(DegenerateLocus):
         tune_source_impedance(_trace(np.full(30, 0.3 + 0.1j)), (1e9, 2e9))
+
+
+def test_tune_takes_the_admittance_its_caller_has(device_trace, device_fp):
+    band = (0.98 * F_S, 1.02 * device_fp)
+    trace = OnePortTrace(
+        device_trace.frequencies, device_trace.s11, device_trace.z0, comments=("! wafer 3",)
+    )
+    z_ref, tuned_ref = tune_source_impedance(trace, band)
+    z_star, tuned = tune_source_impedance(s_to_y(trace), band)
+    assert z_star == z_ref
+    np.testing.assert_array_equal(tuned.s11, tuned_ref.s11)
+    assert tuned.comments == ()

@@ -355,3 +355,101 @@ def test_non_finite_row_in_a_plain_body_names_its_line(monkeypatch):
         parse_touchstone(_HEADER + body)
     assert str(info.value) == "line 7: non-finite value in data row"
     assert walks == []
+
+
+def test_trace_rejects_comments_that_break_the_file():
+    grid = [1e9, 2e9]
+    # a comment without '!' would be read back as a data row before the option line
+    with pytest.raises(ValueError, match="one line starting with '!'"):
+        OnePortTrace(grid, np.zeros(2, complex), 50.0, comments=("device A",))
+    # a line break would smuggle a second option line (or a data row) into the header
+    for comment in ("! device A\n# HZ S RI R 50", "! a\r1 0 0", "! a b", "! a\n"):
+        with pytest.raises(ValueError, match="one line starting with '!'"):
+            OnePortTrace(grid, np.zeros(2, complex), 50.0, comments=("! ok", comment))
+
+
+def _percent_rows(values):
+    return ("%.12e %.12e %.12e\n" * (values.size // 3)) % tuple(values.tolist())
+
+
+def _ulp_neighbours(values, span):
+    bits = np.asarray(values, dtype=float).view(np.int64)
+    return np.concatenate([(bits + k).view(float) for k in range(-span, span + 1)])
+
+
+def _value_class(name):
+    rng = np.random.default_rng(20)
+    n = 30_000
+    sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    if name == "normal":
+        return rng.standard_normal(n)
+    if name == "log-uniform 1e-30..1e30":
+        return sign * 10.0 ** rng.uniform(-30.0, 30.0, n)
+    if name == "random bit patterns":
+        bits = rng.integers(0, 2**63, n, dtype=np.int64) * np.where(sign < 0, -1, 1)
+        tiny, normal, huge = 5e-324, np.finfo(float).tiny, np.finfo(float).max
+        return np.concatenate([bits.view(float), [tiny, -tiny, normal, huge, -huge]])
+    if name == "13-digit decimal ties":
+        digits = rng.integers(10**12, 10**13, 3000)
+        powers = rng.integers(-300, 300, 3000)
+        # d.ddddddddddd5e(k) rounded to the nearest double, and exact binary halves
+        decimal = [float(f"{d}5e{k - 13}") for d, k in zip(digits.tolist(), powers.tolist())]
+        binary = (rng.integers(10**12, 10**13, 3000) + 0.5) * 2.0 ** rng.integers(-40, 1, 3000)
+        return np.concatenate([decimal, binary])
+    if name == "9.9999999999995e+-k within 8 ulp":
+        edges = [float(f"{s}9.9999999999995e{k}") for s in "+-" for k in range(-307, 309)]
+        return _ulp_neighbours(edges, 8)
+    assert name == "zeros and powers of ten"
+    powers = [float(f"1e{k}") for k in (-300, -280, -100, 100, 280, 300)]
+    return np.concatenate([[0.0, -0.0], _ulp_neighbours(powers, 4), -_ulp_neighbours(powers, 4)])
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "normal",
+        "log-uniform 1e-30..1e30",
+        "random bit patterns",
+        "13-digit decimal ties",
+        "9.9999999999995e+-k within 8 ulp",
+        "zeros and powers of ten",
+    ],
+)
+def test_body_formatter_matches_percent(name):
+    values = _value_class(name)
+    values = np.concatenate([values, np.ones(-values.size % 3)])
+    assert touchstone._format_rows(values.reshape(-1, 3)) == _percent_rows(values)
+
+
+def test_body_formatter_single_row():
+    row = np.array([[9.05, -0.5, 0.0]])
+    assert touchstone._format_rows(row) == _percent_rows(row.ravel())
+
+
+@pytest.mark.parametrize("n", [2, 2049, 16001])
+@pytest.mark.parametrize("unit", ["HZ", "GHZ"])
+@pytest.mark.parametrize("value_format", ["RI", "MA", "DB"])
+def test_write_matches_per_row_reference_across_chunks(n, unit, value_format):
+    # 2049 and 16001 rows cross one and seven boundaries between formatting passes
+    trace = _random_trace(np.random.default_rng(n), n=n)
+    fmt = TouchstoneFormat(unit, "S", value_format, 50.0)
+    assert write_touchstone(trace, fmt) == _write_rows_reference(trace, fmt)
+
+
+def test_write_fallback_runs_and_stays_exact(monkeypatch):
+    sent = []
+    exact = touchstone._format_exactly
+
+    def spy(values):
+        sent.append(values.size)
+        return exact(values)
+
+    monkeypatch.setattr(touchstone, "_format_exactly", spy)
+    # a zero, three 13-digit ties and a magnitude beyond 1e280 go to '%';
+    # the frequencies, the imaginary parts and 0.25 do not
+    ties = [0.12345678901235, -4.4444444444445e-3, 1.0000000000005]
+    s11 = np.array([0.0, *ties, 1e290, 0.25]) + 0.25j
+    trace = OnePortTrace(np.arange(1.0, 7.0) * 1e9, s11, 50.0)
+    fmt = TouchstoneFormat("GHZ", "S", "RI", 50.0)
+    assert write_touchstone(trace, fmt) == _write_rows_reference(trace, fmt)
+    assert sent == [5]
