@@ -19,7 +19,7 @@ import numpy as np
 
 from . import design, extract, fit, mbvd, network, touchstone
 from .errors import SawkitError
-from .extract import SCHEMA_VERSION
+from .extract import SCHEMA_VERSION, format_number as _fmt
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -52,11 +52,6 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -87,10 +82,6 @@ def _read_json(path: str) -> dict:
 
 def _write_json(path: str, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2) + "\n")
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
 
 
 def _parse_trace(path: str) -> tuple[touchstone.OnePortTrace, touchstone.TouchstoneFormat]:
@@ -196,12 +187,13 @@ def cmd_fit(args) -> int:
 def cmd_synth(args) -> int:
     params = mbvd.params_from_json(_read_json(args.params))
     if args.points < 2:
-        return _fail(EXIT_PARSE, "grid needs at least 2 points")
+        raise ValueError("grid needs at least 2 points")
     if not args.f_lo > 0 or not args.f_hi > args.f_lo:
-        return _fail(EXIT_PARSE, "need 0 < f-lo < f-hi")
+        raise ValueError("need 0 < f-lo < f-hi")
     if not np.isfinite(2.0 * np.pi * args.f_hi):  # the model works in angular frequency
-        msg = "frequencies must be positive and strictly increasing; 2 pi f-hi must be finite"
-        return _fail(EXIT_PARSE, msg)
+        raise ValueError(
+            "frequencies must be positive and strictly increasing; 2 pi f-hi must be finite"
+        )
     grid = np.linspace(args.f_lo, args.f_hi, args.points)
     trace = mbvd.synthesize_s11(params, grid, z0=args.z0)
     if args.noise > 0:
@@ -237,9 +229,9 @@ def cmd_sweep(args) -> int:
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
-        return _fail(EXIT_PARSE, f"cannot parse sweep values {args.values!r}")
+        raise ValueError(f"cannot parse sweep values {args.values!r}") from None
     if not values:
-        return _fail(EXIT_PARSE, "no sweep values given")
+        raise ValueError("no sweep values given")
     rows = design.sweep(geometry, args.axis, values, table, args.family, args.allow_extrapolation)
     lines = [f"{args.axis},f_s_GHz,keff2_pct,warnings,error"]
     for row in rows:
@@ -251,13 +243,18 @@ def cmd_sweep(args) -> int:
     _write_text(args.output, "\n".join(lines) + "\n")
     failed = [row for row in rows if row.error]
     if failed:
-        return _fail(EXIT_EXTRACT, f"{len(failed)} of {len(rows)} sweep rows failed: {failed[0].error}")
+        # raised after the CSV is written: the rows that did scale are kept
+        raise SawkitError(f"{len(failed)} of {len(rows)} sweep rows failed: {failed[0].error}")
     return EXIT_OK
 
 
 # --- report ------------------------------------------------------------
 
 _REPORT_KEYS = ("f_s_hz", "keff2", "q_max", "fom")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def cmd_report(args) -> int:
@@ -267,35 +264,30 @@ def cmd_report(args) -> int:
         obj = _read_json(path)
         missing = [k for k in _REPORT_KEYS if k not in obj]
         if missing:
-            return _fail(
-                EXIT_PARSE, f"{path}: report JSON missing keys: {', '.join(missing)}"
-            )
+            raise ValueError(f"{path}: report JSON missing keys: {', '.join(missing)}")
         for k in _REPORT_KEYS:
-            if isinstance(obj[k], bool) or not isinstance(obj[k], (int, float)):
-                return _fail(EXIT_PARSE, f"{path}: report key '{k}' must be a number")
-        name = obj.get("device") or Path(path).stem
+            if not _is_number(obj[k]):
+                raise ValueError(f"{path}: report key '{k}' must be a number")
+        device, lambda_nm = obj.get("device"), obj.get("lambda_nm")
+        if not (device is None or isinstance(device, str)):
+            raise ValueError(f"{path}: report key 'device' must be a string or null")
+        if not (lambda_nm is None or _is_number(lambda_nm)):
+            raise ValueError(f"{path}: report key 'lambda_nm' must be a number or null")
+        name = device or Path(path).stem
         count = seen.get(name, 0) + 1
         seen[name] = count
         if count > 1:
             _diag(f"warning: duplicate device name {name!r}; renaming to {name}-{count}")
             name = f"{name}-{count}"
-        rows.append((name, obj.get("lambda_nm"), obj))
+        rows.append((name, lambda_nm, obj))
     if args.sort_lambda:
         rows.sort(key=lambda item: (item[1] is None, -(item[1] or 0.0)))
-    header = extract.CSV_HEADER.split(",")
-    table_rows = []
-    for name, lambda_nm, obj in rows:
-        table_rows.append(
-            [
-                name,
-                "" if lambda_nm is None else _fmt(lambda_nm),
-                _fmt(obj["f_s_hz"] / 1e9),
-                _fmt(obj["keff2"] * 100),
-                _fmt(obj["q_max"]),
-                _fmt(obj["fom"]),
-            ]
-        )
+    table_rows = [
+        extract.summary_fields(name, lambda_nm, *(obj[k] for k in _REPORT_KEYS))
+        for name, lambda_nm, obj in rows
+    ]
     if args.markdown:
+        header = extract.CSV_HEADER.split(",")
         lines = ["| " + " | ".join(header) + " |", "|" + "|".join([" --- "] * len(header)) + "|"]
         lines += ["| " + " | ".join(r) + " |" for r in table_rows]
     else:
@@ -435,10 +427,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (_CliIOError, SawkitError) as exc:
-        return _fail(exc.exit_code, str(exc))
+        code, message = exc.exit_code, str(exc)
     except ValueError as exc:
         # invalid option values and malformed JSON/CSV content
-        return _fail(EXIT_PARSE, str(exc))
+        code, message = EXIT_PARSE, str(exc)
+    _diag(f"error: {message}")
+    return code
 
 
 if __name__ == "__main__":

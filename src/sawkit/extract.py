@@ -223,7 +223,8 @@ def full_extraction(
     )
 
 
-def _format_number(x: float) -> str:
+def format_number(x: float) -> str:
+    """Six significant digits, as every summary table and line prints them."""
     return f"{x:.6g}"
 
 
@@ -253,18 +254,19 @@ def report_to_json(
     }
 
 
+def summary_fields(
+    device: str, lambda_nm: float | None, f_s: float, keff2: float, q_max: float, fom: float
+) -> list[str]:
+    """The CSV_HEADER fields of one device: f_s in GHz, keff2 in percent."""
+    lambda_field = "" if lambda_nm is None else format_number(lambda_nm)
+    return [device, lambda_field, *map(format_number, (f_s / 1e9, keff2 * 100, q_max, fom))]
+
+
 def report_csv_row(
     report: ExtractionReport,
     device: str = "",
     lambda_nm: float | None = None,
 ) -> str:
     """One CSV row matching CSV_HEADER; GHz and percent, 6 significant digits."""
-    fields = [
-        device,
-        "" if lambda_nm is None else _format_number(lambda_nm),
-        _format_number(report.f_s / 1e9),
-        _format_number(report.keff2 * 100.0),
-        _format_number(report.q_max),
-        _format_number(report.fom),
-    ]
+    fields = summary_fields(device, lambda_nm, report.f_s, report.keff2, report.q_max, report.fom)
     return ",".join(fields)

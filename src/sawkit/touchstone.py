@@ -1,10 +1,15 @@
 """One-port Touchstone (version 1) reader and writer.
 
 A supported file is any number of '!' comment lines, one '#' option line,
-then rows of three whitespace-separated numbers.  Value encodings are RI
+then rows of three whitespace-separated numbers; blank lines, '!' comment
+lines and inline '!' comments may appear anywhere.  Value encodings are RI
 (real/imag), MA (linear magnitude / angle in degrees) and DB
 (20*log10 magnitude / angle in degrees).  Frequencies are converted to Hz
 on read.  Touchstone v2 keywords and multi-port row shapes are rejected.
+
+The reader walks the header and converts the whole body in one np.loadtxt
+call; only a bad body is walked, to name its offending line.  Both walks
+read lines through one classifier, _line_kind.
 
 The writer prints every value as '%.12e' would, byte for byte, but with
 numpy instead of Python's formatter: the decimal exponent and a 13-digit
@@ -220,104 +225,105 @@ def _from_complex(value_format: str, s: np.ndarray) -> tuple[np.ndarray, np.ndar
     return 20.0 * np.log10(np.maximum(magnitude, _DB_MAG_FLOOR)), angle
 
 
-def _data_rows(rows: list[str], linenos: list[int]) -> np.ndarray:
-    """Convert the data rows in one call; on failure name the first bad row."""
-    try:
-        data = np.loadtxt(rows, ndmin=2, comments=None)
-        if data.shape[1] == 3:
-            return data
-    except ValueError:
-        pass
-    for lineno, row in zip(linenos, rows):
-        tokens = row.split()
-        if len(tokens) != 3:
-            raise WrongColumnCount(
-                f"line {lineno}: one-port data needs 3 columns, got {len(tokens)}"
-            )
-        try:
-            np.loadtxt([row], comments=None)
-        except ValueError:
-            raise WrongColumnCount(f"line {lineno}: non-numeric value in data row") from None
-    raise AssertionError("rows failed to convert together but not one by one")
+def _line_kind(raw: str) -> tuple[str, str]:
+    """A line's kind and stripped text; a data row's text loses any inline comment.
 
-
-def _scan_lines(lines: list[str], header_only: bool):
-    """Walk the lines in order: comments, the option line, then data rows.
-
-    Returns (comments, format, rows, their line numbers, lines walked).
-    With header_only the walk stops at the option line, so the last item
-    is the index of the first body line and no rows are returned.
+    The kinds: "" blank, "!" comment, "#" option line, "[" v2 keyword, "row".
     """
-    comments: list[str] = []
-    fmt: TouchstoneFormat | None = None
-    rows: list[str] = []
-    linenos: list[int] = []
+    line = raw.strip()
+    kind = line[:1]
+    if kind in ("", "!", "#", "["):
+        return kind, line
+    return "row", line.split("!", 1)[0].rstrip()
+
+
+def _misplaced(kind: str, text: str, lineno: int) -> MalformedOptionLine:
+    """The error for a '[' line, a second '#' line or a row above the first."""
+    if kind == "[":
+        keyword = text.split("]", 1)[0].lstrip("[")
+        return MalformedOptionLine(
+            f"line {lineno}: Touchstone v2 keyword [{keyword}] is not supported"
+        )
+    if kind == "#":
+        return MalformedOptionLine(f"line {lineno}: duplicate option line")
+    return MalformedOptionLine(f"line {lineno}: data row before the option line")
+
+
+def _read_header(lines: list[str]) -> tuple[list[str], TouchstoneFormat, int]:
+    """Comments, format and line number of the option line, which ends the header."""
+    comments = []
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("!"):
-            comments.append(line)
-            continue
-        if line.startswith("["):
-            keyword = line.split("]", 1)[0].lstrip("[")
-            raise MalformedOptionLine(
-                f"line {lineno}: Touchstone v2 keyword [{keyword}] is not supported"
-            )
-        if line.startswith("#"):
-            if fmt is not None:
-                raise MalformedOptionLine(f"line {lineno}: duplicate option line")
-            fmt = _parse_option_line(line, lineno)
-            if header_only:
-                return comments, fmt, rows, linenos, lineno
-            continue
-        if "!" in line:
-            line = line.split("!", 1)[0].strip()
-            if not line:
-                continue
-        if fmt is None:
-            raise MalformedOptionLine(f"line {lineno}: data row before the option line")
-        rows.append(line)
-        linenos.append(lineno)
-    if fmt is None:
-        raise MalformedOptionLine("missing option line")
-    return comments, fmt, rows, linenos, len(lines)
+        kind, text = _line_kind(raw)
+        if kind == "!":
+            comments.append(text)
+        elif kind == "#":
+            return comments, _parse_option_line(text, lineno), lineno
+        elif kind:
+            raise _misplaced(kind, text, lineno)
+    raise MalformedOptionLine("missing option line")
 
 
-def _plain_body(body: list[str]) -> np.ndarray | None:
-    """The rows after the option line in one conversion, or None.
+def _table(lines: list[str]) -> np.ndarray:
+    """Whitespace-separated numbers, one row per line; '!' starts a comment."""
+    return np.loadtxt(lines, comments="!", ndmin=2)
 
-    None when the body holds a comment, a second option line or a keyword,
-    has no data (numpy would warn), or does not convert to three columns:
-    the line walk then sorts it out and names the offending line.
+
+def _body_error(lines: list[str], start: int, nonfinite_row: int | None = None) -> Exception:
+    """The error naming the bad line of the body lines[start:].
+
+    That is a '#' or '[' line anywhere in it; else, if the body did not
+    convert to three columns, its first row that does not on its own; else
+    data row nonfinite_row, whose S11 is not finite.
     """
-    joined = "\n".join(body)
-    if not joined or joined.isspace() or "!" in joined or "#" in joined or "[" in joined:
-        return None
-    try:
-        data = np.loadtxt(body, ndmin=2, comments=None)
-    except ValueError:
-        return None
-    return data if data.shape[1] == 3 else None
+    rows = []
+    for lineno, raw in enumerate(lines[start:], start=start + 1):
+        kind, text = _line_kind(raw)
+        if kind in ("#", "["):
+            return _misplaced(kind, text, lineno)
+        if kind == "row":
+            rows.append((lineno, text))
+    if nonfinite_row is not None:
+        return WrongColumnCount(f"line {rows[nonfinite_row][0]}: non-finite value in data row")
+    for lineno, text in rows:
+        columns = len(text.split())
+        if columns != 3:
+            return WrongColumnCount(f"line {lineno}: one-port data needs 3 columns, got {columns}")
+        try:
+            _table([text])
+        except ValueError:
+            break
+    return WrongColumnCount(f"line {lineno}: non-numeric value in data row")
 
 
 def parse_touchstone(text: str) -> tuple[OnePortTrace, TouchstoneFormat]:
     """Parse one-port Touchstone text into a trace and its declared format.
 
-    Only the header is walked line by line.  A body of plain rows (no '!',
-    '#' or '[' after the option line) is converted by one np.loadtxt call;
-    any other body goes through the line walk, which names the first bad
-    line.  Raises MalformedOptionLine, WrongColumnCount (also for a row
-    whose S11 is not finite), NonMonotonicFrequency or EmptyData.  Comment
-    lines are preserved verbatim on the trace.
+    The header is walked line by line up to the option line; the body goes
+    to one np.loadtxt call, and its '!' lines follow the header's on the
+    trace, verbatim and in file order.  Only a bad body is walked, to name
+    the offending line.  Errors, first match wins:
+
+    1. MalformedOptionLine: a bad header, or a '#' or '[' line in the body;
+    2. WrongColumnCount: the first row without 3 numeric columns;
+    3. EmptyData: fewer than 2 rows;
+    4. NonMonotonicFrequency: frequencies not finite, positive, increasing;
+    5. WrongColumnCount: the first row whose S11 is not finite.
     """
     lines = text.splitlines()
-    comments, fmt, _, _, body_start = _scan_lines(lines, header_only=True)
-    data = _plain_body(lines[body_start:])
-    linenos = None
-    if data is None:
-        comments, fmt, rows, linenos, _ = _scan_lines(lines, header_only=False)
-        data = _data_rows(rows, linenos) if rows else np.empty((0, 3))
+    comments, fmt, start = _read_header(lines)
+    body = lines[start:]
+    if "!" in "".join(body):
+        marked = (_line_kind(raw) for raw in body if "!" in raw)
+        comments += [note for kind, note in marked if kind == "!"]
+    data = np.empty((0, 3))
+    # numpy warns on input without rows, so a body of comments never gets there
+    if any(_line_kind(raw)[0] not in ("", "!") for raw in body):
+        try:
+            data = _table(body)
+        except ValueError:
+            raise _body_error(lines, start) from None
+        if data.shape[1] != 3:
+            raise _body_error(lines, start)
     if len(data) < 2:
         raise EmptyData(f"need at least 2 data rows, got {len(data)}")
     freqs = data[:, 0] * _UNIT_SCALE[fmt.frequency_unit]
@@ -327,11 +333,7 @@ def parse_touchstone(text: str) -> tuple[OnePortTrace, TouchstoneFormat]:
         s11 = _to_complex(fmt.value_format, data[:, 1], data[:, 2])
     bad = np.flatnonzero(~np.isfinite(s11))
     if bad.size:
-        if linenos is None:
-            # a plain body: every non-blank line after the option line is a row
-            body = enumerate(lines[body_start:], start=body_start + 1)
-            linenos = [n for n, raw in body if raw.strip()]
-        raise WrongColumnCount(f"line {linenos[bad[0]]}: non-finite value in data row")
+        raise _body_error(lines, start, int(bad[0]))
     trace = OnePortTrace(freqs, s11, z0=fmt.reference_resistance, comments=tuple(comments))
     return trace, fmt
 

@@ -395,6 +395,13 @@ def bad_inputs(tmp_path_factory):
     (out / "list.json").write_text("[1, 2]")
     (out / "no_params.json").write_text(json.dumps({"schema_version": 1}))
     (out / "bad_table.csv").write_text("not,a,dispersion,header\n")
+    metrics = {"f_s_hz": 9.05e9, "keff2": 0.15, "q_max": 213.0, "fom": 32.0}
+    for name, extra in (
+        ("device_number", {"device": 5}),
+        ("lambda_string", {"lambda_nm": "400"}),
+        ("lambda_bool", {"lambda_nm": True}),
+    ):
+        (out / f"{name}.json").write_text(json.dumps({**metrics, **extra}))
     (out / "geometry.json").write_text(
         json.dumps(
             {
@@ -495,6 +502,20 @@ EXIT_CODE_CASES = {
     "sweep-bad-values": ("sweep {bad}/geometry.json --axis lambda --values 4e-7,x", 2, "sweep values"),
     "report-not-an-object": ("report {bad}/list.json", 2, "expected a JSON object"),
     "report-foreign-json": ("report {bad}/no_params.json", 2, "missing keys"),
+    "report-device-not-a-string": (
+        "report {bad}/device_number.json", 2, "report key 'device' must be a string or null"
+    ),
+    "report-lambda-not-a-number": (
+        "report {bad}/lambda_string.json", 2, "report key 'lambda_nm' must be a number or null"
+    ),
+    "report-lambda-not-a-number-sorted": (
+        "report {bad}/lambda_string.json --sort-lambda",
+        2,
+        "report key 'lambda_nm' must be a number or null",
+    ),
+    "report-lambda-bool": (
+        "report {bad}/lambda_bool.json", 2, "report key 'lambda_nm' must be a number or null"
+    ),
     # fit did not converge -> 5
     "fit-no-convergence": ("fit {wide} -o {tmp}/f.json --max-iter 1", 5, "DID NOT converge"),
 }

@@ -284,15 +284,15 @@ def _clean_text():
 
 
 def _spy_line_walk(monkeypatch):
-    """Count calls of the line-walk locator, which only the fallback uses."""
+    """Record calls of the error walk, which only a bad body takes."""
     calls = []
-    locate = touchstone._data_rows
+    locate = touchstone._body_error
 
-    def spied(rows, linenos):
-        calls.append(len(rows))
-        return locate(rows, linenos)
+    def spied(lines, start, nonfinite_row=None):
+        calls.append(nonfinite_row)
+        return locate(lines, start, nonfinite_row)
 
-    monkeypatch.setattr(touchstone, "_data_rows", spied)
+    monkeypatch.setattr(touchstone, "_body_error", spied)
     return calls
 
 
@@ -323,12 +323,12 @@ def test_whitespace_variants_take_the_one_call_path(body, monkeypatch):
     assert fmt == want_fmt
 
 
-def test_comment_between_rows_takes_the_line_walk(monkeypatch):
+def test_comment_between_rows_takes_the_one_call_path(monkeypatch):
     want, _ = parse_touchstone(_clean_text())
     walks = _spy_line_walk(monkeypatch)
     body = "\n".join(_ROWS[:2] + ["! between rows"] + _ROWS[2:]) + "\n"
     got, _ = parse_touchstone(_HEADER + body)
-    assert walks == [len(_ROWS)]
+    assert walks == []
     _assert_same_trace(got, want)
     assert got.comments == ("! device A", "! between rows")
 
@@ -354,7 +354,53 @@ def test_non_finite_row_in_a_plain_body_names_its_line(monkeypatch):
     with pytest.raises(WrongColumnCount) as info:
         parse_touchstone(_HEADER + body)
     assert str(info.value) == "line 7: non-finite value in data row"
-    assert walks == []
+    assert walks == [2]  # the walk only maps the third data row to its line
+
+
+@pytest.mark.parametrize(
+    "body, error, message",
+    [
+        # the body fails to convert, so the NaN row is never judged
+        ("1 nan 0\n2 x 0\n", WrongColumnCount, "line 3: non-numeric value in data row"),
+        ("1 nan 0\n2 0 0 0\n", WrongColumnCount, "line 3: one-port data needs 3 columns, got 4"),
+        # a '#' or '[' line anywhere in the body outranks a bad row before it
+        ("1 0 0\n2 0\n# GHZ S RI R 50\n", MalformedOptionLine, "line 4: duplicate option line"),
+        (
+            "1 x 0\n2 0 0\n[Version] 2.0\n",
+            MalformedOptionLine,
+            "line 4: Touchstone v2 keyword [Version] is not supported",
+        ),
+        # the first bad row names its line, whatever the kind of fault
+        ("1 0 0\n2 x 0\n3 0\n", WrongColumnCount, "line 3: non-numeric value in data row"),
+        ("1 0 0\n2 0\n3 x 0\n", WrongColumnCount, "line 3: one-port data needs 3 columns, got 2"),
+        # too few rows and a bad grid outrank a non-finite S11
+        ("1 nan 0\n", EmptyData, "need at least 2 data rows, got 1"),
+        (
+            "2 nan 0\n1 0 0\n",
+            NonMonotonicFrequency,
+            "frequencies must be positive and strictly increasing",
+        ),
+    ],
+)
+def test_parse_error_precedence(body, error, message):
+    with pytest.raises(error) as info:
+        parse_touchstone("# GHZ S RI R 50\n" + body)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_body_of_comments_only_has_no_data():
+    # never handed to numpy, which would warn (an error under this suite) on no rows
+    with pytest.raises(EmptyData) as info:
+        parse_touchstone("! device A\n# GHZ S RI R 50\n! a\n\n  ! b\r\n\t\n")
+    assert str(info.value) == "need at least 2 data rows, got 0"
+
+
+def test_body_comments_follow_the_header_in_file_order():
+    text = "! h1\n\n! h2\n# GHZ S RI R 50\n! b1\n1 0 0 ! inline\n  ! b2\n2 0 0\n!b3\n"
+    trace, _ = parse_touchstone(text)
+    assert trace.comments == ("! h1", "! h2", "! b1", "! b2", "!b3")
+    np.testing.assert_array_equal(trace.frequencies, [1e9, 2e9])
 
 
 def test_trace_rejects_comments_that_break_the_file():
