@@ -5,13 +5,15 @@ make-fixtures generator for self-contained test data.  Exit codes: 0 ok,
 2 unparseable input or invalid option value, 3 extraction/domain failure,
 4 file I/O, 5 fit did not converge.  Commands raise; `main` alone maps an
 escaping exception to its exit code.  Diagnostics go to stderr; stdout
-carries data only when an output path of '-' is chosen.
+carries data only when an output path of '-' is chosen.  A trace with
+negative conductance gets one 'warning:' line from extract and fit.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -92,6 +94,15 @@ def _parse_trace(path: str) -> tuple[touchstone.OnePortTrace, touchstone.Touchst
         raise type(exc)(f"{path}: {exc}") from exc
 
 
+def _warn_passivity(label: str, count: int, worst_conductance: float) -> None:
+    if count:
+        _diag(
+            f"warning: {label}: {count} samples have conductance below "
+            f"-{network._PASSIVITY_EPS:g} S (lowest {worst_conductance:.3g} S); "
+            "the trace may not be passive"
+        )
+
+
 def _band(values) -> tuple[float, float] | None:
     if values is None:
         return None
@@ -119,6 +130,15 @@ def cmd_convert(args) -> int:
 # --- extract -----------------------------------------------------------
 
 
+def _q_trace_csv(q_trace: extract.QTrace) -> str:
+    """The Bode-Q curve on the whole grid, in frequency order; nan where flagged."""
+    freqs = np.concatenate([q_trace.frequencies, q_trace.flagged])
+    q = np.concatenate([q_trace.q, np.full(q_trace.flagged.size, np.nan)])
+    order = np.argsort(freqs, kind="stable")
+    rows = np.column_stack((freqs[order], q[order]))
+    return "frequency_hz,q_bode\n" + touchstone._format_rows(rows, ",")
+
+
 def cmd_extract(args) -> int:
     trace, _ = _parse_trace(args.input)
     options = extract.ExtractOptions(
@@ -133,12 +153,16 @@ def cmd_extract(args) -> int:
     if args.csv:
         row = extract.report_csv_row(report, device=args.device or "", lambda_nm=args.lambda_nm)
         _write_text(args.csv, extract.CSV_HEADER + "\n" + row + "\n")
+    if args.q_trace:
+        _write_text(args.q_trace, _q_trace_csv(report.q_bode))
     label = args.device or Path(args.input).stem
     _diag(
         f"{label}: f_s {_fmt(report.f_s / 1e9)} GHz  f_p {_fmt(report.f_p / 1e9)} GHz  "
         f"keff2 {_fmt(report.keff2 * 100)} %  Y-ratio {_fmt(report.y_ratio_db)} dB  "
         f"Q_max {_fmt(report.q_max)}  FoM {_fmt(report.fom)}  z0* {_fmt(report.z0_star)} ohm"
     )
+    diagnostics = report.diagnostics
+    _warn_passivity(label, diagnostics.passivity_violations, diagnostics.worst_conductance_s)
     return EXIT_OK
 
 
@@ -148,6 +172,7 @@ def cmd_extract(args) -> int:
 def cmd_fit(args) -> int:
     trace, _ = _parse_trace(args.input)
     admittance = network.s_to_y(trace)
+    _warn_passivity(Path(args.input).stem, *network.passivity_violations(admittance))
     if args.init:
         init = mbvd.params_from_json(_read_json(args.init))
     else:
@@ -253,11 +278,24 @@ def cmd_sweep(args) -> int:
 _REPORT_KEYS = ("f_s_hz", "keff2", "q_max", "fom")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _check_number(path: str, obj: dict, key: str, nullable: bool = False) -> None:
+    """Raise ValueError unless obj[key] is a finite JSON number (or null, if allowed)."""
+    value = obj.get(key)
+    if nullable and value is None:
+        return
+    or_null = " or null" if nullable else ""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{path}: report key '{key}' must be a number{or_null}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
+        raise ValueError(f"{path}: report key '{key}' must be a finite number{or_null}")
 
 
 def cmd_report(args) -> int:
+    """Summary table of report JSON files, schema 1 or 2: both hold the same scalars."""
     rows = []
     seen: dict[str, int] = {}
     for path in args.reports:
@@ -266,13 +304,11 @@ def cmd_report(args) -> int:
         if missing:
             raise ValueError(f"{path}: report JSON missing keys: {', '.join(missing)}")
         for k in _REPORT_KEYS:
-            if not _is_number(obj[k]):
-                raise ValueError(f"{path}: report key '{k}' must be a number")
+            _check_number(path, obj, k)
         device, lambda_nm = obj.get("device"), obj.get("lambda_nm")
         if not (device is None or isinstance(device, str)):
             raise ValueError(f"{path}: report key 'device' must be a string or null")
-        if not (lambda_nm is None or _is_number(lambda_nm)):
-            raise ValueError(f"{path}: report key 'lambda_nm' must be a number or null")
+        _check_number(path, obj, "lambda_nm", nullable=True)
         name = device or Path(path).stem
         count = seen.get(name, 0) + 1
         seen[name] = count
@@ -372,6 +408,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qmax-band", nargs=2, type=float, metavar=("LO", "HI"),
                    help="Q search band in Hz (default 0.9 f_s .. 1.1 f_p)")
     p.add_argument("--smooth", type=int, help="odd Savitzky-Golay window for S11 smoothing")
+    p.add_argument("--q-trace", metavar="PATH",
+                   help="also write the Bode-Q curve as CSV (frequency_hz,q_bode; nan where flagged)")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("fit", help="fit mBVD elements to a .s1p file")

@@ -5,17 +5,23 @@ computes the effective coupling from the frequency spread, the series-to-
 parallel admittance ratio, and a reflection-derived quality factor
 Q(w) = w |dS11/dw| / (1 - |S11|^2) evaluated after centering the Smith
 locus with a tuned source impedance.
+
+The report records how it was computed in a Diagnostics record: bands and
+their sample counts, the admittance circle the tuning fitted, whether z0*
+sits on a search bound, flagged Q samples and passivity violations.  Its
+JSON form (schema 2) holds scalars and that record only; the Bode-Q curve
+stays in memory on ExtractionReport.q_bode.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, EmptyBand, ResonanceNotBracketed, TooFewPoints
-from .network import AdmittanceTrace, s_to_y, tune_source_impedance
+from .network import AdmittanceTrace, passivity_violations, s_to_y, tune_source_impedance
 from .touchstone import OnePortTrace
 
 # samples where 1 - |S11|^2 falls below this are flagged, not evaluated
@@ -23,8 +29,13 @@ Q_FLAG_EPS = 1e-6
 
 CSV_HEADER = "device,lambda_nm,f_s_GHz,keff2_pct,q_max,fom"
 
-# version stamped on report, fit and fixture-parameter JSON
+# version stamped on fit and fixture-parameter JSON
 SCHEMA_VERSION = 1
+# version stamped on report JSON: 2 carries diagnostics instead of the q_bode lists
+REPORT_SCHEMA_VERSION = 2
+
+# the only resonance definition find_fs_fp implements
+RESONANCE_DEFINITION = "abs_y_extrema"
 
 
 class AdmittanceRatio(NamedTuple):
@@ -51,6 +62,30 @@ class QTrace:
 
 
 @dataclass(frozen=True)
+class Diagnostics:
+    """How full_extraction reached its report; plain Python values only.
+
+    Bands are (lo, hi) in Hz.  The y_circle values are the Kasa fit to the
+    in-band admittance that source tuning used, in siemens.  z0_on_bound
+    is "z0_min", "z0_max" or None.  passivity_violations counts samples
+    with Re Y < -1e-6 S; worst_conductance_s is the lowest Re Y of the
+    trace.
+    """
+
+    resonance_definition: str
+    tune_band_hz: tuple[float, float]
+    tune_band_samples: int
+    q_band_hz: tuple[float, float]
+    q_band_unflagged_samples: int
+    y_circle_radius_s: float
+    y_circle_rms_residual_s: float
+    z0_on_bound: str | None
+    q_flagged_samples: int
+    passivity_violations: int
+    worst_conductance_s: float
+
+
+@dataclass(frozen=True)
 class ExtractionReport:
     f_s: float
     f_p: float
@@ -61,6 +96,7 @@ class ExtractionReport:
     q_max: float
     fom: float
     z0_star: float
+    diagnostics: Diagnostics
 
 
 @dataclass(frozen=True)
@@ -176,10 +212,15 @@ def bode_q(trace: OnePortTrace, smooth_window: int | None = None) -> QTrace:
     return QTrace(trace.frequencies[ok], q, trace.frequencies[~ok])
 
 
+def _in_band(frequencies: np.ndarray, band: tuple[float, float]) -> np.ndarray:
+    lo, hi = band
+    return (frequencies >= lo) & (frequencies <= hi)
+
+
 def q_max(q_trace: QTrace, band: tuple[float, float]) -> float:
     """Highest unflagged Bode-Q inside the band."""
     lo, hi = band
-    mask = (q_trace.frequencies >= lo) & (q_trace.frequencies <= hi)
+    mask = _in_band(q_trace.frequencies, band)
     if not np.any(mask):
         raise EmptyBand(f"no unflagged Bode-Q samples in [{lo:g}, {hi:g}] Hz")
     return float(np.max(q_trace.q[mask]))
@@ -198,18 +239,35 @@ def full_extraction(
     """Run the whole metric pipeline on a measured or synthesized trace.
 
     Defaults: source-impedance tuning over [0.98 f_s, 1.02 f_p], Q search
-    over [0.9 f_s, 1.1 f_p].
+    over [0.9 f_s, 1.1 f_p].  The report's diagnostics record those bands,
+    the tuning's circle and bound, and the flagged and non-passive samples.
     """
     opts = options or ExtractOptions()
     y = s_to_y(trace)
     f_s, f_p = find_fs_fp(y)
     coupling = keff2(f_s, f_p)
     ratio = admittance_ratio(y, f_s, f_p)
-    tune_band = opts.tune_band or (0.98 * f_s, 1.02 * f_p)
-    z0_star, tuned = tune_source_impedance(y, tune_band)
-    q_trace = bode_q(tuned, opts.smooth_window)
-    search_band = opts.qmax_band or (0.9 * f_s, 1.1 * f_p)
+    tune_band = tuple(map(float, opts.tune_band or (0.98 * f_s, 1.02 * f_p)))
+    tuning = tune_source_impedance(y, tune_band)
+    q_trace = bode_q(tuning.trace, opts.smooth_window)
+    search_band = tuple(map(float, opts.qmax_band or (0.9 * f_s, 1.1 * f_p)))
     best_q = q_max(q_trace, search_band)
+    violations, worst_conductance = passivity_violations(y)
+    tune_samples = np.count_nonzero(_in_band(y.frequencies, tune_band))
+    q_samples = np.count_nonzero(_in_band(q_trace.frequencies, search_band))
+    diagnostics = Diagnostics(
+        resonance_definition=RESONANCE_DEFINITION,
+        tune_band_hz=tune_band,
+        tune_band_samples=int(tune_samples),
+        q_band_hz=search_band,
+        q_band_unflagged_samples=int(q_samples),
+        y_circle_radius_s=tuning.circle.radius,
+        y_circle_rms_residual_s=tuning.circle.rms_residual,
+        z0_on_bound=tuning.on_bound,
+        q_flagged_samples=int(q_trace.flagged.size),
+        passivity_violations=violations,
+        worst_conductance_s=worst_conductance,
+    )
     return ExtractionReport(
         f_s=f_s,
         f_p=f_p,
@@ -219,7 +277,8 @@ def full_extraction(
         q_bode=q_trace,
         q_max=best_q,
         fom=fom(coupling, best_q),
-        z0_star=z0_star,
+        z0_star=tuning.z0_star,
+        diagnostics=diagnostics,
     )
 
 
@@ -233,9 +292,17 @@ def report_to_json(
     device: str | None = None,
     lambda_nm: float | None = None,
 ) -> dict:
-    """JSON-ready dict with SI units; q_bode carried as parallel arrays."""
+    """Report schema 2 as a JSON-ready dict with SI units.
+
+    Scalars and a "diagnostics" object, whose bands are [lo, hi] lists;
+    the Bode-Q curve is not included (the CLI writes it with --q-trace).
+    """
+    diagnostics = {
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in asdict(report.diagnostics).items()
+    }
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": REPORT_SCHEMA_VERSION,
         "device": device,
         "lambda_nm": lambda_nm,
         "f_s_hz": report.f_s,
@@ -246,11 +313,7 @@ def report_to_json(
         "q_max": report.q_max,
         "fom": report.fom,
         "z0_star_ohm": report.z0_star,
-        "q_bode": {
-            "frequency_hz": report.q_bode.frequencies.tolist(),
-            "q": report.q_bode.q.tolist(),
-            "flagged_hz": report.q_bode.flagged.tolist(),
-        },
+        "diagnostics": diagnostics,
     }
 
 

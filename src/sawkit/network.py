@@ -5,20 +5,23 @@ algebraic (Kasa 1976, IEEE T-IM 25:8) circle fitting, and the source
 impedance that centers the reflection locus at the Smith-chart origin.
 A change of reference impedance is a Moebius map of the admittance, so one
 circle fit in the admittance plane gives the reflection circle for every
-z0 in closed form, and that impedance is found without a search.
+z0 in closed form, and that impedance is found without a search.  The
+tuning hands that circle and whether z0* sits on a search bound to its
+caller, and passivity_violations counts the samples of negative
+conductance; neither is printed here, so a caller records them.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateLocus, SingularReflection, TooFewPoints
 from .touchstone import OnePortTrace, _as_frequency_grid
 
-# Re(Y) below -1e-6 S on a supposedly passive trace draws a warning
+# Re(Y) below -1e-6 S counts as a passivity violation
 _PASSIVITY_EPS = 1e-6
 # |1 + S11| below this makes the admittance transform singular
 _SINGULAR_EPS = 1e-12
@@ -48,18 +51,37 @@ class SmithCircle:
     rms_residual: float
 
 
+class Tuning(NamedTuple):
+    """tune_source_impedance's result.
+
+    circle is the Kasa circle of the in-band admittance (siemens), and
+    on_bound names the search bound z0_star sits on ("z0_min" or
+    "z0_max"), or is None for an interior optimum.
+    """
+
+    z0_star: float
+    trace: OnePortTrace
+    circle: SmithCircle
+    on_bound: str | None
+
+
 def s_to_y(trace: OnePortTrace) -> AdmittanceTrace:
     """Y = (1 - S11) / (z0 (1 + S11)).  Raises SingularReflection near S11 = -1."""
     denom = 1.0 + trace.s11
     if np.any(np.abs(denom) < _SINGULAR_EPS):
         raise SingularReflection("S11 = -1 encountered; admittance is undefined there")
     y = (1.0 - trace.s11) / (trace.z0 * denom)
-    if np.any(y.real < -_PASSIVITY_EPS):
-        warnings.warn(
-            f"conductance below -{_PASSIVITY_EPS:g} S; trace may not be passive",
-            stacklevel=2,
-        )
     return AdmittanceTrace(trace.frequencies, y)
+
+
+def passivity_violations(trace: AdmittanceTrace) -> tuple[int, float]:
+    """(count of samples with Re Y below -1e-6 S, lowest Re Y in siemens).
+
+    A passive one-port has Re Y >= 0 everywhere; a violation points at a
+    calibration or de-embedding error, or noise near |S11| = 1.
+    """
+    conductance = trace.y.real
+    return int(np.count_nonzero(conductance < -_PASSIVITY_EPS)), float(conductance.min())
 
 
 def y_to_s(trace: AdmittanceTrace, z0: float) -> OnePortTrace:
@@ -129,7 +151,7 @@ def tune_source_impedance(
     band: tuple[float, float],
     z0_min: float = 1.0,
     z0_max: float = 5000.0,
-) -> tuple[float, OnePortTrace]:
+) -> Tuning:
     """Find the source impedance that centers the in-band S11 locus.
 
     S11 = (1 - z0 Y) / (1 + z0 Y) is a Moebius map of the admittance, and
@@ -140,10 +162,11 @@ def tune_source_impedance(
     that center's squared magnitude vanishes only where
     (K z0^2 - 1) (g K z0^2 + 2 (g^2 - r^2) z0 + g) = 0, so the minimizer over
     [z0_min, z0_max] is a bound or a real root of one of the two factors.
-    Returns (z0_star, trace renormalized to z0_star).  An admittance trace
-    is used as it is, so a caller that holds Y need not convert S11 again;
-    the tuned trace keeps the comments of a reflection trace and has none
-    for an admittance one.
+    Returns a Tuning: z0_star, the trace renormalized to z0_star, the
+    in-band admittance circle and the bound z0_star sits on, if any.  An
+    admittance trace is used as it is, so a caller that holds Y need not
+    convert S11 again; the tuned trace keeps the comments of a reflection
+    trace and has none for an admittance one.
     """
     if not 0 < z0_min < z0_max:
         raise ValueError("need 0 < z0_min < z0_max")
@@ -152,7 +175,7 @@ def tune_source_impedance(
         y, comments = trace, ()
     else:
         y, comments = s_to_y(trace), trace.comments
-    center, radius, _ = _kasa_circle(y.y[mask])
+    center, radius, rms = _kasa_circle(y.y[mask])
     # in x = z0 * scale every coefficient below is at most 1 in magnitude
     scale = np.hypot(abs(center), radius)
     g, b, r = center.real / scale, center.imag / scale, radius / scale
@@ -165,4 +188,10 @@ def tune_source_impedance(
     x = z * scale
     offset = np.abs((1.0 - k * x * x - 2j * b * x) / (1.0 + 2.0 * g * x + k * x * x))
     z_star = float(z[np.argmin(offset)])
-    return z_star, replace(y_to_s(y, z_star), comments=comments)
+    on_bound = "z0_min" if z_star == z0_min else "z0_max" if z_star == z0_max else None
+    return Tuning(
+        z_star,
+        replace(y_to_s(y, z_star), comments=comments),
+        SmithCircle(center=center, radius=radius, rms_residual=rms),
+        on_bound,
+    )

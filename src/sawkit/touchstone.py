@@ -79,15 +79,11 @@ def _tables() -> tuple[np.ndarray, ...]:
     tail[:, 1] = np.where(e < 0, ord("-"), ord("+"))
     tail[:, 2:5] = digits[np.abs(e), 1:]
     tail[np.abs(e) < 100, 2] = 0
-    # the separator after each of a row's three cells, in the tail's sixth byte
-    sep = np.zeros((3, 8), dtype=np.uint8)
-    sep[:, 5] = (ord(" "), ord(" "), ord("\n"))
     return (
         pow10,
         digits.view(np.uint32).ravel(),
         head.view(np.uint32).ravel(),
         tail.view(np.uint64).ravel(),
-        sep.view(np.uint64).ravel(),
     )
 
 
@@ -375,8 +371,12 @@ def _format_exactly(values: np.ndarray) -> np.ndarray:
     return np.frombuffer(text.replace(" ", "\0").encode("ascii"), dtype=np.uint8).reshape(-1, 21)
 
 
-def _format_rows(rows: np.ndarray) -> str:
-    """'%.12e %.12e %.12e\\n' for each row of an (n, 3) array, byte for byte.
+def _format_rows(rows: np.ndarray, delimiter: str = " ") -> str:
+    """'%.12e' of each value of an (n, k) array, byte for byte.
+
+    A row's values are joined by the one-character delimiter and each row
+    ends in a newline, so an (n, 3) array with the default gives the
+    Touchstone body rows '%.12e %.12e %.12e\\n'.
 
     With e = floor(log10 |v|), corrected by one where the scaled value
     leaves [1e12, 1e13), the mantissa is m = rint(|v| * 10**(12 - e)), and
@@ -393,7 +393,7 @@ def _format_rows(rows: np.ndarray) -> str:
     positive sign, a third exponent digit, padding) are 0, and one pass
     drops every 0 byte.
     """
-    pow10, quad, head, tail, sep = _tables()
+    pow10, quad, head, tail = _tables()
     values = rows.ravel()
     magnitude = np.abs(values)
     fast = (magnitude >= _FAST_MIN) & (magnitude <= _FAST_MAX)
@@ -417,7 +417,11 @@ def _format_rows(rows: np.ndarray) -> str:
     words[:, 2] = quad[rest // 10**4 % 10**4]
     words[:, 3] = quad[rest % 10**4]
     cells[:, 2] = tail[exponent - _EXP_LOW]
-    cells.reshape(-1, 3, 3)[:, :, 2] |= sep
+    # the separator after each of a row's k cells, in the tail's sixth byte
+    sep = np.zeros((rows.shape[1], 8), dtype=np.uint8)
+    sep[:, 5] = ord(delimiter)
+    sep[-1, 5] = ord("\n")
+    cells.reshape(-1, rows.shape[1], 3)[:, :, 2] |= sep.view(np.uint64).ravel()
     slow = np.flatnonzero(~fast)
     if slow.size:
         cells.view(np.uint8)[slow, :21] = _format_exactly(values[slow])

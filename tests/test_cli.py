@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from sawkit import cli, mbvd
+from sawkit import cli, extract, mbvd, network
 from sawkit.errors import SawkitError
-from sawkit.touchstone import parse_touchstone
+from sawkit.touchstone import OnePortTrace, parse_touchstone, write_touchstone
 
 from conftest import C_0, F_S, KEFF2, Q_M
 
@@ -34,6 +34,16 @@ def wide_s1p(fixture_dir, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def active_s1p(fixture_dir, tmp_path_factory):
+    # device A with |S11| scaled by 1.01: Re Y < 0 and flagged Bode-Q samples
+    # where |S11| now exceeds 1, yet the resonances are still bracketed
+    trace, fmt = parse_touchstone((fixture_dir / "deviceA.s1p").read_text())
+    out = tmp_path_factory.mktemp("active") / "active.s1p"
+    out.write_text(write_touchstone(OnePortTrace(trace.frequencies, 1.01 * trace.s11, 50.0), fmt))
+    return out
+
+
 def test_make_fixtures_writes_all_devices(fixture_dir):
     for device in "ABCDEF":
         assert (fixture_dir / f"device{device}.s1p").exists()
@@ -57,10 +67,91 @@ def test_extract_summary_row(fixture_dir, tmp_path):
     assert header == "device,lambda_nm,f_s_GHz,keff2_pct,q_max,fom"
     assert row == "deviceA,400,9.04906,15.0545,210.542,31.696"
     obj = json.loads(json_path.read_text())
-    assert obj["schema_version"] == 1
+    assert obj["schema_version"] == 2
     assert obj["device"] == "deviceA"
     assert obj["lambda_nm"] == 400.0
     np.testing.assert_allclose(obj["f_s_hz"], 9.04906e9, rtol=1e-5)
+
+
+def test_extract_q_trace_rows_are_percent_formatted(active_s1p, tmp_path):
+    csv_path = tmp_path / "q.csv"
+    assert cli.main(["extract", str(active_s1p), "-o", str(tmp_path / "r.json"),
+                     "--q-trace", str(csv_path)]) == 0
+    trace, _ = parse_touchstone(active_s1p.read_text())
+    q_trace = extract.full_extraction(trace).q_bode
+    q_at = dict(zip(q_trace.frequencies.tolist(), q_trace.q.tolist()))
+    expected = [
+        "%.12e,%.12e" % (f, q_at.get(f, float("nan"))) for f in trace.frequencies.tolist()
+    ]
+    lines = csv_path.read_text().split("\n")
+    assert lines[0] == "frequency_hz,q_bode"
+    assert lines[-1] == ""
+    assert lines[1:-1] == expected
+    assert len(expected) == trace.frequencies.size
+    flagged = [line for line in expected if line.endswith(",nan")]
+    assert len(flagged) == q_trace.flagged.size > 0
+
+
+def test_passivity_violations_are_one_warning_line(active_s1p, fixture_dir, tmp_path, capsys):
+    trace, _ = parse_touchstone(active_s1p.read_text())
+    count, worst = network.passivity_violations(network.s_to_y(trace))
+    assert count > 0
+    line = (
+        f"warning: active: {count} samples have conductance below -1e-06 S "
+        f"(lowest {worst:.3g} S); the trace may not be passive"
+    )
+    report_path = tmp_path / "r.json"
+    init = str(fixture_dir / "deviceA.params.json")
+    # fit --report also runs two extractions, which must add no line of their own
+    for argv in (
+        ["extract", str(active_s1p), "-o", str(report_path)],
+        ["fit", str(active_s1p), "--init", init, "-o", str(tmp_path / "f.json"), "--report"],
+    ):
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [entry for entry in err if entry.startswith("warning:")] == [line]
+    diagnostics = json.loads(report_path.read_text())["diagnostics"]
+    assert diagnostics["passivity_violations"] == count
+    assert diagnostics["worst_conductance_s"] == worst
+
+
+def test_fixtures_extract_q_trace_and_report_v1_and_v2(tmp_path):
+    fx = tmp_path / "fx"
+    assert cli.main(["make-fixtures", "-o", str(fx), "--points", "1001"]) == 0
+    for device, lambda_nm in (("A", "400"), ("E", "240")):
+        argv = ["extract", str(fx / f"device{device}.s1p"), "--device", f"device{device}",
+                "--lambda-nm", lambda_nm, "-o", str(tmp_path / f"{device}.json"),
+                "--q-trace", str(tmp_path / f"{device}.csv")]
+        assert cli.main(argv) == 0
+        assert len((tmp_path / f"{device}.csv").read_text().splitlines()) == 1 + 1001
+    # device A's report again in schema 1: the same scalars, the curve as lists
+    report = json.loads((tmp_path / "A.json").read_text())
+    assert report["schema_version"] == 2
+    rows = [line.split(",") for line in (tmp_path / "A.csv").read_text().splitlines()[1:]]
+    curve = np.array(rows, dtype=float)
+    flagged = np.isnan(curve[:, 1])
+    del report["diagnostics"]
+    report.update(
+        schema_version=1,
+        q_bode={
+            "frequency_hz": curve[~flagged, 0].tolist(),
+            "q": curve[~flagged, 1].tolist(),
+            "flagged_hz": curve[flagged, 0].tolist(),
+        },
+    )
+    (tmp_path / "A.v1.json").write_text(json.dumps(report))
+    tables = []
+    for a_report in ("A.json", "A.v1.json"):
+        out = tmp_path / "table.csv"
+        argv = ["report", str(tmp_path / "E.json"), str(tmp_path / a_report),
+                "--sort-lambda", "-o", str(out)]
+        assert cli.main(argv) == 0
+        tables.append(out.read_text().splitlines())
+    assert tables[0] == tables[1]
+    assert [line.split(",")[:2] for line in tables[1]] == [
+        ["device", "lambda_nm"], ["deviceA", "400"], ["deviceE", "240"]
+    ]
 
 
 def test_extract_missing_file(tmp_path, capsys):
@@ -400,6 +491,12 @@ def bad_inputs(tmp_path_factory):
         ("device_number", {"device": 5}),
         ("lambda_string", {"lambda_nm": "400"}),
         ("lambda_bool", {"lambda_nm": True}),
+        # numbers JSON can carry but a float cannot hold
+        ("fs_huge_integer", {"f_s_hz": 10**400}),
+        ("lambda_huge_integer", {"lambda_nm": 10**400}),
+        ("q_max_nan", {"q_max": float("nan")}),
+        ("fom_infinity", {"fom": float("inf")}),
+        ("keff2_minus_infinity", {"keff2": float("-inf")}),
     ):
         (out / f"{name}.json").write_text(json.dumps({**metrics, **extra}))
     (out / "geometry.json").write_text(
@@ -515,6 +612,23 @@ EXIT_CODE_CASES = {
     ),
     "report-lambda-bool": (
         "report {bad}/lambda_bool.json", 2, "report key 'lambda_nm' must be a number or null"
+    ),
+    "report-fs-huge-integer": (
+        "report {bad}/fs_huge_integer.json", 2, "report key 'f_s_hz' must be a finite number"
+    ),
+    "report-lambda-huge-integer": (
+        "report {bad}/lambda_huge_integer.json",
+        2,
+        "report key 'lambda_nm' must be a finite number or null",
+    ),
+    "report-q-max-nan": (
+        "report {bad}/q_max_nan.json", 2, "report key 'q_max' must be a finite number"
+    ),
+    "report-fom-infinity": (
+        "report {bad}/fom_infinity.json", 2, "report key 'fom' must be a finite number"
+    ),
+    "report-keff2-minus-infinity": (
+        "report {bad}/keff2_minus_infinity.json", 2, "report key 'keff2' must be a finite number"
     ),
     # fit did not converge -> 5
     "fit-no-convergence": ("fit {wide} -o {tmp}/f.json --max-iter 1", 5, "DID NOT converge"),

@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from sawkit.errors import (
 )
 from sawkit.extract import (
     CSV_HEADER,
+    Diagnostics,
     ExtractOptions,
     admittance_ratio,
     bode_q,
@@ -21,7 +25,7 @@ from sawkit.extract import (
     report_csv_row,
     report_to_json,
 )
-from sawkit.network import AdmittanceTrace, OnePortTrace, s_to_y
+from sawkit.network import AdmittanceTrace, OnePortTrace, passivity_violations, s_to_y
 
 from conftest import C_0, F_S, KEFF2, Q_M
 
@@ -237,7 +241,7 @@ def test_full_extraction_band_overrides(device_trace):
 def test_report_json_shape(device_trace):
     rep = full_extraction(device_trace)
     obj = report_to_json(rep)
-    assert obj["schema_version"] == 1
+    assert obj["schema_version"] == 2
     for key in (
         "f_s_hz",
         "f_p_hz",
@@ -249,8 +253,60 @@ def test_report_json_shape(device_trace):
         "z0_star_ohm",
     ):
         assert isinstance(obj[key], float)
-    assert len(obj["q_bode"]["frequency_hz"]) == len(obj["q_bode"]["q"])
+    assert "q_bode" not in obj
+    assert set(obj["diagnostics"]) == {field.name for field in fields(Diagnostics)}
     np.testing.assert_allclose(obj["f_s_hz"], rep.f_s)
+
+
+def _values(obj):
+    """Every value in a JSON-ready tree, containers included."""
+    yield obj
+    children = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else ()
+    for child in children:
+        yield from _values(child)
+
+
+def test_report_json_holds_no_curve(device_trace):
+    obj = report_to_json(full_extraction(device_trace), device="deviceA", lambda_nm=400.0)
+    for value in _values(obj):
+        assert not isinstance(value, (list, tuple, np.ndarray)) or len(value) <= 2
+    assert json.loads(json.dumps(obj, allow_nan=False)) == obj
+
+
+def test_diagnostics_record_the_extraction(device_trace, device_fp):
+    rep = full_extraction(device_trace)
+    d = rep.diagnostics
+    for field in fields(Diagnostics):
+        value = getattr(d, field.name)
+        # plain Python values: no numpy scalars, so the record dumps as it is
+        assert type(value) in (str, int, float, tuple, type(None)), field.name
+    assert d.resonance_definition == "abs_y_extrema"
+    f = device_trace.frequencies
+    lo, hi = d.tune_band_hz
+    np.testing.assert_allclose((lo, hi), (0.98 * rep.f_s, 1.02 * rep.f_p), rtol=1e-15)
+    assert d.tune_band_samples == np.count_nonzero((f >= lo) & (f <= hi))
+    lo, hi = d.q_band_hz
+    np.testing.assert_allclose((lo, hi), (0.9 * rep.f_s, 1.1 * rep.f_p), rtol=1e-15)
+    assert d.q_band_unflagged_samples == np.count_nonzero((f >= lo) & (f <= hi))
+    assert d.q_flagged_samples == rep.q_bode.flagged.size == 0
+    assert 0 < d.y_circle_rms_residual_s < 1e-3 * d.y_circle_radius_s
+    assert d.z0_on_bound is None
+    assert (d.passivity_violations, d.worst_conductance_s) == passivity_violations(
+        s_to_y(device_trace)
+    )
+    assert d.passivity_violations == 0
+
+
+def test_diagnostics_count_active_and_flagged_samples(device_trace):
+    # |S11| scaled past 1 on part of the band: negative conductance there, and
+    # 1 - |S11|^2 < 0 flags those Bode-Q samples
+    active = OnePortTrace(device_trace.frequencies, 1.01 * device_trace.s11, 50.0)
+    d = full_extraction(active).diagnostics
+    count, worst = passivity_violations(s_to_y(active))
+    assert (d.passivity_violations, d.worst_conductance_s) == (count, worst)
+    assert count > 100 and worst < 0
+    assert d.q_flagged_samples > 100
+    assert d.q_band_unflagged_samples + d.q_flagged_samples <= active.frequencies.size
 
 
 def test_report_csv_row(device_trace):
@@ -261,8 +317,8 @@ def test_report_csv_row(device_trace):
 
 
 def test_extraction_work_counts(monkeypatch, device_trace, device_fp):
-    # operation counts, not timings: one circle fit per tune and at most
-    # two admittance conversions per extraction
+    # operation counts, not timings: one circle fit per tune and one
+    # admittance conversion per extraction
     from sawkit import extract, network
 
     calls = {"circle_fit": 0, "s_to_y": 0}
@@ -284,7 +340,7 @@ def test_extraction_work_counts(monkeypatch, device_trace, device_fp):
     calls.update(circle_fit=0, s_to_y=0)
     extract.full_extraction(device_trace)
     assert calls["circle_fit"] == 1
-    assert calls["s_to_y"] <= 2
+    assert calls["s_to_y"] == 1
 
 
 def test_full_extraction_converts_s11_to_y_once(monkeypatch, device_trace):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,10 @@ from sawkit.errors import DegenerateLocus, SingularReflection, TooFewPoints
 from sawkit.network import (
     AdmittanceTrace,
     OnePortTrace,
+    SmithCircle,
+    _kasa_circle,
     fit_smith_circle,
+    passivity_violations,
     renormalize,
     s_to_y,
     tune_source_impedance,
@@ -38,10 +43,16 @@ def test_s_to_y_singular_at_minus_one():
         s_to_y(_trace([0.3, -1.0]))
 
 
-def test_s_to_y_warns_on_active_data():
-    # |S| > 1 means negative conductance somewhere
-    with pytest.warns(UserWarning):
-        s_to_y(_trace([1.5, 1.5]))
+def test_s_to_y_counts_active_data_instead_of_warning():
+    # |S| > 1 means negative conductance: Y = (1 - 1.5) / (50 * 2.5) = -0.004 S
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = s_to_y(_trace([1.5, 0.5, 1.5]))
+    count, worst = passivity_violations(y)
+    assert (type(count), type(worst)) == (int, float)
+    assert count == 2
+    assert worst == pytest.approx(-0.004, rel=1e-12)
+    assert passivity_violations(s_to_y(_trace([0.5, 0.0]))) == (0, pytest.approx(1.0 / 150.0))
 
 
 def test_y_to_s_round_trip():
@@ -110,7 +121,7 @@ def test_resonator_locus_is_nearly_circular(device_trace, device_fp):
 def test_tune_keeps_centered_locus_at_fifty():
     th = np.linspace(0.2 * np.pi, 1.8 * np.pi, 201)
     trace = _trace(0.6 * np.exp(1j * th), f=np.linspace(1e9, 2e9, 201))
-    z_star, tuned = tune_source_impedance(trace, (1e9, 2e9))
+    z_star, tuned, *_ = tune_source_impedance(trace, (1e9, 2e9))
     assert abs(z_star - 50.0) < 0.1
     assert tuned.z0 == z_star
 
@@ -118,7 +129,7 @@ def test_tune_keeps_centered_locus_at_fifty():
 def test_tune_reduces_center_offset(device_trace, device_fp):
     band = (0.98 * F_S, 1.02 * device_fp)
     before = fit_smith_circle(device_trace, band)
-    z_star, tuned = tune_source_impedance(device_trace, band)
+    z_star, tuned, *_ = tune_source_impedance(device_trace, band)
     after = fit_smith_circle(tuned, band)
     assert abs(after.center) < abs(before.center)
     # the optimum sits near 1/(2 pi f_s C0), the static-branch reactance scale
@@ -128,14 +139,14 @@ def test_tune_reduces_center_offset(device_trace, device_fp):
 
 def test_tune_is_stable_under_retuning(device_trace, device_fp):
     band = (0.98 * F_S, 1.02 * device_fp)
-    z1, tuned = tune_source_impedance(device_trace, band)
-    z2, _ = tune_source_impedance(tuned, band)
+    z1, tuned, *_ = tune_source_impedance(device_trace, band)
+    z2, *_ = tune_source_impedance(tuned, band)
     assert abs(z2 - z1) <= 0.1
 
 
 def test_tune_regression_value(device_trace, device_fp):
     band = (0.98 * F_S, 1.02 * device_fp)
-    z_star, _ = tune_source_impedance(device_trace, band)
+    z_star, *_ = tune_source_impedance(device_trace, band)
     np.testing.assert_allclose(z_star, 166.1848, atol=0.2)
 
 
@@ -146,7 +157,7 @@ def test_admittance_trace_rejects_length_mismatch():
 
 def test_tune_matches_a_dense_scan(device_trace, device_fp):
     band = (0.98 * F_S, 1.02 * device_fp)
-    _, tuned = tune_source_impedance(device_trace, band)
+    _, tuned, *_ = tune_source_impedance(device_trace, band)
     got = abs(fit_smith_circle(tuned, band).center)
     scan = min(
         abs(fit_smith_circle(renormalize(device_trace, z), band).center)
@@ -162,17 +173,27 @@ def test_tune_returns_the_bound_it_hits(device_trace, device_fp):
     assert tune_source_impedance(device_trace, band, z0_min=300.0)[0] == 300.0
 
 
+def test_tune_reports_its_admittance_circle_and_bound(device_trace, device_fp):
+    band = (0.98 * F_S, 1.02 * device_fp)
+    tuning = tune_source_impedance(device_trace, band)
+    in_band = (device_trace.frequencies >= band[0]) & (device_trace.frequencies <= band[1])
+    assert tuning.circle == SmithCircle(*_kasa_circle(s_to_y(device_trace).y[in_band]))
+    assert tuning.on_bound is None
+    assert tune_source_impedance(device_trace, band, z0_max=100.0).on_bound == "z0_max"
+    assert tune_source_impedance(device_trace, band, z0_min=300.0).on_bound == "z0_min"
+
+
 def test_tune_keeps_comments(device_trace, device_fp):
     trace = OnePortTrace(
         device_trace.frequencies, device_trace.s11, device_trace.z0, comments=("! wafer 3",)
     )
-    _, tuned = tune_source_impedance(trace, (0.98 * F_S, 1.02 * device_fp))
+    _, tuned, *_ = tune_source_impedance(trace, (0.98 * F_S, 1.02 * device_fp))
     assert tuned.comments == ("! wafer 3",)
 
 
 def test_tune_is_independent_of_the_input_reference(device_params, device_trace, device_fp):
     band = (0.98 * F_S, 1.02 * device_fp)
-    z_star, tuned = tune_source_impedance(device_trace, band)
+    z_star, tuned, *_ = tune_source_impedance(device_trace, band)
     np.testing.assert_allclose(tune_source_impedance(tuned, band)[0], z_star, rtol=1e-9)
     for z0 in (25.0, 50.0, 75.0, 200.0):
         trace = mbvd.synthesize_s11(device_params, device_trace.frequencies, z0=z0)
@@ -182,7 +203,7 @@ def test_tune_is_independent_of_the_input_reference(device_params, device_trace,
 def test_tune_centers_an_exact_circle_at_fifty():
     th = np.linspace(0.2 * np.pi, 1.8 * np.pi, 201)
     trace = _trace(0.6 * np.exp(1j * th), f=np.linspace(1e9, 2e9, 201))
-    z_star, tuned = tune_source_impedance(trace, (1e9, 2e9))
+    z_star, tuned, *_ = tune_source_impedance(trace, (1e9, 2e9))
     np.testing.assert_allclose(z_star, 50.0, rtol=1e-9)
     np.testing.assert_allclose(tuned.s11, trace.s11, atol=1e-9)
 
@@ -204,8 +225,8 @@ def test_tune_takes_the_admittance_its_caller_has(device_trace, device_fp):
     trace = OnePortTrace(
         device_trace.frequencies, device_trace.s11, device_trace.z0, comments=("! wafer 3",)
     )
-    z_ref, tuned_ref = tune_source_impedance(trace, band)
-    z_star, tuned = tune_source_impedance(s_to_y(trace), band)
+    z_ref, tuned_ref, *_ = tune_source_impedance(trace, band)
+    z_star, tuned, *_ = tune_source_impedance(s_to_y(trace), band)
     assert z_star == z_ref
     np.testing.assert_array_equal(tuned.s11, tuned_ref.s11)
     assert tuned.comments == ()
