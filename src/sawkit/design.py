@@ -5,6 +5,12 @@ coupling, grouped by data family ("measured", "simulated") and electrode
 duty factor.  Prediction is piecewise-linear in h_ln/lambda inside a
 (family, duty) group; electrode thickness and duty are not modeled, so
 mismatches against the anchors surface as warnings on the result.
+
+A group holds its columns as tuples of Python floats: with five anchors a
+lookup is a handful of float operations, which numpy scalars would only
+slow down.  What depends on the table alone (each family's groups, each
+group's invertibility) is computed once when the table is built, and a
+lookup finds its segment once for all three columns.
 """
 
 from __future__ import annotations
@@ -12,12 +18,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-from dataclasses import dataclass, replace
+import math
+from bisect import bisect_left
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import OutOfTableRange, TargetOutOfRange
 
@@ -49,17 +55,15 @@ class DeviceGeometry:
     aperture: float = 20.0
 
     def __post_init__(self):
-        for name in ("wavelength", "h_ln"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.h_elec < 0:
-            raise ValueError("h_elec must be >= 0")
+        for name in ("wavelength", "h_ln", "aperture"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0.0 <= self.h_elec < math.inf:
+            raise ValueError("h_elec must be finite and >= 0")
         if not 0.0 < self.duty < 1.0:
             raise ValueError("duty must lie in (0, 1)")
         if self.n_e < 1 or self.n_r < 0:
             raise ValueError("n_e must be >= 1 and n_r >= 0")
-        if not self.aperture > 0:
-            raise ValueError("aperture must be positive")
 
     @property
     def h_ln_ratio(self) -> float:
@@ -81,14 +85,14 @@ class DispersionAnchor:
     provenance: str = ""
 
     def __post_init__(self):
-        if not self.h_ln_over_lambda > 0:
-            raise ValueError("h_ln_over_lambda must be positive")
-        if self.h_elec_over_lambda < 0:
-            raise ValueError("h_elec_over_lambda must be >= 0")
+        if not 0.0 < self.h_ln_over_lambda < math.inf:
+            raise ValueError("h_ln_over_lambda must be positive and finite")
+        if not 0.0 <= self.h_elec_over_lambda < math.inf:
+            raise ValueError("h_elec_over_lambda must be finite and >= 0")
         if not 0.0 < self.duty < 1.0:
             raise ValueError("duty must lie in (0, 1)")
-        if not self.v_p > 0:
-            raise ValueError("v_p must be positive")
+        if not 0.0 < self.v_p < math.inf:
+            raise ValueError("v_p must be positive and finite")
         if not 0.0 <= self.keff2 < 1.0:
             raise ValueError("keff2 must lie in [0, 1)")
         if not self.family:
@@ -96,10 +100,13 @@ class DispersionAnchor:
 
 
 class _Group(NamedTuple):
-    ratios: np.ndarray
-    v_p: np.ndarray
-    keff2: np.ndarray
-    h_elec_ratio: np.ndarray
+    ratios: tuple[float, ...]
+    v_p: tuple[float, ...]
+    keff2: tuple[float, ...]
+    h_elec_ratio: tuple[float, ...]
+    # f_s(lambda) = v_p(h_ln/lambda) / lambda is strictly monotone, so
+    # scale_to_frequency can bisect it
+    invertible: bool
 
 
 class TablePoint(NamedTuple):
@@ -124,16 +131,31 @@ class SweepRow:
     error: str | None = None
 
 
-def _interp_column(ratios: np.ndarray, column: np.ndarray, ratio: float) -> float:
-    """Piecewise-linear with end-segment extrapolation outside the hull."""
+def _segment(ratios: tuple[float, ...], ratio: float) -> tuple[int, float]:
+    """Segment index and fraction; the end segments extend past the hull.
+
+    An inner anchor belongs to the segment that ends at it (bisect_left).
+    """
     if ratio <= ratios[0]:
         i = 0
     elif ratio >= ratios[-1]:
-        i = ratios.size - 2
+        i = len(ratios) - 2
     else:
-        i = int(np.searchsorted(ratios, ratio)) - 1
-    t = (ratio - ratios[i]) / (ratios[i + 1] - ratios[i])
-    return float(column[i] + t * (column[i + 1] - column[i]))
+        i = bisect_left(ratios, ratio) - 1
+    return i, (ratio - ratios[i]) / (ratios[i + 1] - ratios[i])
+
+
+def _interp_column(column: tuple[float, ...], i: int, t: float) -> float:
+    return column[i] + t * (column[i + 1] - column[i])
+
+
+def _is_invertible(ratios: tuple[float, ...], v_p: tuple[float, ...]) -> bool:
+    """d(v*r)/dr = v + r dv/dr stays positive at both ends of every segment."""
+    for i in range(len(ratios) - 1):
+        slope = (v_p[i + 1] - v_p[i]) / (ratios[i + 1] - ratios[i])
+        if not (v_p[i] + ratios[i] * slope > 0 and v_p[i + 1] + ratios[i + 1] * slope > 0):
+            return False
+    return True
 
 
 class DispersionTable:
@@ -152,46 +174,51 @@ class DispersionTable:
         groups: dict[tuple[str, float], list[DispersionAnchor]] = {}
         for a in anchors:
             groups.setdefault((a.family, a.duty), []).append(a)
-        self._groups: dict[tuple[str, float], _Group] = {}
-        for key, members in groups.items():
+        # family -> [(duty, group), ...] in first-seen order, which breaks
+        # ties between equally close duties the same way on every lookup
+        self._families: dict[str, list[tuple[float, _Group]]] = {}
+        for (family, duty), members in groups.items():
             members = sorted(members, key=lambda a: a.h_ln_over_lambda)
-            ratios = np.array([a.h_ln_over_lambda for a in members])
-            if np.any(np.diff(ratios) <= 0):
-                raise ValueError(f"anchors in group {key} share a thickness ratio")
-            self._groups[key] = _Group(
-                ratios=ratios,
-                v_p=np.array([a.v_p for a in members]),
-                keff2=np.array([a.keff2 for a in members]),
-                h_elec_ratio=np.array([a.h_elec_over_lambda for a in members]),
-            )
-        measured_half = self._groups.get(("measured", 0.5))
-        if measured_half is not None and measured_half.ratios.size > 1:
-            if np.any(np.diff(measured_half.v_p) >= 0):
+            ratios = tuple(float(a.h_ln_over_lambda) for a in members)
+            if any(b <= a for a, b in zip(ratios, ratios[1:])):
                 raise ValueError(
-                    "measured 50%-duty anchors must have strictly decreasing v_p"
+                    f"anchors in group {(family, duty)} share a thickness ratio"
                 )
+            v_p = tuple(float(a.v_p) for a in members)
+            if (family, duty) == ("measured", 0.5) and any(
+                b >= a for a, b in zip(v_p, v_p[1:])
+            ):
+                raise ValueError("measured 50%-duty anchors must have strictly decreasing v_p")
+            group = _Group(
+                ratios=ratios,
+                v_p=v_p,
+                keff2=tuple(float(a.keff2) for a in members),
+                h_elec_ratio=tuple(float(a.h_elec_over_lambda) for a in members),
+                invertible=_is_invertible(ratios, v_p),
+            )
+            self._families.setdefault(family, []).append((duty, group))
         self.anchors = anchors
 
     def families(self) -> tuple[str, ...]:
-        return tuple(sorted({a.family for a in self.anchors}))
+        return tuple(sorted(self._families))
 
     def _select_group(
         self, family: str, duty: float
     ) -> tuple[_Group, tuple[str, ...]]:
-        duties = [d for (fam, d) in self._groups if fam == family]
-        if not duties:
+        members = self._families.get(family)
+        if members is None:
             raise ValueError(
                 f"unknown family {family!r}; table has {', '.join(self.families())}"
             )
-        exact = [d for d in duties if abs(d - duty) <= _DUTY_MATCH_ATOL]
-        if exact:
-            return self._groups[(family, exact[0])], ()
+        for d, group in members:
+            if abs(d - duty) <= _DUTY_MATCH_ATOL:
+                return group, ()
         # no anchors at this duty: fall back to the best-populated group
-        best = max(duties, key=lambda d: (self._groups[(family, d)].ratios.size, -abs(d - duty)))
+        best, group = max(members, key=lambda m: (len(m[1].ratios), -abs(m[0] - duty)))
         warning = (
             f"duty {duty:g} has no anchors in family {family!r}; using duty {best:g} anchors"
         )
-        return self._groups[(family, best)], (warning,)
+        return group, (warning,)
 
     def lookup(
         self,
@@ -203,36 +230,34 @@ class DispersionTable:
         """Interpolated (v_p, keff2, anchor h_elec/lambda) at a thickness ratio."""
         group, warnings_ = self._select_group(family, duty)
         ratios = group.ratios
-        if ratios.size == 1:
-            if abs(ratio - ratios[0]) > _RATIO_MATCH_RTOL * ratios[0]:
+        lo, hi = ratios[0], ratios[-1]
+        if len(ratios) == 1:
+            if not abs(ratio - lo) <= _RATIO_MATCH_RTOL * lo:
                 raise OutOfTableRange(
                     f"family {family!r} at duty {duty:g} has a single anchor at "
-                    f"h_ln/lambda = {ratios[0]:g}; cannot interpolate to {ratio:g}"
+                    f"h_ln/lambda = {lo:g}; cannot interpolate to {ratio:g}"
                 )
-            return TablePoint(
-                float(group.v_p[0]), float(group.keff2[0]), float(group.h_elec_ratio[0]),
-                warnings_,
-            )
+            return TablePoint(group.v_p[0], group.keff2[0], group.h_elec_ratio[0], warnings_)
         # thickness ratios arrive as h_ln/lambda divisions whose rounding can
         # land a hair outside the hull; forgive sub-ppb overshoot at the edges
-        if ratios[0] * (1.0 - 1e-9) <= ratio < ratios[0]:
-            ratio = float(ratios[0])
-        elif ratios[-1] < ratio <= ratios[-1] * (1.0 + 1e-9):
-            ratio = float(ratios[-1])
-        if ratio < ratios[0] or ratio > ratios[-1]:
-            if not allow_extrapolation:
+        if lo * (1.0 - 1e-9) <= ratio < lo:
+            ratio = lo
+        elif hi < ratio <= hi * (1.0 + 1e-9):
+            ratio = hi
+        if not lo <= ratio <= hi:
+            if not allow_extrapolation or math.isnan(ratio):
                 raise OutOfTableRange(
                     f"h_ln/lambda = {ratio:g} outside table hull "
-                    f"[{ratios[0]:g}, {ratios[-1]:g}] for family {family!r}"
+                    f"[{lo:g}, {hi:g}] for family {family!r}"
                 )
             warnings_ = warnings_ + (
-                f"h_ln/lambda = {ratio:g} extrapolated beyond "
-                f"[{ratios[0]:g}, {ratios[-1]:g}]",
+                f"h_ln/lambda = {ratio:g} extrapolated beyond [{lo:g}, {hi:g}]",
             )
+        i, t = _segment(ratios, ratio)
         return TablePoint(
-            _interp_column(ratios, group.v_p, ratio),
-            _interp_column(ratios, group.keff2, ratio),
-            _interp_column(ratios, group.h_elec_ratio, ratio),
+            _interp_column(group.v_p, i, t),
+            _interp_column(group.keff2, i, t),
+            _interp_column(group.h_elec_ratio, i, t),
             warnings_,
         )
 
@@ -294,15 +319,15 @@ def _predict(
     table: DispersionTable,
     family: str,
     allow_extrapolation: bool,
-) -> tuple[Prediction, Prediction]:
-    """(f_s, keff2) predictions from a single table lookup."""
+) -> tuple[float, float, tuple[str, ...]]:
+    """(f_s, keff2, warnings) from a single table lookup."""
     point = table.lookup(
         geometry.h_ln_ratio, family, geometry.duty, allow_extrapolation
     )
-    warnings_ = point.warnings + _h_elec_warning(geometry, point)
     return (
-        Prediction(point.v_p / geometry.wavelength, warnings_),
-        Prediction(point.keff2, warnings_),
+        point.v_p / geometry.wavelength,
+        point.keff2,
+        point.warnings + _h_elec_warning(geometry, point),
     )
 
 
@@ -313,7 +338,8 @@ def predict_fs(
     allow_extrapolation: bool = False,
 ) -> Prediction:
     """Series resonance f_s = v_p(h_ln/lambda) / lambda for a geometry."""
-    return _predict(geometry, table, family, allow_extrapolation)[0]
+    f_s, _, warnings_ = _predict(geometry, table, family, allow_extrapolation)
+    return Prediction(f_s, warnings_)
 
 
 def predict_keff2(
@@ -323,7 +349,8 @@ def predict_keff2(
     allow_extrapolation: bool = False,
 ) -> Prediction:
     """Interpolated coupling fraction for a geometry."""
-    return _predict(geometry, table, family, allow_extrapolation)[1]
+    _, keff2, warnings_ = _predict(geometry, table, family, allow_extrapolation)
+    return Prediction(keff2, warnings_)
 
 
 def scale_to_frequency(
@@ -337,28 +364,26 @@ def scale_to_frequency(
     """Wavelength that puts the predicted f_s at the target, by bisection.
 
     f_s(lambda) = v_p(h_ln/lambda) / lambda is strictly decreasing in
-    lambda for a valid table (checked here); the search stays inside the
-    anchor hull and raises TargetOutOfRange otherwise.
+    lambda for a valid table (checked when the table is built, raised
+    here); the search stays inside the anchor hull and raises
+    TargetOutOfRange otherwise.
     """
-    if not target_fs > 0 or not h_ln > 0:
-        raise ValueError("target_fs and h_ln must be positive")
+    if not target_fs > 0 or not 0.0 < h_ln < math.inf:
+        raise ValueError("target_fs must be positive and h_ln positive and finite")
     group, _ = table._select_group(family, duty)
     ratios = group.ratios
-    if ratios.size < 2:
+    if len(ratios) < 2:
         raise TargetOutOfRange(
             f"family {family!r} at duty {duty:g} has a single anchor; cannot invert"
         )
-    # d(v*r)/dr = v + r dv/dr must stay positive for f_s(lambda) to be monotone
-    slopes = np.diff(group.v_p) / np.diff(ratios)
-    left = group.v_p[:-1] + ratios[:-1] * slopes
-    right = group.v_p[1:] + ratios[1:] * slopes
-    if np.any(left <= 0) or np.any(right <= 0):
+    if not group.invertible:
         raise ValueError("dispersion table is not monotone enough to invert f_s(lambda)")
-    lam_lo = h_ln / float(ratios[-1])
-    lam_hi = h_ln / float(ratios[0])
+    v_p = group.v_p
+    lam_lo = h_ln / ratios[-1]
+    lam_hi = h_ln / ratios[0]
 
     def fs_of(lam: float) -> float:
-        return _interp_column(ratios, group.v_p, h_ln / lam) / lam
+        return _interp_column(v_p, *_segment(ratios, h_ln / lam)) / lam
 
     f_max = fs_of(lam_lo)
     f_min = fs_of(lam_hi)
@@ -381,6 +406,15 @@ _AXIS_ALIASES = {"lambda": "wavelength"}
 _INT_FIELDS = {"n_e", "n_r"}
 
 
+def _whole_number(value, what: str) -> int:
+    """int(value), refusing to truncate a fractional, infinite or NaN value."""
+    if isinstance(value, int):
+        return value
+    if not float(value).is_integer():
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def sweep(
     base: DeviceGeometry,
     axis: str,
@@ -395,26 +429,21 @@ def sweep(
     sweep; warnings are carried through from the predictions.
     """
     field = _AXIS_ALIASES.get(axis, axis)
-    names = {f.name for f in dataclasses.fields(DeviceGeometry)}
-    if field not in names:
-        raise ValueError(f"unknown sweep axis {axis!r}; choose from {sorted(names)}")
+    kwargs = {f.name: getattr(base, f.name) for f in dataclasses.fields(DeviceGeometry)}
+    if field not in kwargs:
+        raise ValueError(f"unknown sweep axis {axis!r}; choose from {sorted(kwargs)}")
+    integral = field in _INT_FIELDS
+    what = f"sweep axis {axis!r}"
     rows: list[SweepRow] = []
     for value in values:
-        cast = int(value) if field in _INT_FIELDS else float(value)
-        geometry = replace(base, **{field: cast})
+        kwargs[field] = _whole_number(value, what) if integral else float(value)
+        geometry = DeviceGeometry(**kwargs)
         try:
-            fs_pred, k2_pred = _predict(geometry, table, family, allow_extrapolation)
+            f_s, keff2, warnings_ = _predict(geometry, table, family, allow_extrapolation)
         except OutOfTableRange as exc:
             rows.append(SweepRow(value=float(value), f_s=None, keff2=None, error=str(exc)))
             continue
-        rows.append(
-            SweepRow(
-                value=float(value),
-                f_s=fs_pred.value,
-                keff2=k2_pred.value,
-                warnings=fs_pred.warnings,
-            )
-        )
+        rows.append(SweepRow(float(value), f_s, keff2, warnings_))
     return rows
 
 
@@ -438,7 +467,13 @@ def geometry_from_json(obj: dict) -> DeviceGeometry:
         value = obj[key]
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValueError(f"geometry JSON key {key!r} must be a number")
-        kwargs[field] = int(value) if field in _INT_FIELDS else float(value)
+        if field in _INT_FIELDS:
+            kwargs[field] = _whole_number(value, f"geometry JSON key {key!r}")
+        else:
+            try:
+                kwargs[field] = float(value)
+            except OverflowError:
+                raise ValueError(f"geometry JSON key {key!r} must be a finite number") from None
     return DeviceGeometry(**kwargs)
 
 

@@ -507,6 +507,14 @@ def bad_inputs(tmp_path_factory):
             }
         )
     )
+    geometry = json.loads((out / "geometry.json").read_text())
+    (out / "geometry_nan_h_elec.json").write_text(json.dumps({**geometry, "h_elec_m": float("nan")}))
+    (out / "geometry_fractional_n_e.json").write_text(json.dumps({**geometry, "n_e": 2.5}))
+    (out / "geometry_huge_integer.json").write_text(json.dumps({**geometry, "lambda_m": 10**400}))
+    (out / "infinite_velocity_table.csv").write_text(
+        "h_ln_over_lambda,h_elec_over_lambda,duty,v_p_mps,keff2,family,provenance\n"
+        "1.75,0.1,0.5,inf,0.16,measured,x\n"
+    )
     return out
 
 
@@ -597,6 +605,37 @@ EXIT_CODE_CASES = {
         "header",
     ),
     "sweep-bad-values": ("sweep {bad}/geometry.json --axis lambda --values 4e-7,x", 2, "sweep values"),
+    "sweep-geometry-nan-h-elec": (
+        "sweep {bad}/geometry_nan_h_elec.json --axis lambda --values 4e-7", 2, "h_elec must be finite"
+    ),
+    "sweep-geometry-fractional-n-e": (
+        "sweep {bad}/geometry_fractional_n_e.json --axis lambda --values 4e-7",
+        2,
+        "geometry JSON key 'n_e' must be a whole number",
+    ),
+    "sweep-geometry-huge-integer": (
+        "sweep {bad}/geometry_huge_integer.json --axis lambda --values 4e-7",
+        2,
+        "geometry JSON key 'lambda_m' must be a finite number",
+    ),
+    "sweep-nan-h-elec": ("sweep {bad}/geometry.json --axis h_elec --values nan", 2, "h_elec must be finite"),
+    "sweep-infinite-wavelength": (
+        "sweep {bad}/geometry.json --axis lambda --values inf", 2, "wavelength must be positive and finite"
+    ),
+    "sweep-infinite-aperture": (
+        "sweep {bad}/geometry.json --axis aperture --values inf", 2, "aperture must be positive and finite"
+    ),
+    "sweep-infinite-table-velocity": (
+        "sweep {bad}/geometry.json --axis lambda --values 4e-7 --table {bad}/infinite_velocity_table.csv",
+        2,
+        "v_p must be positive and finite",
+    ),
+    "sweep-infinite-n-e": (
+        "sweep {bad}/geometry.json --axis n_e --values inf", 2, "sweep axis 'n_e' must be a whole number"
+    ),
+    "sweep-fractional-n-r": (
+        "sweep {bad}/geometry.json --axis n_r --values 40,2.5", 2, "sweep axis 'n_r' must be a whole number"
+    ),
     "report-not-an-object": ("report {bad}/list.json", 2, "expected a JSON object"),
     "report-foreign-json": ("report {bad}/no_params.json", 2, "missing keys"),
     "report-device-not-a-string": (

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,17 @@ def test_geometry_validation():
         DeviceGeometry(wavelength=-1e-9, h_ln=H_LN, h_elec=H_ELEC, duty=0.5)
     with pytest.raises(ValueError):
         DeviceGeometry(wavelength=400e-9, h_ln=H_LN, h_elec=H_ELEC, duty=1.2)
+    # an infinite pitch or aperture predicts f_s = 0; a NaN h_elec passed "< 0"
+    for bad in (
+        {"wavelength": math.inf},
+        {"h_ln": math.inf},
+        {"aperture": math.inf},
+        {"h_elec": math.nan},
+        {"h_elec": math.inf},
+    ):
+        kwargs = {"wavelength": 400e-9, "h_ln": H_LN, "h_elec": H_ELEC, "duty": 0.5, **bad}
+        with pytest.raises(ValueError, match="finite"):
+            DeviceGeometry(**kwargs)
 
 
 def test_csv_loader_rejects_bad_input():
@@ -197,6 +210,14 @@ def test_csv_loader_rejects_bad_input():
         load_dispersion_csv(header + "\n1.75,0.1,0.5,3736\n")
     with pytest.raises(ValueError):
         load_dispersion_csv(header + "\n1.75,0.1,0.5,not_a_number,0.16,measured,x\n")
+    for row in (
+        "inf,0.1,0.5,3736,0.16,measured,x",
+        "1.75,nan,0.5,3736,0.16,measured,x",
+        "1.75,inf,0.5,3736,0.16,measured,x",
+        "1.75,0.1,0.5,inf,0.16,measured,x",
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            load_dispersion_csv(f"{header}\n{row}\n")
 
 
 def test_measured_velocity_must_decrease_with_film_ratio():
@@ -215,3 +236,84 @@ def test_duplicate_anchor_rejected():
     ]
     with pytest.raises(ValueError):
         DispersionTable(anchors)
+
+
+def test_lookup_at_every_anchor_is_exact(table):
+    for a in table.anchors:
+        point = table.lookup(a.h_ln_over_lambda, a.family, a.duty)
+        assert (point.v_p, point.keff2, point.h_elec_over_lambda) == (
+            a.v_p, a.keff2, a.h_elec_over_lambda
+        ), a
+        assert point.warnings == ()
+
+
+def test_ratio_just_outside_the_hull_snaps_to_the_end_anchor(table):
+    assert table.lookup(1.75 * (1 - 5e-10), "measured") == table.lookup(1.75, "measured")
+    assert table.lookup(2.92 * (1 + 5e-10), "measured") == table.lookup(2.92, "measured")
+    with pytest.raises(OutOfTableRange):
+        table.lookup(1.75 * (1 - 2e-9), "measured")
+
+
+def test_single_anchor_group_cannot_be_inverted(table):
+    with pytest.raises(OutOfTableRange):
+        table.lookup(2.0, "measured", 0.7)
+    with pytest.raises(TargetOutOfRange):
+        scale_to_frequency(9.05e9, H_LN, table, duty=0.7)
+
+
+def test_duty_without_anchors_falls_back_in_lookup_and_sweep(table):
+    warning = "duty 0.6 has no anchors in family 'measured'; using duty 0.5 anchors"
+    point = table.lookup(2.05, "measured", 0.6)
+    assert point.warnings == (warning,)
+    assert point[:3] == table.lookup(2.05, "measured", 0.5)[:3]
+    rows = sweep(_geometry(400.0), "duty", [0.5, 0.6, 0.5], table)
+    assert [row.warnings for row in rows] == [(), (warning,), ()]
+    assert [row.value for row in rows] == [0.5, 0.6, 0.5]
+    assert rows[0].f_s == rows[1].f_s == rows[2].f_s
+    assert rows[0].keff2 == rows[1].keff2 == rows[2].keff2
+
+
+def test_non_invertible_group_loads_and_serves_lookups(table):
+    # v + r dv/dr at r = 2 is 1000 + 2 * (-3000) < 0: f_s(lambda) turns over
+    steep = (
+        DispersionAnchor(1.0, 0.1, 0.5, 4000.0, 0.1, "steep", "a"),
+        DispersionAnchor(2.0, 0.1, 0.5, 1000.0, 0.1, "steep", "b"),
+    )
+    mixed = DispersionTable(table.anchors + steep)
+    assert mixed.lookup(1.5, "steep").v_p == 2500.0
+    with pytest.raises(ValueError, match="not monotone enough"):
+        scale_to_frequency(1e9, 1e-6, mixed, family="steep")
+    assert scale_to_frequency(11e9, H_LN, mixed) == scale_to_frequency(11e9, H_LN, table)
+
+
+def test_nan_ratio_is_outside_every_group(table):
+    for duty in (0.5, 0.7):
+        with pytest.raises(OutOfTableRange):
+            table.lookup(math.nan, "measured", duty)
+    with pytest.raises(OutOfTableRange):
+        table.lookup(math.nan, "measured", allow_extrapolation=True)
+
+
+def test_scale_to_frequency_rejects_a_non_finite_film(table):
+    for h_ln in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="h_ln positive and finite"):
+            scale_to_frequency(11e9, h_ln, table)
+
+
+def test_lookup_keeps_the_searchsorted_interpolation(table):
+    # reference arithmetic on float64 arrays: segment from np.searchsorted
+    # (side left), t = (r - r_i) / (r_i+1 - r_i), c_i + t (c_i+1 - c_i)
+    members = sorted(
+        (a for a in table.anchors if (a.family, a.duty) == ("measured", 0.5)),
+        key=lambda a: a.h_ln_over_lambda,
+    )
+    ratios = np.array([a.h_ln_over_lambda for a in members])
+    columns = [
+        np.array([getattr(a, name) for a in members])
+        for name in ("v_p", "keff2", "h_elec_over_lambda")
+    ]
+    for r in np.linspace(ratios[0], ratios[-1], 2001).tolist() + ratios.tolist():
+        i = min(max(int(np.searchsorted(ratios, r)) - 1, 0), ratios.size - 2)
+        t = (r - ratios[i]) / (ratios[i + 1] - ratios[i])
+        expected = tuple(float(c[i] + t * (c[i + 1] - c[i])) for c in columns)
+        assert table.lookup(r, "measured")[:3] == expected, r
