@@ -183,18 +183,18 @@ def cmd_fit(args) -> int:
     payload = {"schema_version": SCHEMA_VERSION, "params": params}
     payload.update((k, v) for k, v in fit.result_to_json(result).items() if k not in params)
     if args.report:
-        raw_report = extract.full_extraction(trace)
-        model_trace = mbvd.synthesize_s11(result.params, trace.frequencies, trace.z0)
-        model_report = extract.full_extraction(model_trace)
-        payload["comparison"] = {
-            "keff2_measured": raw_report.keff2,
-            "keff2_fitted_model": model_report.keff2,
+        # the resonance pair only: no tuning, Bode-Q or S11 synthesis
+        freqs = admittance.frequencies
+        model = network.AdmittanceTrace(freqs, mbvd.admittance(result.params, freqs))
+        payload["comparison"] = comparison = {
+            "keff2_measured": extract.keff2(*extract.find_fs_fp(admittance)),
+            "keff2_fitted_model": extract.keff2(*extract.find_fs_fp(model)),
             "keff2_from_elements": mbvd.derived_keff2(result.params),
         }
         _diag(
-            f"keff2 measured {_fmt(raw_report.keff2 * 100)} %  "
-            f"fitted model {_fmt(model_report.keff2 * 100)} %  "
-            f"from elements {_fmt(mbvd.derived_keff2(result.params) * 100)} %"
+            f"keff2 measured {_fmt(comparison['keff2_measured'] * 100)} %  "
+            f"fitted model {_fmt(comparison['keff2_fitted_model'] * 100)} %  "
+            f"from elements {_fmt(comparison['keff2_from_elements'] * 100)} %"
         )
     output = args.output or str(Path(args.input).with_suffix(".fit.json"))
     _write_json(output, payload)

@@ -212,6 +212,11 @@ def bode_q(trace: OnePortTrace, smooth_window: int | None = None) -> QTrace:
     return QTrace(trace.frequencies[ok], q, trace.frequencies[~ok])
 
 
+def _tune_band(f_s: float, f_p: float) -> tuple[float, float]:
+    """Default source-tuning band [0.98 f_s, 1.02 f_p]; fit.initial_guess seeds from its circle."""
+    return (0.98 * f_s, 1.02 * f_p)
+
+
 def _in_band(frequencies: np.ndarray, band: tuple[float, float]) -> np.ndarray:
     lo, hi = band
     return (frequencies >= lo) & (frequencies <= hi)
@@ -247,7 +252,7 @@ def full_extraction(
     f_s, f_p = find_fs_fp(y)
     coupling = keff2(f_s, f_p)
     ratio = admittance_ratio(y, f_s, f_p)
-    tune_band = tuple(map(float, opts.tune_band or (0.98 * f_s, 1.02 * f_p)))
+    tune_band = tuple(map(float, opts.tune_band or _tune_band(f_s, f_p)))
     tuning = tune_source_impedance(y, tune_band)
     q_trace = bode_q(tuning.trace, opts.smooth_window)
     search_band = tuple(map(float, opts.qmax_band or (0.9 * f_s, 1.1 * f_p)))

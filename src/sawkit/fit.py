@@ -21,11 +21,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NegativeStaticCapacitance, NonFiniteResidual, ResonanceNotBracketed
-from .extract import find_fs_fp
+from .extract import _tune_band, find_fs_fp
 from .mbvd import (
     MbvdParams, admittance, element_admittance, element_admittance_jacobian, params_to_json,
 )
-from .network import AdmittanceTrace
+from .network import AdmittanceTrace, _band_mask, _kasa_circle
 
 # same sanity cap MbvdParams enforces (c_m < 8 c_0), in log space
 _LOG_CM_C0_CAP = np.log(8.0)
@@ -64,35 +64,27 @@ class FitResult:
 
 
 def initial_guess(trace: AdmittanceTrace) -> MbvdParams:
-    """Closed-form starting point from the resonance pair and the baseline.
+    """Closed-form start from the resonance pair and the in-band admittance circle.
 
-    c_0 comes from the median susceptance slope below 0.9 f_s (or above
-    1.1 f_p when the trace has no low side), c_m from the resonance spread,
-    r_m from the peak conductance.  The derived f_s lands within a fraction
-    of a percent of the |Y|-peak estimate.
+    Near f_s the motional branch traces a Y-plane circle of diameter 1/r_m
+    whose centre has susceptance omega_s c_0 (Larson et al. 2000, IEEE
+    Ultrason. Symp.).  It is the Kasa circle source tuning fits on
+    [0.98 f_s, 1.02 f_p], so any grid that brackets the resonance yields a
+    start; c_m follows from the resonance spread.  Raises TooFewPoints (< 5
+    band samples), DegenerateLocus, or NegativeStaticCapacitance (inductive).
     """
     f_s, f_p = find_fs_fp(trace)
-    freqs = trace.frequencies
-    omega = 2.0 * np.pi * freqs
-    below = freqs < 0.9 * f_s
-    above = freqs > 1.1 * f_p
-    if np.any(below):
-        region = below
-    elif np.any(above):
-        region = above
-    else:
-        raise ResonanceNotBracketed(
-            "no samples outside [0.9 f_s, 1.1 f_p] to estimate the static capacitance"
-        )
-    c_0 = float(np.median(trace.y[region].imag / omega[region]))
+    mask = _band_mask(trace.frequencies, _tune_band(f_s, f_p))
+    center, radius, _ = _kasa_circle(trace.y[mask])
+    omega_s = 2.0 * np.pi * f_s
+    c_0 = center.imag / omega_s
     if c_0 <= 0:
         raise NegativeStaticCapacitance(
-            f"static-capacitance estimate is {c_0:.3e} F; baseline looks inductive"
+            f"static-capacitance estimate is {c_0:.3e} F; the admittance circle is inductive"
         )
     c_m = c_0 * (f_p**2 - f_s**2) / f_s**2
-    l_m = 1.0 / ((2.0 * np.pi * f_s) ** 2 * c_m)
-    r_m = max(1.0 / float(np.abs(trace.y).max()), 0.01)
-    return MbvdParams(r_s=0.5, r_0=0.1, r_m=r_m, l_m=l_m, c_m=c_m, c_0=c_0)
+    l_m = 1.0 / (omega_s**2 * c_m)
+    return MbvdParams(r_s=0.5, r_0=0.1, r_m=1.0 / (2.0 * radius), l_m=l_m, c_m=c_m, c_0=c_0)
 
 
 def _log_vector(params: MbvdParams) -> np.ndarray:
@@ -109,13 +101,14 @@ def _elements(x: np.ndarray) -> np.ndarray:
 
 
 def _align_resonance(trace: AdmittanceTrace, init: MbvdParams) -> MbvdParams:
-    """Retune the init so its series resonance sits on the |Y| peak.
+    """Retune a supplied start so its series resonance sits on the |Y| peak.
 
-    A high-Q model whose resonance misses the measured peak by more than a
-    few linewidths gives the descent nothing to grab: the cheapest local
-    move is to flatten the motional branch, which lands the fit in a
-    useless basin.  Scaling l_m and c_m by a common factor moves f_s while
-    preserving their ratio, so the rest of the init survives untouched.
+    initial_guess needs none of this (its f_s is find_fs_fp's); supplied
+    starts do (sawkit fit --init).  A high-Q model whose resonance misses
+    the measured peak by more than a few linewidths gives the descent
+    nothing to grab: the cheapest local move is to flatten the motional
+    branch, a useless basin.  Scaling l_m and c_m by a common factor moves
+    f_s and keeps their ratio, so the rest of the start survives untouched.
     Best-effort: traces without a bracketed peak are left alone.
     """
     try:

@@ -5,10 +5,11 @@ from sawkit import fit, mbvd
 from sawkit.errors import (
     NegativeStaticCapacitance,
     NonFiniteResidual,
-    ResonanceNotBracketed,
+    TooFewPoints,
 )
+from sawkit.extract import find_fs_fp, full_extraction
 from sawkit.fit import fit_mbvd, initial_guess, result_to_json
-from sawkit.network import AdmittanceTrace, s_to_y
+from sawkit.network import AdmittanceTrace, s_to_y, tune_source_impedance
 from sawkit.touchstone import OnePortTrace
 
 from conftest import C_0, F_S, KEFF2, Q_M
@@ -37,23 +38,51 @@ def test_initial_guess_lands_near_resonance(device_params, wide_trace):
     guess = initial_guess(wide_trace)
     fs_guess = mbvd.derived_fs(guess)
     assert abs(fs_guess - F_S) / F_S < 2e-3
-    # static capacitance from the below-band susceptance, right order of magnitude
+    # static capacitance from the admittance circle's centre, right order of magnitude
     assert 0.3 * C_0 < guess.c_0 < 3.0 * C_0
     assert guess.r_m > 0
 
 
 def test_initial_guess_above_band_fallback(device_params, device_fp):
-    # no samples below 0.9 f_s: the static branch is read above 1.1 f_p instead
+    # no samples below 0.9 f_s: the circle seed needs only the tuning band
     grid = np.linspace(0.95 * F_S, 1.18 * device_fp, 4001)
     trace = s_to_y(mbvd.synthesize_s11(device_params, grid, z0=50.0))
     guess = initial_guess(trace)
     assert 0.3 * C_0 < guess.c_0 < 3.0 * C_0
 
 
-def test_initial_guess_needs_out_of_band_samples(device_trace):
-    # 8.5-10.5 GHz leaves nothing outside [0.9 f_s, 1.1 f_p]
-    with pytest.raises(ResonanceNotBracketed):
-        initial_guess(s_to_y(device_trace))
+def test_initial_guess_on_the_extraction_grid(device_trace):
+    # 8.5-10.5 GHz leaves nothing outside [0.9 f_s, 1.1 f_p]; the circle seed
+    # reads only the tuning band [0.98 f_s, 1.02 f_p]
+    trace = s_to_y(device_trace)
+    guess = initial_guess(trace)
+    assert abs(mbvd.derived_fs(guess) - F_S) / F_S < 2e-3
+    assert 0.3 * C_0 < guess.c_0 < 3.0 * C_0
+    assert fit_mbvd(trace, guess).converged
+
+
+def test_initial_guess_reads_the_extraction_circle(device_trace):
+    # one band, one circle: the seed's r_m and c_0 come from the admittance
+    # circle that full_extraction's source tuning fits on its default band
+    report = full_extraction(device_trace)
+    trace = s_to_y(device_trace)
+    guess = initial_guess(trace)
+    circle = tune_source_impedance(trace, report.diagnostics.tune_band_hz).circle
+    assert circle.radius == report.diagnostics.y_circle_radius_s
+    assert guess.r_m == 1.0 / (2.0 * report.diagnostics.y_circle_radius_s)
+    omega_s = 2.0 * np.pi * report.f_s
+    assert guess.c_0 * omega_s == pytest.approx(circle.center.imag, rel=1e-15, abs=0.0)
+
+
+def test_initial_guess_needs_five_samples_in_the_tuning_band(device_params):
+    # a 250 MHz grid still brackets the resonance pair, but puts fewer than
+    # 5 samples in [0.98 f_s, 1.02 f_p]
+    grid = np.linspace(8.5e9, 10.5e9, 9)
+    trace = s_to_y(mbvd.synthesize_s11(device_params, grid, z0=50.0))
+    f_s, f_p = find_fs_fp(trace)
+    assert np.count_nonzero((grid >= 0.98 * f_s) & (grid <= 1.02 * f_p)) < 5
+    with pytest.raises(TooFewPoints):
+        initial_guess(trace)
 
 
 def test_initial_guess_rejects_inductive_baseline(wide_trace):
