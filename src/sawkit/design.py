@@ -8,9 +8,11 @@ mismatches against the anchors surface as warnings on the result.
 
 A group holds its columns as tuples of Python floats: with five anchors a
 lookup is a handful of float operations, which numpy scalars would only
-slow down.  What depends on the table alone (each family's groups, each
-group's invertibility) is computed once when the table is built, and a
-lookup finds its segment once for all three columns.
+slow down.  What depends on the table alone (each family's groups in
+fallback order, each group's invertibility and reach) is computed once when
+the table is built, and a lookup finds its segment once for all three
+columns.  A duty without anchors falls back to the nearest duty whose group
+can serve the request.
 """
 
 from __future__ import annotations
@@ -107,6 +109,9 @@ class _Group(NamedTuple):
     # f_s(lambda) = v_p(h_ln/lambda) / lambda is strictly monotone, so
     # scale_to_frequency can bisect it
     invertible: bool
+    # thickness ratios a lookup serves without extrapolating: the hull plus
+    # the rounding slack, or the single anchor within _RATIO_MATCH_RTOL
+    reach: tuple[float, float]
 
 
 class TablePoint(NamedTuple):
@@ -189,36 +194,59 @@ class DispersionTable:
                 b >= a for a, b in zip(v_p, v_p[1:])
             ):
                 raise ValueError("measured 50%-duty anchors must have strictly decreasing v_p")
+            slack = 1e-9 if len(ratios) > 1 else _RATIO_MATCH_RTOL
             group = _Group(
                 ratios=ratios,
                 v_p=v_p,
                 keff2=tuple(float(a.keff2) for a in members),
                 h_elec_ratio=tuple(float(a.h_elec_over_lambda) for a in members),
                 invertible=_is_invertible(ratios, v_p),
+                reach=(ratios[0] * (1.0 - slack), ratios[-1] * (1.0 + slack)),
             )
             self._families.setdefault(family, []).append((duty, group))
+        # better-populated groups first (stable, so first-seen among equals):
+        # the fallback scan keeps the earlier of two equally near duties
+        for members in self._families.values():
+            members.sort(key=lambda m: -len(m[1].ratios))
         self.anchors = anchors
 
     def families(self) -> tuple[str, ...]:
         return tuple(sorted(self._families))
 
     def _select_group(
-        self, family: str, duty: float
+        self, family: str, duty: float, ratio: float | None = None, extrapolate: bool = False
     ) -> tuple[_Group, tuple[str, ...]]:
+        """The group at this duty, else the nearest duty that can serve the request.
+
+        A lookup (ratio given) can be served by a group whose reach covers
+        the ratio, or by any multi-anchor group when it may extrapolate; an
+        inversion (ratio None) by any multi-anchor group.  When no group
+        can, the nearest duty of all is taken and its lookup raises as usual.
+        Duties within _DUTY_MATCH_ATOL of each other tie, and a tie goes to
+        the better-populated group.
+        """
         members = self._families.get(family)
         if members is None:
             raise ValueError(
                 f"unknown family {family!r}; table has {', '.join(self.families())}"
             )
+        best = best_serves = best_gap = None
         for d, group in members:
-            if abs(d - duty) <= _DUTY_MATCH_ATOL:
+            gap = abs(d - duty)
+            if gap <= _DUTY_MATCH_ATOL:
                 return group, ()
-        # no anchors at this duty: fall back to the best-populated group
-        best, group = max(members, key=lambda m: (len(m[1].ratios), -abs(m[0] - duty)))
+            multi = len(group.ratios) > 1
+            serves = multi if ratio is None else (
+                group.reach[0] <= ratio <= group.reach[1] or (extrapolate and multi)
+            )
+            if best is None or serves > best_serves or (
+                serves == best_serves and gap < best_gap - _DUTY_MATCH_ATOL
+            ):
+                best, best_serves, best_gap = (d, group), serves, gap
         warning = (
-            f"duty {duty:g} has no anchors in family {family!r}; using duty {best:g} anchors"
+            f"duty {duty:g} has no anchors in family {family!r}; using duty {best[0]:g} anchors"
         )
-        return group, (warning,)
+        return best[1], (warning,)
 
     def lookup(
         self,
@@ -228,11 +256,12 @@ class DispersionTable:
         allow_extrapolation: bool = False,
     ) -> TablePoint:
         """Interpolated (v_p, keff2, anchor h_elec/lambda) at a thickness ratio."""
-        group, warnings_ = self._select_group(family, duty)
+        group, warnings_ = self._select_group(family, duty, ratio, allow_extrapolation)
         ratios = group.ratios
         lo, hi = ratios[0], ratios[-1]
+        reach_lo, reach_hi = group.reach
         if len(ratios) == 1:
-            if not abs(ratio - lo) <= _RATIO_MATCH_RTOL * lo:
+            if not reach_lo <= ratio <= reach_hi:
                 raise OutOfTableRange(
                     f"family {family!r} at duty {duty:g} has a single anchor at "
                     f"h_ln/lambda = {lo:g}; cannot interpolate to {ratio:g}"
@@ -240,9 +269,9 @@ class DispersionTable:
             return TablePoint(group.v_p[0], group.keff2[0], group.h_elec_ratio[0], warnings_)
         # thickness ratios arrive as h_ln/lambda divisions whose rounding can
         # land a hair outside the hull; forgive sub-ppb overshoot at the edges
-        if lo * (1.0 - 1e-9) <= ratio < lo:
+        if reach_lo <= ratio < lo:
             ratio = lo
-        elif hi < ratio <= hi * (1.0 + 1e-9):
+        elif hi < ratio <= reach_hi:
             ratio = hi
         if not lo <= ratio <= hi:
             if not allow_extrapolation or math.isnan(ratio):

@@ -3,15 +3,15 @@
 Damped Gauss-Newton on the logs of the six elements.  Residuals are the
 real and imaginary admittance misfits, weighted toward relative error so
 the series peak and the parallel notch carry comparable weight.  The
-Jacobian is the closed-form dY/dlog(element) of the mBVD kernel
-(mbvd.element_admittance_jacobian), so an iteration evaluates the model
-once per trial step and never by finite differences.  The normal equations
-are built without copies: the Jacobian rows are weighted in place and read
-through a float view, real and imaginary parts interleaved, which gives
-the same J J^T and J r as stacking them.  The damping ladder stops as soon
-as the damped step is below the step tolerance, since more damping only
-shortens it.  The procedure is deterministic: no randomness, fixed
-traversal order.
+Jacobian is the closed-form dY/dlog(element) of the mBVD kernel, built
+from the terms the accepted trial step already evaluated (mbvd._terms,
+mbvd._jacobian), so an iteration evaluates the model once per trial step:
+never twice at one point, never by finite differences.  The weights go
+into the Jacobian's three base vectors, and its rows are read through a
+float view, real and imaginary parts interleaved, which gives the same
+J J^T and J r as stacking them.  The damping ladder stops as soon as the
+damped step is below the step tolerance, since more damping only shortens
+it.  The procedure is deterministic: no randomness, fixed traversal order.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ import numpy as np
 
 from .errors import NegativeStaticCapacitance, NonFiniteResidual, ResonanceNotBracketed
 from .extract import _tune_band, find_fs_fp
-from .mbvd import (
-    MbvdParams, admittance, element_admittance, element_admittance_jacobian, params_to_json,
-)
+from .mbvd import MbvdParams, _jacobian, _terms, params_to_json
 from .network import AdmittanceTrace, _band_mask, _kasa_circle
 
 # same sanity cap MbvdParams enforces (c_m < 8 c_0), in log space
@@ -147,26 +145,29 @@ def fit_mbvd(
     if not scale > 0:
         raise NonFiniteResidual("admittance trace is identically zero")
     sqrt_weight = 1.0 / np.maximum(np.abs(target), 0.01 * scale)
+    w = 2.0 * np.pi * freqs
+    inv_w = 1.0 / w
 
-    def residual(x: np.ndarray) -> np.ndarray:
-        """Weighted misfit, real and imaginary parts interleaved (2n floats)."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            diff = element_admittance(*_elements(x), freqs) - target
+    def evaluate(x: np.ndarray) -> tuple[tuple, np.ndarray]:
+        """Model terms at x and the weighted misfit (2n floats, real and imaginary interleaved)."""
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            terms = _terms(*_elements(x), w, inv_w)
+            diff = terms[0] - target
             diff *= sqrt_weight
-        return diff.view(float)
+        return terms, diff.view(float)
 
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        """(6, 2n): d residual / d x, one row per log-element, same interleaving."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = element_admittance_jacobian(*_elements(x), freqs)
-            rows *= sqrt_weight
+    def normal_equations(x: np.ndarray, terms: tuple, misfit: np.ndarray):
+        """J J^T and J r, with J the (6, 2n) d misfit / d x built from the terms at x."""
+        values = _elements(x)
         # a resistance held at the floor does not move with its log-parameter
-        rows[:3][x[:3] < np.log(_R_FLOOR)] = 0.0
-        return rows.view(float)
+        values[:3][x[:3] < np.log(_R_FLOOR)] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            jac = _jacobian(*values, w, inv_w, terms, sqrt_weight).view(float)
+        return jac @ jac.T, jac @ misfit
 
     init = _align_resonance(trace, init)
     x = _log_vector(init)
-    current = residual(x)
+    terms, current = evaluate(x)
     if not np.all(np.isfinite(current)):
         raise NonFiniteResidual("model admittance is not finite at the initial point")
     cost = float(current @ current)
@@ -178,11 +179,9 @@ def fit_mbvd(
     iterations = 0
 
     for iterations in range(1, max_iterations + 1):
-        jac = jacobian(x)
-        if not np.all(np.isfinite(jac)):
+        jtj, jtr = normal_equations(x, terms, current)
+        if not (np.all(np.isfinite(jtj)) and np.all(np.isfinite(jtr))):
             raise NonFiniteResidual("Jacobian is not finite")
-        jtj = jac @ jac.T
-        jtr = jac @ current
         accepted = False
         best_gap = np.inf
         while damping <= _MAX_DAMPING:
@@ -206,7 +205,7 @@ def fit_mbvd(
             ):
                 damping *= _DAMPING_FACTOR
                 continue
-            trial = residual(x_trial)
+            trial_terms, trial = evaluate(x_trial)
             trial_cost = float(trial @ trial) if np.all(np.isfinite(trial)) else np.inf
             if trial_cost < cost:
                 accepted = True
@@ -223,9 +222,7 @@ def fit_mbvd(
             stop_reason = "damping_exhausted"
             break
         improvement = (cost - trial_cost) / cost if cost > 0 else 0.0
-        x = x_trial
-        current = trial
-        cost = trial_cost
+        x, terms, current, cost = x_trial, trial_terms, trial, trial_cost
         history.append(cost)
         damping = max(damping / _DAMPING_FACTOR, 1e-15)
         if improvement < _RESIDUAL_TOL:
@@ -233,8 +230,8 @@ def fit_mbvd(
             break
 
     params = MbvdParams(*(float(v) for v in _elements(x)))
-    model = admittance(params, freqs)
-    rms = float(np.sqrt(np.mean(np.abs(model - target) ** 2)))
+    # the kept model is the admittance of exactly these element values
+    rms = float(np.sqrt(np.mean(np.abs(terms[0] - target) ** 2)))
     return FitResult(
         params=params,
         rms_residual=rms,

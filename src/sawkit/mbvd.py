@@ -2,7 +2,9 @@
 
 Topology: a series feed resistance r_s into the parallel combination of the
 motional branch (r_m, l_m, c_m in series) and the static branch (c_0 in
-series with its dielectric loss r_0).
+series with its dielectric loss r_0).  One kernel, _terms, evaluates it
+without complex division and returns the terms _jacobian reuses; the public
+functions, synthesis and the fit all run through it.
 """
 
 from __future__ import annotations
@@ -43,67 +45,83 @@ class MbvdParams:
             raise ValueError("c_m must be smaller than 8 * c_0")
 
 
-def _branches(r_0, r_m, l_m, c_m, c_0, w):
-    """Motional-branch impedance z_m and static-branch admittance y_0 at w rad/s."""
-    z_m = r_m + 1j * (w * l_m - 1.0 / (w * c_m))
-    y_0 = 1j * w * c_0 / (1.0 + 1j * w * c_0 * r_0)
-    return z_m, y_0
+def _terms(r_s, r_0, r_m, l_m, c_m, c_0, w, inv_w):
+    """One model evaluation on angular frequencies w (inv_w = 1/w): Y, z_m y_0/d, 1/d.
+
+    Y = core/d with core = 1 + z_m y_0 and d = z_m + r_s core, for z_m the
+    motional impedance and y_0 the static admittance; the ratio form stays
+    finite at exact series resonance with r_m = 0 (z_m = 0, Y = 1/r_s), and
+    a vanishing d leaves the terms non-finite.  No complex division, and all
+    work past three real and three complex arrays is in place: with b = w c_0,
+    y_0 = (b^2 r_0 + j b)/(1 + (b r_0)^2), and 1/d = conj(d)/|d|^2.
+    """
+    b = w * c_0
+    b_r_0 = b * r_0
+    scale = np.square(b_r_0)
+    scale += 1.0
+    zy = np.empty(w.shape, dtype=complex)  # y_0, then z_m y_0
+    np.divide(b, scale, out=zy.imag)
+    np.multiply(zy.imag, b_r_0, out=zy.real)
+    z_m = np.empty(w.shape, dtype=complex)
+    z_m.real = r_m
+    np.multiply(w, l_m, out=z_m.imag)
+    z_m.imag -= np.divide(inv_w, c_m, out=b_r_0)
+    zy *= z_m
+    y = zy + 1.0  # core, then Y
+    d = np.add(z_m, r_s * y, out=z_m)
+    np.square(d.real, out=scale)
+    scale += np.square(d.imag, out=b)
+    np.reciprocal(scale, out=scale)
+    inv_d = np.conjugate(d, out=d)
+    inv_d *= scale
+    y *= inv_d
+    zy *= inv_d
+    return y, zy, inv_d
+
+
+def _jacobian(r_s, r_0, r_m, l_m, c_m, c_0, w, inv_w, terms, weight):
+    """(6, n) dY/dlog(element) times weight, from the _terms of the same point.
+
+    Rows in the order r_s, r_0, r_m, l_m, c_m, c_0 (Larson et al. 2000, IEEE
+    Ultrason. Symp.).  dY/dr_s = -Y^2, dY/dz_m = -1/d^2 and
+    dY/dz_0 = -(z_m y_0/d)^2, each times the element's own impedance term:
+    r, j w l, or j/(w c) for a capacitor.  No branch is evaluated here, and
+    an element passed as 0 gets a zero row.
+    """
+    rows = np.empty((6,) + w.shape, dtype=complex)
+    r_s_row, r_0_row, r_m_row, l_m_row, c_m_row, c_0_row = rows
+    # the three weighted squares; the minus signs go into the factors
+    for row, term in zip((r_s_row, r_0_row, r_m_row), terms):
+        np.square(term, out=row)
+        row *= weight
+    np.multiply(r_m_row, w, out=l_m_row)
+    l_m_row *= -1j * l_m
+    np.multiply(r_m_row, inv_w, out=c_m_row)
+    c_m_row *= -1j * (1.0 / c_m)
+    np.multiply(r_0_row, inv_w, out=c_0_row)
+    c_0_row *= -1j * (1.0 / c_0)
+    for row, factor in zip((r_s_row, r_0_row, r_m_row), (-r_s, -r_0, -r_m)):
+        row *= factor
+    return rows
 
 
 def element_admittance(r_s, r_0, r_m, l_m, c_m, c_0, f):
-    """Raw admittance kernel on unchecked element values (fit hot path)."""
-    w = 2.0 * np.pi * np.asarray(f, dtype=float)
-    scalar = w.ndim == 0
-    if scalar:
-        # 0-d numpy complex division by zero raises instead of warning
-        w = w[None]
+    """Raw admittance kernel on unchecked element values (what synthesis runs)."""
+    w = 2.0 * np.pi * np.atleast_1d(np.asarray(f, dtype=float))  # in-place work needs arrays
     with np.errstate(divide="ignore", invalid="ignore"):
-        z_m, y_0 = _branches(r_0, r_m, l_m, c_m, c_0, w)
-        # ratio form keeps the value finite when the motional branch hits
-        # exact series resonance with r_m = 0 (then z_m = 0 and Y = 1/r_s)
-        core = 1.0 + z_m * y_0
-        y = core / (z_m + r_s * core)
-        bad = ~(np.isfinite(y.real) & np.isfinite(y.imag))
-        if np.any(bad):
-            # denominator vanished against a unit numerator: the limit is a short
-            y = np.where(bad, complex(np.inf, 0.0), y)
-    return y[0] if scalar else y
+        y = _terms(r_s, r_0, r_m, l_m, c_m, c_0, w, 1.0 / w)[0]
+    # a denominator vanished against a unit numerator: the limit is a short
+    y[~np.isfinite(y)] = complex(np.inf, 0.0)
+    return y if np.ndim(f) else y[0]
 
 
 def element_admittance_jacobian(r_s, r_0, r_m, l_m, c_m, c_0, f):
-    """dY/dlog(element) of element_admittance on a frequency array.
-
-    Returns a (6, n) complex array, one row per element in the order
-    r_s, r_0, r_m, l_m, c_m, c_0 (Larson et al. 2000, IEEE Ultrason. Symp.).
-    With d = z_m + r_s core the kernel's denominator and z_0 = 1/y_0:
-    dY/dr_s = -(core/d)^2, dY/dz_m = -1/d^2 and dY/dz_0 = -(z_m y_0/d)^2.
-    Each row is its branch derivative times the element's own impedance
-    term: r, j w l, or j/(w c) for a capacitor.
-    """
+    """dY/dlog(element) of element_admittance on a frequency array: (6, n), see _jacobian."""
     w = 2.0 * np.pi * np.asarray(f, dtype=float)
-    rows = np.empty((6,) + w.shape, dtype=complex)
-    # every row is filled in place; the branch arrays are reused as work space
+    values = (r_s, r_0, r_m, l_m, c_m, c_0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        z_m, y_0 = _branches(r_0, r_m, l_m, c_m, c_0, w)
-        zy = np.multiply(z_m, y_0, out=y_0)
-        core = zy + 1.0
-        inv_d = np.reciprocal(np.add(z_m, r_s * core, out=z_m), out=z_m)
-        core *= inv_d  # core/d
-        zy *= inv_d  # z_m y_0/d
-        r_s_row, r_0_row, r_m_row, l_m_row, c_m_row, c_0_row = rows
-        np.square(core, out=r_s_row)
-        r_s_row *= -r_s
-        d_z_m = np.negative(np.square(inv_d, out=r_m_row), out=r_m_row)
-        d_z_0 = np.negative(np.square(zy, out=r_0_row), out=r_0_row)
-        np.multiply(d_z_m, w, out=l_m_row)
-        l_m_row *= 1j * l_m
-        np.divide(d_z_m, w, out=c_m_row)
-        c_m_row *= 1j / c_m
-        np.divide(d_z_0, w, out=c_0_row)
-        c_0_row *= 1j / c_0
-        d_z_0 *= r_0
-        d_z_m *= r_m
-    return rows
+        inv_w = 1.0 / w
+        return _jacobian(*values, w, inv_w, _terms(*values, w, inv_w), 1.0)
 
 
 def admittance(params: MbvdParams, f):

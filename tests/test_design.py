@@ -273,6 +273,21 @@ def test_duty_without_anchors_falls_back_in_lookup_and_sweep(table):
     assert rows[0].keff2 == rows[1].keff2 == rows[2].keff2
 
 
+def test_fs_is_continuous_in_duty_at_the_single_anchor_ratio(table):
+    # 700/400 nm = 1.75 is the 70 %-duty anchor's ratio: every duty nearer to
+    # 0.7 than to 0.5 reads it, so a hair's change of duty cannot jump groups
+    exact = predict_fs(_geometry(400.0, duty=0.7), table).value
+    for duty in (0.65, 0.69999, 0.7 - 1e-12, 0.70001, 0.75):
+        assert predict_fs(_geometry(400.0, duty=duty), table).value == exact, duty
+    rows = sweep(_geometry(400.0), "duty", [0.69999, 0.7, 0.70001], table)
+    assert [row.f_s for row in rows] == [exact] * 3
+    # a ratio the single anchor cannot serve falls back to the nearest group that can
+    assert table.lookup(2.05, "measured", 0.69999)[:3] == table.lookup(2.05, "measured")[:3]
+    assert scale_to_frequency(11e9, H_LN, table, duty=0.69999) == scale_to_frequency(
+        11e9, H_LN, table
+    )
+
+
 def test_non_invertible_group_loads_and_serves_lookups(table):
     # v + r dv/dr at r = 2 is 1000 + 2 * (-3000) < 0: f_s(lambda) turns over
     steep = (

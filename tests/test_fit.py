@@ -197,13 +197,13 @@ def test_fit_evaluates_the_model_once_per_trial_step(wide_trace, monkeypatch):
     # the Jacobian is closed form: the model runs once for the start and once
     # per trial step, not once per parameter probe
     calls = []
-    kernel = fit.element_admittance
+    kernel = fit._terms
 
     def counted(*args):
         calls.append(None)
         return kernel(*args)
 
-    monkeypatch.setattr(fit, "element_admittance", counted)
+    monkeypatch.setattr(fit, "_terms", counted)
     result = fit_mbvd(wide_trace, initial_guess(wide_trace))
     assert result.converged
     assert len(calls) <= 2 * result.iterations + 1
@@ -256,9 +256,13 @@ def noisy_wide_trace(device_params):
 
 
 def _logged_fit(trace, monkeypatch, **kwargs):
-    """Fit with the kernel ("k") and Jacobian ("j") calls logged in order."""
+    """Fit with the model evaluations ("k") and Jacobian builds ("j") logged in order.
+
+    A Jacobian build is closed by "/j", so an evaluation it ran would sit
+    between the two.
+    """
     log = []
-    kernel, jacobian = fit.element_admittance, fit.element_admittance_jacobian
+    kernel, jacobian = fit._terms, fit._jacobian
 
     def logged_kernel(*args):
         log.append("k")
@@ -266,10 +270,13 @@ def _logged_fit(trace, monkeypatch, **kwargs):
 
     def logged_jacobian(*args):
         log.append("j")
-        return jacobian(*args)
+        rows = jacobian(*args)
+        log.append("/j")
+        return rows
 
-    monkeypatch.setattr(fit, "element_admittance", logged_kernel)
-    monkeypatch.setattr(fit, "element_admittance_jacobian", logged_jacobian)
+    for module in (fit, mbvd):
+        monkeypatch.setattr(module, "_terms", logged_kernel)
+    monkeypatch.setattr(fit, "_jacobian", logged_jacobian)
     return fit_mbvd(trace, initial_guess(trace), **kwargs), log
 
 
@@ -277,6 +284,8 @@ def test_fit_builds_one_jacobian_per_iteration(noisy_wide_trace, monkeypatch):
     result, log = _logged_fit(noisy_wide_trace, monkeypatch)
     assert result.converged
     assert log.count("j") == result.iterations
+    # a Jacobian build reuses the accepted trial's terms and evaluates no branches
+    assert all(log[i + 1] == "/j" for i, entry in enumerate(log) if entry == "j")
 
 
 def test_fit_stops_the_damping_ladder_at_step_tolerance(noisy_wide_trace, monkeypatch):
@@ -287,6 +296,54 @@ def test_fit_stops_the_damping_ladder_at_step_tolerance(noisy_wide_trace, monkey
     assert result.converged
     last_jacobian = len(log) - 1 - log[::-1].index("j")
     assert log[last_jacobian + 1:].count("k") <= 2
+
+
+@pytest.fixture(scope="module")
+def floored_trace():
+    # no access losses: the fit drives r_s and r_0 down to the resistance floor
+    params = mbvd.params_from_metrics(F_S, KEFF2, Q_M, C_0)
+    return _wide_trace(params)
+
+
+@pytest.mark.parametrize("trace_name", ["noisy_wide_trace", "floored_trace"])
+def test_fit_outputs_come_from_the_kept_model(trace_name, request, monkeypatch):
+    trace = request.getfixturevalue(trace_name)
+    freqs, target = trace.frequencies, trace.y
+    evaluations, jacobians = [], []
+    kernel, jacobian = fit._terms, fit._jacobian
+
+    def logged_kernel(*args):
+        terms = kernel(*args)
+        evaluations.append((args[:6], terms))
+        return terms
+
+    def logged_jacobian(*args):
+        rows = jacobian(*args)
+        jacobians.append((args[8], rows))
+        return rows
+
+    monkeypatch.setattr(fit, "_terms", logged_kernel)
+    monkeypatch.setattr(fit, "_jacobian", logged_jacobian)
+    result = fit_mbvd(trace, initial_guess(trace))
+    assert result.converged
+    model = mbvd.admittance(result.params, freqs)
+    rms = np.sqrt(np.mean(np.abs(model - target) ** 2))
+    assert result.rms_residual == pytest.approx(rms, rel=1e-12, abs=0.0)
+    # each Jacobian is the weighted public one at the point whose terms it
+    # reused, with the rows of floored resistances zeroed
+    weight = 1.0 / np.maximum(np.abs(target), 0.01 * np.abs(target).max())
+    floored_rows = 0
+    for terms, rows in jacobians:
+        elements = next(args for args, kept in evaluations if kept is terms)
+        want = mbvd.element_admittance_jacobian(*elements, freqs) * weight
+        for k in range(6):
+            if k < 3 and elements[k] == fit._R_FLOOR:
+                floored_rows += 1
+                assert not np.any(rows[k])
+            else:
+                assert np.abs(rows[k] - want[k]).max() <= 1e-13 * np.abs(want[k]).max()
+    assert len(jacobians) == result.iterations
+    assert floored_rows > 0 if trace_name == "floored_trace" else floored_rows == 0
 
 
 def test_interleaved_normal_equations_match_stacked(noisy_wide_trace):

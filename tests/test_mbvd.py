@@ -36,6 +36,47 @@ def test_element_jacobian_matches_central_differences(q_m):
         assert np.abs(row - central).max() <= 1e-5 * np.abs(row).max()
 
 
+def _complex_division_admittance(r_s, r_0, r_m, l_m, c_m, c_0, f):
+    """Textbook mBVD admittance with numpy complex division throughout."""
+    w = 2.0 * np.pi * np.asarray(f, dtype=float)
+    z_m = r_m + 1j * (w * l_m - 1.0 / (w * c_m))
+    y_0 = 1j * w * c_0 / (1.0 + 1j * w * c_0 * r_0)
+    core = 1.0 + z_m * y_0
+    return core / (z_m + r_s * core)
+
+
+@pytest.mark.parametrize(
+    "q_m, r_s, r_0",
+    [(213.0, 0.5, 0.5), (58.0, 0.5, 0.5), (213.0, 0.5, 0.0), (213.0, 0.0, 0.5), (213.0, 0.0, 0.0)],
+)
+def test_kernel_matches_the_complex_division_formula(q_m, r_s, r_0):
+    p = params_from_metrics(F_S, KEFF2, q_m=q_m, c_0=C_0, r_s=r_s, r_0=r_0)
+    values = (p.r_s, p.r_0, p.r_m, p.l_m, p.c_m, p.c_0)
+    near = np.linspace(0.85 * F_S, 1.15 * derived_fp(p), 4001)
+    far = np.concatenate([np.geomspace(1e3, 0.5 * F_S, 1000), np.geomspace(2 * F_S, 1e15, 1000)])
+    for f in (near, far, 1.01 * F_S):
+        got = element_admittance(*values, f)
+        want = _complex_division_admittance(*values, f)
+        assert np.shape(got) == np.shape(want)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+
+def test_kernel_short_limit_at_exact_lossless_resonance():
+    # w = 1 rad/s with l_m = c_m = 1: the reactance cancels exactly, so z_m = 0
+    f = 1.0 / (2.0 * np.pi)
+    assert 2.0 * np.pi * f == 1.0
+    # with no feed resistance the denominator vanishes: a short, scalar or array
+    assert element_admittance(0.0, 0.3, 0.0, 1.0, 1.0, 0.2, f) == complex(np.inf, 0.0)
+    grid = np.array([f, 2.0 * f])
+    y = element_admittance(0.0, 0.3, 0.0, 1.0, 1.0, 0.2, grid)
+    assert y[0] == complex(np.inf, 0.0)
+    want = _complex_division_admittance(0.0, 0.3, 0.0, 1.0, 1.0, 0.2, grid[1])
+    assert abs(y[1] - want) <= 1e-13 * abs(want)
+    # with a feed resistance the ratio form reads 1/r_s, as the textbook formula does
+    assert element_admittance(0.5, 0.3, 0.0, 1.0, 1.0, 0.2, f) == 2.0
+    assert _complex_division_admittance(0.5, 0.3, 0.0, 1.0, 1.0, 0.2, f) == 2.0
+
+
 def test_series_resonance_unit_algebra():
     # with L*C = 1/(4 pi^2), 2*pi*sqrt(L*C) = 1 so f_s lands on 1 Hz
     p = MbvdParams(r_s=0, r_0=0, r_m=1.0, l_m=1.0 / (4 * np.pi**2), c_m=1.0, c_0=1.0)
