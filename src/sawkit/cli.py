@@ -103,13 +103,6 @@ def _warn_passivity(label: str, count: int, worst_conductance: float) -> None:
         )
 
 
-def _band(values) -> tuple[float, float] | None:
-    if values is None:
-        return None
-    lo, hi = values
-    return (float(lo), float(hi))
-
-
 # --- convert -----------------------------------------------------------
 
 
@@ -142,8 +135,8 @@ def _q_trace_csv(q_trace: extract.QTrace) -> str:
 def cmd_extract(args) -> int:
     trace, _ = _parse_trace(args.input)
     options = extract.ExtractOptions(
-        tune_band=_band(args.tune_band),
-        qmax_band=_band(args.qmax_band),
+        tune_band=args.tune_band,
+        qmax_band=args.qmax_band,
         smooth_window=args.smooth,
     )
     report = extract.full_extraction(trace, options)
@@ -220,21 +213,18 @@ def cmd_synth(args) -> int:
             "frequencies must be positive and strictly increasing; 2 pi f-hi must be finite"
         )
     grid = np.linspace(args.f_lo, args.f_hi, args.points)
-    trace = mbvd.synthesize_s11(params, grid, z0=args.z0)
+    s11 = mbvd.synthesize_s11(params, grid, z0=args.z0).s11
     if args.noise > 0:
         rng = np.random.default_rng(args.seed)
-        noise = args.noise * (
+        s11 = s11 + args.noise * (
             rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
         ) / np.sqrt(2.0)
-        trace = touchstone.OnePortTrace(
-            grid, trace.s11 + noise, z0=args.z0, comments=trace.comments
-        )
     comments = (
         "! synthesized mBVD one-port reflection",
         f"! elements: r_s={params.r_s:g} r_0={params.r_0:g} r_m={params.r_m:g} "
         f"l_m={params.l_m:g} c_m={params.c_m:g} c_0={params.c_0:g}",
     )
-    trace = touchstone.OnePortTrace(trace.frequencies, trace.s11, trace.z0, comments)
+    trace = touchstone.OnePortTrace(grid, s11, args.z0, comments)
     fmt = touchstone.TouchstoneFormat(
         frequency_unit=args.unit, value_format=args.format, reference_resistance=args.z0
     )

@@ -107,7 +107,7 @@ class _Group(NamedTuple):
     keff2: tuple[float, ...]
     h_elec_ratio: tuple[float, ...]
     # f_s(lambda) = v_p(h_ln/lambda) / lambda is strictly monotone, so
-    # scale_to_frequency can bisect it
+    # scale_to_frequency can invert it
     invertible: bool
     # thickness ratios a lookup serves without extrapolating: the hull plus
     # the rounding slack, or the single anchor within _RATIO_MATCH_RTOL
@@ -390,45 +390,42 @@ def scale_to_frequency(
     duty: float = 0.5,
     rel_tol: float = 1e-4,
 ) -> float:
-    """Wavelength that puts the predicted f_s at the target, by bisection.
+    """Wavelength that puts the predicted f_s at the target, in closed form.
 
-    f_s(lambda) = v_p(h_ln/lambda) / lambda is strictly decreasing in
-    lambda for a valid table (checked when the table is built, raised
-    here); the search stays inside the anchor hull and raises
-    TargetOutOfRange otherwise.
+    Inside a segment v_p = a + s r with r = h_ln/lambda, so
+    f_s = a/lambda + s h_ln/lambda**2, and the root on the branch where f_s
+    falls as lambda grows is lambda = (a + sqrt(a**2 + 4 f_s s h_ln)) / (2 f_s).
+    The segment is the one whose anchor products v_k r_k (= f_s h_ln at the
+    anchor) bracket target_fs h_ln; they increase along the group exactly when
+    it is invertible (checked when the table is built, raised here).  A target
+    outside the anchor hull raises TargetOutOfRange.  The result is exact to
+    rounding, so it always meets rel_tol, a relative bound on f_s that must
+    be > 0.
     """
+    if not rel_tol > 0:
+        raise ValueError("rel_tol must be > 0")
     if not target_fs > 0 or not 0.0 < h_ln < math.inf:
         raise ValueError("target_fs must be positive and h_ln positive and finite")
     group, _ = table._select_group(family, duty)
-    ratios = group.ratios
+    ratios, v_p = group.ratios, group.v_p
     if len(ratios) < 2:
         raise TargetOutOfRange(
             f"family {family!r} at duty {duty:g} has a single anchor; cannot invert"
         )
     if not group.invertible:
         raise ValueError("dispersion table is not monotone enough to invert f_s(lambda)")
-    v_p = group.v_p
-    lam_lo = h_ln / ratios[-1]
-    lam_hi = h_ln / ratios[0]
-
-    def fs_of(lam: float) -> float:
-        return _interp_column(v_p, *_segment(ratios, h_ln / lam)) / lam
-
-    f_max = fs_of(lam_lo)
-    f_min = fs_of(lam_hi)
+    products = [v * r for v, r in zip(v_p, ratios)]
+    f_min = products[0] / h_ln
+    f_max = products[-1] / h_ln
     if not f_min * (1.0 - 1e-12) <= target_fs <= f_max * (1.0 + 1e-12):
         raise TargetOutOfRange(
             f"target {target_fs:g} Hz outside achievable [{f_min:g}, {f_max:g}] Hz "
             f"for h_ln = {h_ln:g} m"
         )
-    lo, hi = lam_lo, lam_hi
-    while (hi - lo) > rel_tol * lo:
-        mid = 0.5 * (lo + hi)
-        if fs_of(mid) > target_fs:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    i = min(max(bisect_left(products, target_fs * h_ln), 1), len(ratios) - 1) - 1
+    slope = (v_p[i + 1] - v_p[i]) / (ratios[i + 1] - ratios[i])
+    a = v_p[i] - slope * ratios[i]
+    return (a + math.sqrt(a * a + 4.0 * target_fs * slope * h_ln)) / (2.0 * target_fs)
 
 
 _AXIS_ALIASES = {"lambda": "wavelength"}
@@ -507,12 +504,4 @@ def geometry_from_json(obj: dict) -> DeviceGeometry:
 
 
 def geometry_to_json(geometry: DeviceGeometry) -> dict:
-    return {
-        "lambda_m": geometry.wavelength,
-        "h_ln_m": geometry.h_ln,
-        "h_elec_m": geometry.h_elec,
-        "duty": geometry.duty,
-        "n_e": geometry.n_e,
-        "n_r": geometry.n_r,
-        "aperture_lambdas": geometry.aperture,
-    }
+    return {key: getattr(geometry, field) for key, field in _GEOMETRY_JSON_KEYS.items()}

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NegativeStaticCapacitance, NonFiniteResidual, ResonanceNotBracketed
 from .extract import _tune_band, find_fs_fp
-from .mbvd import MbvdParams, _jacobian, _terms, params_to_json
+from .mbvd import MbvdParams, _jacobian, _terms, derived_fs, params_to_json
 from .network import AdmittanceTrace, _band_mask, _kasa_circle
 
 # same sanity cap MbvdParams enforces (c_m < 8 c_0), in log space
@@ -113,7 +113,7 @@ def _align_resonance(trace: AdmittanceTrace, init: MbvdParams) -> MbvdParams:
         fs_data, _ = find_fs_fp(trace)
     except ResonanceNotBracketed:
         return init
-    fs_init = 1.0 / (2.0 * np.pi * np.sqrt(init.l_m * init.c_m))
+    fs_init = derived_fs(init)
     if abs(fs_init - fs_data) <= 0.005 * fs_data:
         return init
     ratio = fs_init / fs_data

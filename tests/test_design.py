@@ -332,3 +332,36 @@ def test_lookup_keeps_the_searchsorted_interpolation(table):
         t = (r - ratios[i]) / (ratios[i + 1] - ratios[i])
         expected = tuple(float(c[i] + t * (c[i + 1] - c[i])) for c in columns)
         assert table.lookup(r, "measured")[:3] == expected, r
+
+
+def test_scale_to_frequency_rejects_a_bad_rel_tol(table):
+    for rel_tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="rel_tol"):
+            scale_to_frequency(11e9, H_LN, table, rel_tol=rel_tol)
+
+
+def test_scale_to_frequency_is_exact_to_rounding(table):
+    # a steep rising segment (its intercept a = v - s r is negative), a gentle
+    # rising one, a constant one and a falling one; all of them invertible
+    shapes = [(0.5, 1000.0), (1.0, 3000.0), (1.5, 3300.0), (2.0, 3300.0), (3.0, 2900.0)]
+    synthetic = DispersionTable(
+        table.anchors
+        + tuple(DispersionAnchor(r, 0.1, 0.5, v, 0.1, "synthetic", "") for r, v in shapes)
+    )
+    rng = np.random.default_rng(13)
+    for family, anchors in (
+        ("measured", [(a.h_ln_over_lambda, a.v_p) for a in table.anchors
+                      if (a.family, a.duty) == ("measured", 0.5)]),
+        ("synthetic", shapes),
+    ):
+        products = sorted(r * v for r, v in anchors)
+        for h_ln in rng.uniform(0.3e-6, 1.2e-6, 5):
+            h_ln = float(h_ln)
+            for target in rng.uniform(products[0] / h_ln, products[-1] / h_ln, 400):
+                lam = scale_to_frequency(float(target), h_ln, synthetic, family)
+                geometry = DeviceGeometry(wavelength=lam, h_ln=h_ln, h_elec=0.0, duty=0.5)
+                f_s = predict_fs(geometry, synthetic, family).value
+                assert abs(f_s / target - 1.0) <= 1e-14, (family, h_ln, target)
+            for r, v in anchors:
+                lam = scale_to_frequency(v * r / h_ln, h_ln, synthetic, family)
+                assert abs(lam / (h_ln / r) - 1.0) <= 1e-15, (family, h_ln, r)
