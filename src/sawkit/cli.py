@@ -171,10 +171,7 @@ def cmd_fit(args) -> int:
     else:
         init = fit.initial_guess(admittance)
     result = fit.fit_mbvd(admittance, init, args.max_iter)
-    params = mbvd.params_to_json(result.params)
-    # the fit JSON is defined once, in fit.result_to_json; only the elements nest here
-    payload = {"schema_version": SCHEMA_VERSION, "params": params}
-    payload.update((k, v) for k, v in fit.result_to_json(result).items() if k not in params)
+    payload = fit.result_to_json(result)
     if args.report:
         # the resonance pair only: no tuning, Bode-Q or S11 synthesis
         freqs = admittance.frequencies

@@ -396,11 +396,12 @@ def scale_to_frequency(
     f_s = a/lambda + s h_ln/lambda**2, and the root on the branch where f_s
     falls as lambda grows is lambda = (a + sqrt(a**2 + 4 f_s s h_ln)) / (2 f_s).
     The segment is the one whose anchor products v_k r_k (= f_s h_ln at the
-    anchor) bracket target_fs h_ln; they increase along the group exactly when
-    it is invertible (checked when the table is built, raised here).  A target
-    outside the anchor hull raises TargetOutOfRange.  The result is exact to
-    rounding, so it always meets rel_tol, a relative bound on f_s that must
-    be > 0.
+    anchor) bracket target_fs h_ln.  An invertible group has increasing
+    products, but not the reverse: r = 1, 2 with v_p = 10, 6 give 10 < 12, yet
+    d(v r)/dr = -2 at r = 2; so the invertibility check made when the table
+    is built decides (raised here).  A target outside the anchor hull raises
+    TargetOutOfRange.  The result is exact to rounding, so it always meets
+    rel_tol, a relative bound on f_s that must be > 0.
     """
     if not rel_tol > 0:
         raise ValueError("rel_tol must be > 0")

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, EmptyBand, ResonanceNotBracketed, TooFewPoints
-from .network import AdmittanceTrace, passivity_violations, s_to_y, tune_source_impedance
+from .network import AdmittanceTrace, _in_band, passivity_violations, s_to_y, tune_source_impedance
 from .touchstone import OnePortTrace
 
 # samples where 1 - |S11|^2 falls below this are flagged, not evaluated
@@ -215,11 +215,6 @@ def bode_q(trace: OnePortTrace, smooth_window: int | None = None) -> QTrace:
 def _tune_band(f_s: float, f_p: float) -> tuple[float, float]:
     """Default source-tuning band [0.98 f_s, 1.02 f_p]; fit.initial_guess seeds from its circle."""
     return (0.98 * f_s, 1.02 * f_p)
-
-
-def _in_band(frequencies: np.ndarray, band: tuple[float, float]) -> np.ndarray:
-    lo, hi = band
-    return (frequencies >= lo) & (frequencies <= hi)
 
 
 def q_max(q_trace: QTrace, band: tuple[float, float]) -> float:

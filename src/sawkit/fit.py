@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NegativeStaticCapacitance, NonFiniteResidual, ResonanceNotBracketed
-from .extract import _tune_band, find_fs_fp
+from .extract import SCHEMA_VERSION, _tune_band, find_fs_fp
 from .mbvd import MbvdParams, _jacobian, _terms, derived_fs, params_to_json
 from .network import AdmittanceTrace, _band_mask, _kasa_circle
 
@@ -243,13 +243,13 @@ def fit_mbvd(
 
 
 def result_to_json(result: FitResult) -> dict:
-    """JSON-ready dict: element values plus the fit diagnostics."""
-    payload = params_to_json(result.params)
-    payload.update(
-        rms_residual_s=result.rms_residual,
-        iterations=result.iterations,
-        converged=result.converged,
-        stop_reason=result.stop_reason,
-        cost_history=list(result.cost_history),
-    )
-    return payload
+    """The fit JSON sawkit fit writes: schema version, the elements under "params", diagnostics."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "params": params_to_json(result.params),
+        "rms_residual_s": result.rms_residual,
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "stop_reason": result.stop_reason,
+        "cost_history": list(result.cost_history),
+    }

@@ -110,8 +110,10 @@ def element_admittance(r_s, r_0, r_m, l_m, c_m, c_0, f):
     w = 2.0 * np.pi * np.atleast_1d(np.asarray(f, dtype=float))  # in-place work needs arrays
     with np.errstate(divide="ignore", invalid="ignore"):
         y = _terms(r_s, r_0, r_m, l_m, c_m, c_0, w, 1.0 / w)[0]
-    # a denominator vanished against a unit numerator: the limit is a short
+    # a denominator vanished against a unit numerator: the limit is a short;
+    # at f = 0 both capacitive branches are open instead, and Y is 0
     y[~np.isfinite(y)] = complex(np.inf, 0.0)
+    y[w == 0.0] = 0.0
     return y if np.ndim(f) else y[0]
 
 

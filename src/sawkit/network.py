@@ -6,9 +6,9 @@ impedance that centers the reflection locus at the Smith-chart origin.
 A change of reference impedance is a Moebius map of the admittance, so one
 circle fit in the admittance plane gives the reflection circle for every
 z0 in closed form, and that impedance is found without a search.  The
-tuning hands that circle and whether z0* sits on a search bound to its
-caller, and passivity_violations counts the samples of negative
-conductance; neither is printed here, so a caller records them.
+tuning takes the caller's admittance and hands back that circle and whether
+z0* sits on a search bound, and passivity_violations counts the samples of
+negative conductance; neither is printed here, so a caller records them.
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ _PASSIVITY_EPS = 1e-6
 # |1 + S11| below this makes the admittance transform singular
 _SINGULAR_EPS = 1e-12
 _COLLINEAR_TOL = 1e-12
+# source tuning searches z0 over [_Z0_MIN, _Z0_MAX] ohms
+_Z0_MIN = 1.0
+_Z0_MAX = 5000.0
 
 
 @dataclass(frozen=True)
@@ -129,9 +132,15 @@ def _kasa_circle(points: np.ndarray) -> tuple[complex, float, float]:
     return complex(cx, cy), radius, rms
 
 
-def _band_mask(frequencies: np.ndarray, band: tuple[float, float]) -> np.ndarray:
+def _in_band(frequencies: np.ndarray, band: tuple[float, float]) -> np.ndarray:
     lo, hi = band
-    mask = (frequencies >= lo) & (frequencies <= hi)
+    return (frequencies >= lo) & (frequencies <= hi)
+
+
+def _band_mask(frequencies: np.ndarray, band: tuple[float, float]) -> np.ndarray:
+    """_in_band, raising TooFewPoints when it holds fewer than 5 samples."""
+    lo, hi = band
+    mask = _in_band(frequencies, band)
     if np.count_nonzero(mask) < 5:
         raise TooFewPoints(
             f"need at least 5 samples in [{lo:g}, {hi:g}] Hz, got {np.count_nonzero(mask)}"
@@ -146,12 +155,7 @@ def fit_smith_circle(trace: OnePortTrace, band: tuple[float, float]) -> SmithCir
     return SmithCircle(center=center, radius=radius, rms_residual=rms)
 
 
-def tune_source_impedance(
-    trace: OnePortTrace | AdmittanceTrace,
-    band: tuple[float, float],
-    z0_min: float = 1.0,
-    z0_max: float = 5000.0,
-) -> Tuning:
+def tune_source_impedance(y: AdmittanceTrace, band: tuple[float, float]) -> Tuning:
     """Find the source impedance that centers the in-band S11 locus.
 
     S11 = (1 - z0 Y) / (1 + z0 Y) is a Moebius map of the admittance, and
@@ -161,20 +165,12 @@ def tune_source_impedance(
     ((1 - K z0^2) - 2j b z0) / (1 + 2 g z0 + K z0^2).  The derivative of
     that center's squared magnitude vanishes only where
     (K z0^2 - 1) (g K z0^2 + 2 (g^2 - r^2) z0 + g) = 0, so the minimizer over
-    [z0_min, z0_max] is a bound or a real root of one of the two factors.
-    Returns a Tuning: z0_star, the trace renormalized to z0_star, the
-    in-band admittance circle and the bound z0_star sits on, if any.  An
-    admittance trace is used as it is, so a caller that holds Y need not
-    convert S11 again; the tuned trace keeps the comments of a reflection
-    trace and has none for an admittance one.
+    [1, 5000] ohm is a bound or a real root of one of the two factors.
+    Takes the admittance the caller holds, so S11 is converted once per
+    extraction.  Returns a Tuning: z0_star, y_to_s(y, z0_star), the in-band
+    admittance circle and the bound z0_star sits on, if any.
     """
-    if not 0 < z0_min < z0_max:
-        raise ValueError("need 0 < z0_min < z0_max")
-    mask = _band_mask(trace.frequencies, band)
-    if isinstance(trace, AdmittanceTrace):
-        y, comments = trace, ()
-    else:
-        y, comments = s_to_y(trace), trace.comments
+    mask = _band_mask(y.frequencies, band)
     center, radius, rms = _kasa_circle(y.y[mask])
     # in x = z0 * scale every coefficient below is at most 1 in magnitude
     scale = np.hypot(abs(center), radius)
@@ -183,15 +179,10 @@ def tune_source_impedance(
     roots = np.concatenate([np.roots([k, 0.0, -1.0]), np.roots([g * k, 2.0 * (g * g - r * r), g])])
     # the real part of a complex root is just one more feasible point, so no
     # tolerance is needed to tell real roots from near-real ones
-    z = np.array([z0_min, z0_max, *(roots.real / scale)])
-    z = z[(z >= z0_min) & (z <= z0_max)]
+    z = np.array([_Z0_MIN, _Z0_MAX, *(roots.real / scale)])
+    z = z[(z >= _Z0_MIN) & (z <= _Z0_MAX)]
     x = z * scale
     offset = np.abs((1.0 - k * x * x - 2j * b * x) / (1.0 + 2.0 * g * x + k * x * x))
     z_star = float(z[np.argmin(offset)])
-    on_bound = "z0_min" if z_star == z0_min else "z0_max" if z_star == z0_max else None
-    return Tuning(
-        z_star,
-        replace(y_to_s(y, z_star), comments=comments),
-        SmithCircle(center=center, radius=radius, rms_residual=rms),
-        on_bound,
-    )
+    on_bound = "z0_min" if z_star == _Z0_MIN else "z0_max" if z_star == _Z0_MAX else None
+    return Tuning(z_star, y_to_s(y, z_star), SmithCircle(center, radius, rms), on_bound)

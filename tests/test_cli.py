@@ -330,8 +330,8 @@ def test_fit_with_automatic_guess_and_report(wide_s1p, tmp_path, capsys, monkeyp
 
 
 def test_fit_json_carries_the_fit_diagnostics(wide_s1p, tmp_path):
-    # one definition of the fit JSON: the CLI nests the elements and keeps
-    # every other key of fit.result_to_json, stop reason and cost history too
+    # one definition of the fit JSON: the CLI writes fit.result_to_json as it
+    # stands, stop reason and cost history too
     out = tmp_path / "fit.json"
     assert cli.main(["fit", str(wide_s1p), "-o", str(out)]) == 0
     obj = json.loads(out.read_text())

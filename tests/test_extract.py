@@ -335,7 +335,7 @@ def test_extraction_work_counts(monkeypatch, device_trace, device_fp):
     monkeypatch.setattr(network, "s_to_y", s_to_y_counted)
     monkeypatch.setattr(extract, "s_to_y", s_to_y_counted)
 
-    network.tune_source_impedance(device_trace, (0.98 * F_S, 1.02 * device_fp))
+    network.tune_source_impedance(network.s_to_y(device_trace), (0.98 * F_S, 1.02 * device_fp))
     assert calls["circle_fit"] == 1
     calls.update(circle_fit=0, s_to_y=0)
     extract.full_extraction(device_trace)

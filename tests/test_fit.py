@@ -232,11 +232,14 @@ def test_fit_rejects_degenerate_trace(device_params):
 def test_result_serialization(device_params, wide_trace):
     result = fit_mbvd(wide_trace, device_params)
     obj = result_to_json(result)
+    # the document sawkit fit writes: schema version, nested elements, diagnostics
+    assert list(obj)[:2] == ["schema_version", "params"]
+    assert obj["schema_version"] == 1
     assert obj["converged"] is True
     assert obj["iterations"] == result.iterations
     assert obj["rms_residual_s"] == result.rms_residual
-    for key in ("r_s_ohm", "r_0_ohm", "r_m_ohm", "l_m_h", "c_m_f", "c_0_f"):
-        assert key in obj
+    assert obj["params"] == mbvd.params_to_json(result.params)
+    assert list(obj["params"]) == ["r_s_ohm", "r_0_ohm", "r_m_ohm", "l_m_h", "c_m_f", "c_0_f"]
 
 
 NOISE_SIGMA = 1e-3
@@ -378,3 +381,36 @@ def test_fit_records_why_it_stopped(device_params, wide_trace):
     obj = result_to_json(done)
     assert obj["stop_reason"] == done.stop_reason
     assert obj["cost_history"] == list(done.cost_history)
+
+
+def test_fit_records_an_exhausted_damping_ladder(wide_trace, monkeypatch):
+    # a ladder whose ceiling sits below its first rung tries no step at all
+    monkeypatch.setattr(fit, "_MAX_DAMPING", 0.1 * fit._INITIAL_DAMPING)
+    result = fit_mbvd(wide_trace, initial_guess(wide_trace))
+    assert result.stop_reason == "damping_exhausted"
+    assert result.converged is False
+    assert result.iterations == 1
+    assert len(result.cost_history) == 1
+
+
+def test_align_resonance_leaves_an_unbracketed_trace_alone(device_params, wide_trace):
+    # below f_s the |Y| maximum is the last sample: no peak to retune onto
+    below = wide_trace.frequencies < 0.99 * F_S
+    trace = AdmittanceTrace(wide_trace.frequencies[below], wide_trace.y[below])
+    start = mbvd.MbvdParams(
+        r_s=0.6, r_0=0.4, r_m=8.0, l_m=device_params.l_m * 1.18, c_m=device_params.c_m,
+        c_0=device_params.c_0,
+    )
+    assert np.argmax(np.abs(trace.y)) == trace.y.size - 1
+    assert fit._align_resonance(trace, start) is start
+
+
+def test_align_resonance_leaves_a_start_it_cannot_rescale_alone(device_params, wide_trace):
+    # f_s of this start is ~45x the peak's, so the rescaled c_m would pass 8 c_0
+    start = mbvd.MbvdParams(
+        r_s=0.6, r_0=0.4, r_m=8.0, l_m=device_params.l_m * 1e-4, c_m=0.6 * device_params.c_0,
+        c_0=device_params.c_0,
+    )
+    ratio = mbvd.derived_fs(start) / find_fs_fp(wide_trace)[0]
+    assert start.c_m * ratio >= 8.0 * start.c_0
+    assert fit._align_resonance(wide_trace, start) is start

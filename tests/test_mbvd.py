@@ -77,6 +77,21 @@ def test_kernel_short_limit_at_exact_lossless_resonance():
     assert _complex_division_admittance(0.5, 0.3, 0.0, 1.0, 1.0, 0.2, f) == 2.0
 
 
+def test_kernel_open_limit_at_zero_frequency():
+    # at f = 0 both capacitive branches are open, so Y is 0, not a short;
+    # 1 Hz reads about 7e-13j S
+    values = (0.5, 0.5, 5.0, 1e-8, 1e-14, 1e-13)
+    assert element_admittance(*values, 0.0) == 0.0
+    assert admittance(MbvdParams(*values), 0.0) == 0.0
+    y = element_admittance(*values, np.array([0.0, 1.0]))
+    assert y[0] == 0.0
+    assert y[1] == pytest.approx(2j * np.pi * 1e-13 * 1.1, rel=1e-6)
+    # the lossless on-resonance short stays a short beside an f = 0 sample
+    y = element_admittance(0.0, 0.3, 0.0, 1.0, 1.0, 0.2, np.array([0.0, 1.0 / (2.0 * np.pi)]))
+    assert y[0] == 0.0
+    assert y[1] == complex(np.inf, 0.0)
+
+
 def test_series_resonance_unit_algebra():
     # with L*C = 1/(4 pi^2), 2*pi*sqrt(L*C) = 1 so f_s lands on 1 Hz
     p = MbvdParams(r_s=0, r_0=0, r_m=1.0, l_m=1.0 / (4 * np.pi**2), c_m=1.0, c_0=1.0)

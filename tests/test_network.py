@@ -1,3 +1,4 @@
+import inspect
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from sawkit.network import (
     y_to_s,
 )
 
-from conftest import C_0, F_S
+from conftest import C_0, F_S, KEFF2, Q_M, R_0, R_S
 
 
 def _trace(s11, z0=50.0, f=None):
@@ -121,7 +122,7 @@ def test_resonator_locus_is_nearly_circular(device_trace, device_fp):
 def test_tune_keeps_centered_locus_at_fifty():
     th = np.linspace(0.2 * np.pi, 1.8 * np.pi, 201)
     trace = _trace(0.6 * np.exp(1j * th), f=np.linspace(1e9, 2e9, 201))
-    z_star, tuned, *_ = tune_source_impedance(trace, (1e9, 2e9))
+    z_star, tuned, *_ = tune_source_impedance(s_to_y(trace), (1e9, 2e9))
     assert abs(z_star - 50.0) < 0.1
     assert tuned.z0 == z_star
 
@@ -129,7 +130,7 @@ def test_tune_keeps_centered_locus_at_fifty():
 def test_tune_reduces_center_offset(device_trace, device_fp):
     band = (0.98 * F_S, 1.02 * device_fp)
     before = fit_smith_circle(device_trace, band)
-    z_star, tuned, *_ = tune_source_impedance(device_trace, band)
+    z_star, tuned, *_ = tune_source_impedance(s_to_y(device_trace), band)
     after = fit_smith_circle(tuned, band)
     assert abs(after.center) < abs(before.center)
     # the optimum sits near 1/(2 pi f_s C0), the static-branch reactance scale
@@ -139,14 +140,14 @@ def test_tune_reduces_center_offset(device_trace, device_fp):
 
 def test_tune_is_stable_under_retuning(device_trace, device_fp):
     band = (0.98 * F_S, 1.02 * device_fp)
-    z1, tuned, *_ = tune_source_impedance(device_trace, band)
-    z2, *_ = tune_source_impedance(tuned, band)
+    z1, tuned, *_ = tune_source_impedance(s_to_y(device_trace), band)
+    z2, *_ = tune_source_impedance(s_to_y(tuned), band)
     assert abs(z2 - z1) <= 0.1
 
 
 def test_tune_regression_value(device_trace, device_fp):
     band = (0.98 * F_S, 1.02 * device_fp)
-    z_star, *_ = tune_source_impedance(device_trace, band)
+    z_star, *_ = tune_source_impedance(s_to_y(device_trace), band)
     np.testing.assert_allclose(z_star, 166.1848, atol=0.2)
 
 
@@ -157,7 +158,7 @@ def test_admittance_trace_rejects_length_mismatch():
 
 def test_tune_matches_a_dense_scan(device_trace, device_fp):
     band = (0.98 * F_S, 1.02 * device_fp)
-    _, tuned, *_ = tune_source_impedance(device_trace, band)
+    _, tuned, *_ = tune_source_impedance(s_to_y(device_trace), band)
     got = abs(fit_smith_circle(tuned, band).center)
     scan = min(
         abs(fit_smith_circle(renormalize(device_trace, z), band).center)
@@ -166,67 +167,68 @@ def test_tune_matches_a_dense_scan(device_trace, device_fp):
     assert got <= scan + 1e-6
 
 
+def _impedance_scaled_device(factor, frequencies):
+    """The conftest device with every impedance times factor: c_0 / factor, r_s and r_0 * factor.
+
+    f_s, keff2 and Q_m are unchanged, and z0* (~166 ohm at factor 1) scales
+    by factor too.
+    """
+    params = mbvd.params_from_metrics(
+        F_S, KEFF2, Q_M, C_0 / factor, r_s=R_S * factor, r_0=R_0 * factor
+    )
+    return AdmittanceTrace(frequencies, mbvd.admittance(params, frequencies))
+
+
 def test_tune_returns_the_bound_it_hits(device_trace, device_fp):
-    # the optimum sits near 166 ohm, outside both ranges
+    # c_0 = 3 fF puts the optimum above 5000 ohm, c_0 = 50 pF below 1 ohm
     band = (0.98 * F_S, 1.02 * device_fp)
-    assert tune_source_impedance(device_trace, band, z0_max=100.0)[0] == 100.0
-    assert tune_source_impedance(device_trace, band, z0_min=300.0)[0] == 300.0
+    high = _impedance_scaled_device(100.0 / 3.0, device_trace.frequencies)
+    low = _impedance_scaled_device(1.0 / 500.0, device_trace.frequencies)
+    assert tune_source_impedance(high, band)[0] == 5000.0
+    assert tune_source_impedance(low, band)[0] == 1.0
 
 
 def test_tune_reports_its_admittance_circle_and_bound(device_trace, device_fp):
     band = (0.98 * F_S, 1.02 * device_fp)
-    tuning = tune_source_impedance(device_trace, band)
+    tuning = tune_source_impedance(s_to_y(device_trace), band)
     in_band = (device_trace.frequencies >= band[0]) & (device_trace.frequencies <= band[1])
     assert tuning.circle == SmithCircle(*_kasa_circle(s_to_y(device_trace).y[in_band]))
     assert tuning.on_bound is None
-    assert tune_source_impedance(device_trace, band, z0_max=100.0).on_bound == "z0_max"
-    assert tune_source_impedance(device_trace, band, z0_min=300.0).on_bound == "z0_min"
-
-
-def test_tune_keeps_comments(device_trace, device_fp):
-    trace = OnePortTrace(
-        device_trace.frequencies, device_trace.s11, device_trace.z0, comments=("! wafer 3",)
-    )
-    _, tuned, *_ = tune_source_impedance(trace, (0.98 * F_S, 1.02 * device_fp))
-    assert tuned.comments == ("! wafer 3",)
+    high = _impedance_scaled_device(100.0 / 3.0, device_trace.frequencies)
+    low = _impedance_scaled_device(1.0 / 500.0, device_trace.frequencies)
+    assert tune_source_impedance(high, band).on_bound == "z0_max"
+    assert tune_source_impedance(low, band).on_bound == "z0_min"
 
 
 def test_tune_is_independent_of_the_input_reference(device_params, device_trace, device_fp):
     band = (0.98 * F_S, 1.02 * device_fp)
-    z_star, tuned, *_ = tune_source_impedance(device_trace, band)
-    np.testing.assert_allclose(tune_source_impedance(tuned, band)[0], z_star, rtol=1e-9)
+    z_star, tuned, *_ = tune_source_impedance(s_to_y(device_trace), band)
+    np.testing.assert_allclose(tune_source_impedance(s_to_y(tuned), band)[0], z_star, rtol=1e-9)
     for z0 in (25.0, 50.0, 75.0, 200.0):
         trace = mbvd.synthesize_s11(device_params, device_trace.frequencies, z0=z0)
-        np.testing.assert_allclose(tune_source_impedance(trace, band)[0], z_star, rtol=1e-9)
+        np.testing.assert_allclose(
+            tune_source_impedance(s_to_y(trace), band)[0], z_star, rtol=1e-9
+        )
 
 
 def test_tune_centers_an_exact_circle_at_fifty():
     th = np.linspace(0.2 * np.pi, 1.8 * np.pi, 201)
     trace = _trace(0.6 * np.exp(1j * th), f=np.linspace(1e9, 2e9, 201))
-    z_star, tuned, *_ = tune_source_impedance(trace, (1e9, 2e9))
+    z_star, tuned, *_ = tune_source_impedance(s_to_y(trace), (1e9, 2e9))
     np.testing.assert_allclose(z_star, 50.0, rtol=1e-9)
     np.testing.assert_allclose(tuned.s11, trace.s11, atol=1e-9)
 
 
-def test_tune_rejects_bad_range_and_degenerate_locus(device_trace):
-    with pytest.raises(ValueError):
-        tune_source_impedance(device_trace, (9e9, 9.1e9), z0_min=100.0, z0_max=100.0)
-    with pytest.raises(ValueError):
-        tune_source_impedance(device_trace, (9e9, 9.1e9), z0_min=0.0)
+def test_tune_takes_only_the_admittance_and_band():
+    assert list(inspect.signature(tune_source_impedance).parameters) == ["y", "band"]
+    y = s_to_y(_trace(0.6 * np.exp(1j * np.linspace(0.2, 5.0, 30))))
+    with pytest.raises(TypeError):
+        tune_source_impedance(y, (1e9, 2e9), z0_max=100.0)
+
+
+def test_tune_rejects_a_short_band_and_degenerate_locus(device_trace):
     with pytest.raises(TooFewPoints):
-        tune_source_impedance(device_trace, (9e9, 9e9 + 1.0))
+        tune_source_impedance(s_to_y(device_trace), (9e9, 9e9 + 1.0))
     # a constant reflection maps to a single admittance point
     with pytest.raises(DegenerateLocus):
-        tune_source_impedance(_trace(np.full(30, 0.3 + 0.1j)), (1e9, 2e9))
-
-
-def test_tune_takes_the_admittance_its_caller_has(device_trace, device_fp):
-    band = (0.98 * F_S, 1.02 * device_fp)
-    trace = OnePortTrace(
-        device_trace.frequencies, device_trace.s11, device_trace.z0, comments=("! wafer 3",)
-    )
-    z_ref, tuned_ref, *_ = tune_source_impedance(trace, band)
-    z_star, tuned, *_ = tune_source_impedance(s_to_y(trace), band)
-    assert z_star == z_ref
-    np.testing.assert_array_equal(tuned.s11, tuned_ref.s11)
-    assert tuned.comments == ()
+        tune_source_impedance(s_to_y(_trace(np.full(30, 0.3 + 0.1j))), (1e9, 2e9))
