@@ -379,8 +379,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convert", help="rewrite a one-port Touchstone file")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--format", choices=["RI", "MA", "DB"], help="value encoding (default: keep)")
-    p.add_argument("--unit", choices=["HZ", "KHZ", "MHZ", "GHZ"], help="frequency unit (default: keep)")
+    p.add_argument("--format", choices=touchstone._VALUE_FORMATS, help="value encoding (default: keep)")
+    p.add_argument("--unit", choices=tuple(touchstone._UNIT_SCALE), help="frequency unit (default: keep)")
     p.add_argument("--z0", type=float, help="renormalize to this reference impedance (ohm)")
     p.set_defaults(func=cmd_convert)
 
@@ -415,8 +415,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-hi", type=float, required=True, help="grid end in Hz")
     p.add_argument("--points", type=int, required=True, help="grid size (>= 2)")
     p.add_argument("--z0", type=float, default=50.0)
-    p.add_argument("--format", choices=["RI", "MA", "DB"], default="RI")
-    p.add_argument("--unit", choices=["HZ", "KHZ", "MHZ", "GHZ"], default="GHZ")
+    p.add_argument("--format", choices=touchstone._VALUE_FORMATS, default="RI")
+    p.add_argument("--unit", choices=tuple(touchstone._UNIT_SCALE), default="GHZ")
     p.add_argument("--noise", type=float, default=0.0,
                    help="additive complex Gaussian noise sigma on S11")
     p.add_argument("--seed", type=int, default=0, help="noise RNG seed")
@@ -424,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep a geometry axis against the dispersion table")
     p.add_argument("geometry", help="geometry JSON path")
-    p.add_argument("--axis", required=True, help="geometry field to vary (lambda, h_ln, h_elec, duty, ...)")
+    p.add_argument("--axis", required=True, help="geometry field to vary: lambda, h_ln, h_elec or duty")
     p.add_argument("--values", required=True, help="comma-separated axis values (SI units)")
     p.add_argument("--family", default="measured")
     p.add_argument("--table", help="dispersion CSV path (default: builtin table)")

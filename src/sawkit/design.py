@@ -13,6 +13,10 @@ fallback order, each group's invertibility and reach) is computed once when
 the table is built, and a lookup finds its segment once for all three
 columns.  A duty without anchors falls back to the nearest duty whose group
 can serve the request.
+
+A DeviceGeometry holds only what the model reads: wavelength, h_ln, h_elec
+and duty.  Its geometry JSON has one key for each and may carry others,
+which are ignored, so a sweep can vary only these four.
 """
 
 from __future__ import annotations
@@ -46,26 +50,21 @@ _RATIO_MATCH_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class DeviceGeometry:
-    """Physical layout: lengths in meters, aperture in wavelengths."""
+    """What the dispersion model reads of a device: lengths in meters."""
 
     wavelength: float
     h_ln: float
     h_elec: float
     duty: float
-    n_e: int = 40
-    n_r: int = 40
-    aperture: float = 20.0
 
     def __post_init__(self):
-        for name in ("wavelength", "h_ln", "aperture"):
+        for name in ("wavelength", "h_ln"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         if not 0.0 <= self.h_elec < math.inf:
             raise ValueError("h_elec must be finite and >= 0")
         if not 0.0 < self.duty < 1.0:
             raise ValueError("duty must lie in (0, 1)")
-        if self.n_e < 1 or self.n_r < 0:
-            raise ValueError("n_e must be >= 1 and n_r >= 0")
 
     @property
     def h_ln_ratio(self) -> float:
@@ -170,12 +169,6 @@ class DispersionTable:
         anchors = tuple(anchors)
         if not anchors:
             raise ValueError("dispersion table needs at least one anchor")
-        seen = set()
-        for a in anchors:
-            key = (a.h_ln_over_lambda, a.h_elec_over_lambda, a.duty, a.family)
-            if key in seen:
-                raise ValueError(f"duplicate anchor {key}")
-            seen.add(key)
         groups: dict[tuple[str, float], list[DispersionAnchor]] = {}
         for a in anchors:
             groups.setdefault((a.family, a.duty), []).append(a)
@@ -430,16 +423,6 @@ def scale_to_frequency(
 
 
 _AXIS_ALIASES = {"lambda": "wavelength"}
-_INT_FIELDS = {"n_e", "n_r"}
-
-
-def _whole_number(value, what: str) -> int:
-    """int(value), refusing to truncate a fractional, infinite or NaN value."""
-    if isinstance(value, int):
-        return value
-    if not float(value).is_integer():
-        raise ValueError(f"{what} must be a whole number, got {value!r}")
-    return int(value)
 
 
 def sweep(
@@ -459,18 +442,16 @@ def sweep(
     kwargs = {f.name: getattr(base, f.name) for f in dataclasses.fields(DeviceGeometry)}
     if field not in kwargs:
         raise ValueError(f"unknown sweep axis {axis!r}; choose from {sorted(kwargs)}")
-    integral = field in _INT_FIELDS
-    what = f"sweep axis {axis!r}"
     rows: list[SweepRow] = []
     for value in values:
-        kwargs[field] = _whole_number(value, what) if integral else float(value)
+        kwargs[field] = value = float(value)
         geometry = DeviceGeometry(**kwargs)
         try:
             f_s, keff2, warnings_ = _predict(geometry, table, family, allow_extrapolation)
         except OutOfTableRange as exc:
-            rows.append(SweepRow(value=float(value), f_s=None, keff2=None, error=str(exc)))
+            rows.append(SweepRow(value=value, f_s=None, keff2=None, error=str(exc)))
             continue
-        rows.append(SweepRow(float(value), f_s, keff2, warnings_))
+        rows.append(SweepRow(value, f_s, keff2, warnings_))
     return rows
 
 
@@ -479,13 +460,11 @@ _GEOMETRY_JSON_KEYS = {
     "h_ln_m": "h_ln",
     "h_elec_m": "h_elec",
     "duty": "duty",
-    "n_e": "n_e",
-    "n_r": "n_r",
-    "aperture_lambdas": "aperture",
 }
 
 
 def geometry_from_json(obj: dict) -> DeviceGeometry:
+    """Inverse of geometry_to_json; unknown keys are ignored."""
     missing = [k for k in _GEOMETRY_JSON_KEYS if k not in obj]
     if missing:
         raise ValueError(f"geometry JSON missing keys: {', '.join(missing)}")
@@ -494,13 +473,10 @@ def geometry_from_json(obj: dict) -> DeviceGeometry:
         value = obj[key]
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValueError(f"geometry JSON key {key!r} must be a number")
-        if field in _INT_FIELDS:
-            kwargs[field] = _whole_number(value, f"geometry JSON key {key!r}")
-        else:
-            try:
-                kwargs[field] = float(value)
-            except OverflowError:
-                raise ValueError(f"geometry JSON key {key!r} must be a finite number") from None
+        try:
+            kwargs[field] = float(value)
+        except OverflowError:
+            raise ValueError(f"geometry JSON key {key!r} must be a finite number") from None
     return DeviceGeometry(**kwargs)
 
 

@@ -34,12 +34,13 @@ class MbvdParams:
     c_0: float
 
     def __post_init__(self):
+        # an infinite element evaluates to S11 = -1 or a non-finite model
         for name in ("r_s", "r_0", "r_m"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         for name in ("l_m", "c_m", "c_0"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         # c_m approaching 8*c_0 would put the coupling factor past 100%
         if not self.c_m < 8.0 * self.c_0:
             raise ValueError("c_m must be smaller than 8 * c_0")
@@ -200,4 +201,7 @@ def params_from_json(obj: dict) -> MbvdParams:
     values = [obj[k] for k in _JSON_KEYS]
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
         raise ValueError("params JSON values must be numbers")
-    return MbvdParams(*(float(v) for v in values))
+    try:
+        return MbvdParams(*(float(v) for v in values))
+    except OverflowError:  # an integer too large for a float
+        raise ValueError("params JSON values must be finite numbers") from None

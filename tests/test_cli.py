@@ -563,6 +563,13 @@ def bad_inputs(fixture_dir, tmp_path_factory):
     (out / "geometry_nan_h_elec.json").write_text(json.dumps({**geometry, "h_elec_m": float("nan")}))
     (out / "geometry_fractional_n_e.json").write_text(json.dumps({**geometry, "n_e": 2.5}))
     (out / "geometry_huge_integer.json").write_text(json.dumps({**geometry, "lambda_m": 10**400}))
+    params = json.loads((fixture_dir / "deviceA.params.json").read_text())
+    for name, extra in (
+        ("infinite_l_m", {"l_m_h": float("inf")}),
+        ("infinite_c_0", {"c_0_f": float("inf")}),
+        ("huge_integer", {"r_s_ohm": 10**400}),
+    ):
+        (out / f"params_{name}.json").write_text(json.dumps({**params, **extra}))
     (out / "infinite_velocity_table.csv").write_text(
         "h_ln_over_lambda,h_elec_over_lambda,duty,v_p_mps,keff2,family,provenance\n"
         "1.75,0.1,0.5,inf,0.16,measured,x\n"
@@ -636,6 +643,32 @@ EXIT_CODE_CASES = {
         2,
         "invalid JSON",
     ),
+    # an infinite element would synthesize S11 = -1 rows
+    "synth-infinite-l-m": (
+        "synth {bad}/params_infinite_l_m.json -o {tmp}/o.s1p --f-lo 8e9 --f-hi 10e9 --points 3",
+        2,
+        "l_m must be positive and finite",
+    ),
+    "synth-infinite-c-0": (
+        "synth {bad}/params_infinite_c_0.json -o {tmp}/o.s1p --f-lo 8e9 --f-hi 10e9 --points 3",
+        2,
+        "c_0 must be positive and finite",
+    ),
+    "synth-huge-integer": (
+        "synth {bad}/params_huge_integer.json -o {tmp}/o.s1p --f-lo 8e9 --f-hi 10e9 --points 3",
+        2,
+        "params JSON values must be finite numbers",
+    ),
+    "fit-init-infinite-l-m": (
+        "fit {fx}/deviceA.s1p --init {bad}/params_infinite_l_m.json -o {tmp}/f.json",
+        2,
+        "l_m must be positive and finite",
+    ),
+    "fit-init-huge-integer": (
+        "fit {fx}/deviceA.s1p --init {bad}/params_huge_integer.json -o {tmp}/f.json",
+        2,
+        "params JSON values must be finite numbers",
+    ),
     "synth-bad-grid": (
         "synth {fx}/deviceA.params.json -o {tmp}/o.s1p --f-lo 2e9 --f-hi 1e9 --points 11",
         2,
@@ -660,11 +693,6 @@ EXIT_CODE_CASES = {
     "sweep-geometry-nan-h-elec": (
         "sweep {bad}/geometry_nan_h_elec.json --axis lambda --values 4e-7", 2, "h_elec must be finite"
     ),
-    "sweep-geometry-fractional-n-e": (
-        "sweep {bad}/geometry_fractional_n_e.json --axis lambda --values 4e-7",
-        2,
-        "geometry JSON key 'n_e' must be a whole number",
-    ),
     "sweep-geometry-huge-integer": (
         "sweep {bad}/geometry_huge_integer.json --axis lambda --values 4e-7",
         2,
@@ -675,7 +703,7 @@ EXIT_CODE_CASES = {
         "sweep {bad}/geometry.json --axis lambda --values inf", 2, "wavelength must be positive and finite"
     ),
     "sweep-infinite-aperture": (
-        "sweep {bad}/geometry.json --axis aperture --values inf", 2, "aperture must be positive and finite"
+        "sweep {bad}/geometry.json --axis aperture --values inf", 2, "unknown sweep axis"
     ),
     "sweep-infinite-table-velocity": (
         "sweep {bad}/geometry.json --axis lambda --values 4e-7 --table {bad}/infinite_velocity_table.csv",
@@ -683,10 +711,10 @@ EXIT_CODE_CASES = {
         "v_p must be positive and finite",
     ),
     "sweep-infinite-n-e": (
-        "sweep {bad}/geometry.json --axis n_e --values inf", 2, "sweep axis 'n_e' must be a whole number"
+        "sweep {bad}/geometry.json --axis n_e --values inf", 2, "unknown sweep axis"
     ),
     "sweep-fractional-n-r": (
-        "sweep {bad}/geometry.json --axis n_r --values 40,2.5", 2, "sweep axis 'n_r' must be a whole number"
+        "sweep {bad}/geometry.json --axis n_r --values 40,2.5", 2, "unknown sweep axis"
     ),
     "report-not-an-object": ("report {bad}/list.json", 2, "expected a JSON object"),
     "report-foreign-json": ("report {bad}/no_params.json", 2, "missing keys"),
@@ -737,6 +765,20 @@ def test_exit_code_map(case, fixture_dir, bad_inputs, wide_s1p, tmp_path, capsys
     assert fragment in err
     if code != 5:
         assert err.startswith("error: ")
+
+
+def test_sweep_ignores_geometry_keys_it_does_not_model(bad_inputs, tmp_path):
+    # n_e, n_r and aperture_lambdas, whole or not, change no row
+    legacy = json.loads((bad_inputs / "geometry.json").read_text())
+    four = tmp_path / "four.json"
+    four.write_text(json.dumps({k: legacy[k] for k in ("lambda_m", "h_ln_m", "h_elec_m", "duty")}))
+    outputs = []
+    for geometry in (four, bad_inputs / "geometry.json", bad_inputs / "geometry_fractional_n_e.json"):
+        out = tmp_path / f"{geometry.stem}.csv"
+        argv = ["sweep", str(geometry), "--axis", "lambda", "--values", "4e-7,3.2e-7,2.4e-7"]
+        assert cli.main(argv + ["-o", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def _subclasses(cls):

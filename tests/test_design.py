@@ -175,10 +175,7 @@ def test_sweep_unknown_axis(table):
 
 
 def test_geometry_json_round_trip():
-    geometry = DeviceGeometry(
-        wavelength=400e-9, h_ln=H_LN, h_elec=H_ELEC, duty=0.5, n_e=38, n_r=20,
-        aperture=24.0,
-    )
+    geometry = DeviceGeometry(wavelength=400e-9, h_ln=H_LN, h_elec=H_ELEC, duty=0.5)
     obj = geometry_to_json(geometry)
     assert obj["lambda_m"] == 400e-9
     assert geometry_from_json(obj) == geometry
@@ -189,11 +186,10 @@ def test_geometry_validation():
         DeviceGeometry(wavelength=-1e-9, h_ln=H_LN, h_elec=H_ELEC, duty=0.5)
     with pytest.raises(ValueError):
         DeviceGeometry(wavelength=400e-9, h_ln=H_LN, h_elec=H_ELEC, duty=1.2)
-    # an infinite pitch or aperture predicts f_s = 0; a NaN h_elec passed "< 0"
+    # an infinite pitch predicts f_s = 0; a NaN h_elec passed "< 0"
     for bad in (
         {"wavelength": math.inf},
         {"h_ln": math.inf},
-        {"aperture": math.inf},
         {"h_elec": math.nan},
         {"h_elec": math.inf},
     ):

@@ -150,6 +150,12 @@ def test_lossless_request_gives_zero_motional_resistance():
         dict(r_s=0, r_0=0, r_m=1, l_m=0.0, c_m=1e-13, c_0=1e-12),
         dict(r_s=0, r_0=0, r_m=1, l_m=1e-9, c_m=-1e-13, c_0=1e-12),
         dict(r_s=0, r_0=0, r_m=1, l_m=1e-9, c_m=9e-12, c_0=1e-12),  # c_m past 8*c_0
+        # an infinite element synthesizes S11 = -1 or a non-finite model
+        dict(r_s=0, r_0=0, r_m=np.inf, l_m=1e-9, c_m=1e-13, c_0=1e-12),
+        dict(r_s=0, r_0=0, r_m=1, l_m=np.inf, c_m=1e-13, c_0=1e-12),
+        dict(r_s=0, r_0=0, r_m=1, l_m=1e-9, c_m=1e-13, c_0=np.inf),
+        dict(r_s=0, r_0=np.nan, r_m=1, l_m=1e-9, c_m=1e-13, c_0=1e-12),
+        dict(r_s=0, r_0=0, r_m=1, l_m=np.nan, c_m=1e-13, c_0=1e-12),
     ],
 )
 def test_invalid_elements_rejected(kwargs):

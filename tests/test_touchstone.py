@@ -76,20 +76,31 @@ def test_comments_preserved_and_inline_stripped():
     np.testing.assert_allclose(trace.s11[1], 0.5)
 
 
-@pytest.mark.parametrize(
-    "header",
-    [
-        "# GHZ GHZ S RI R 50",  # duplicate unit
-        "# GHZ S RI R",  # R with no value
-        "# GHZ S RI R -50",  # non-positive reference
-        "# GHZ Y RI R 50",  # only S parameters supported
-        "# GHZ S XX R 50",  # unknown format
-        "# FURLONG S RI R 50",  # unknown unit
-    ],
-)
+# header lines above two data rows -> the message they raise
+MALFORMED_HEADERS = {
+    "# GHZ GHZ S RI R 50": "duplicate frequency unit",
+    "# GHZ S RI R": "R token needs a value",
+    "# GHZ S RI R -50": "reference resistance must be positive",
+    "# GHZ Y RI R 50": "only S-parameter files are supported",
+    "# GHZ S XX R 50": "unknown option token 'XX'",
+    "# FURLONG S RI R 50": "unknown option token 'FURLONG'",
+    "# GHZ S RI MA R 50": "line 1: duplicate value format",
+    "# GHZ S RI S R 50": "line 1: duplicate parameter kind",
+    "# GHZ S RI R 50 R 75": "line 1: duplicate reference resistance",
+    "# GHZ S RI R fifty": "line 1: reference resistance 'fifty' is not a number",
+    "! device\n0.5 0 0\n# GHZ S RI R 50": "line 2: data row before the option line",
+}
+
+
+@pytest.mark.parametrize("header", list(MALFORMED_HEADERS))
 def test_malformed_option_lines(header):
-    with pytest.raises(MalformedOptionLine):
+    with pytest.raises(MalformedOptionLine, match=MALFORMED_HEADERS[header]):
         parse_touchstone(header + "\n1 0 0\n2 0 0\n")
+
+
+def test_comments_only_file_has_no_option_line():
+    with pytest.raises(MalformedOptionLine, match="missing option line"):
+        parse_touchstone("! device A\n\n! no data\n")
 
 
 def test_version_two_keyword_rejected():
