@@ -11,14 +11,11 @@ from .design import (
     DeviceGeometry,
     DispersionAnchor,
     DispersionTable,
-    Prediction,
     SweepRow,
     builtin_dispersion_table,
     geometry_from_json,
-    geometry_to_json,
     load_dispersion_csv,
-    predict_fs,
-    predict_keff2,
+    predict,
     scale_to_frequency,
     sweep,
 )
@@ -55,7 +52,6 @@ from .network import (
     AdmittanceTrace,
     SmithCircle,
     Tuning,
-    fit_smith_circle,
     passivity_violations,
     renormalize,
     s_to_y,
@@ -76,7 +72,6 @@ __all__ = [
     "FitResult",
     "MbvdParams",
     "OnePortTrace",
-    "Prediction",
     "QTrace",
     "SmithCircle",
     "SweepRow",
@@ -92,11 +87,9 @@ __all__ = [
     "derived_q_m",
     "find_fs_fp",
     "fit_mbvd",
-    "fit_smith_circle",
     "fom",
     "full_extraction",
     "geometry_from_json",
-    "geometry_to_json",
     "initial_guess",
     "keff2",
     "load_dispersion_csv",
@@ -105,8 +98,7 @@ __all__ = [
     "params_to_json",
     "parse_touchstone",
     "passivity_violations",
-    "predict_fs",
-    "predict_keff2",
+    "predict",
     "q_max",
     "renormalize",
     "report_csv_row",

@@ -133,6 +133,8 @@ def _q_trace_csv(q_trace: extract.QTrace) -> str:
 
 
 def cmd_extract(args) -> int:
+    if args.lambda_nm is not None and not 0.0 < args.lambda_nm < math.inf:
+        raise ValueError("lambda_nm must be positive and finite")
     trace, _ = _parse_trace(args.input)
     options = extract.ExtractOptions(
         tune_band=args.tune_band,
@@ -203,6 +205,8 @@ def cmd_synth(args) -> int:
     params = mbvd.params_from_json(_read_json(args.params))
     if args.points < 2:
         raise ValueError("grid needs at least 2 points")
+    if not 0.0 <= args.noise < math.inf:
+        raise ValueError("noise must be finite and >= 0")
     if not args.f_lo > 0 or not args.f_hi > args.f_lo:
         raise ValueError("need 0 < f-lo < f-hi")
     if not np.isfinite(2.0 * np.pi * args.f_hi):  # the model works in angular frequency

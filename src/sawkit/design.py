@@ -2,7 +2,7 @@
 
 Anchors map the film-thickness ratio h_ln/lambda to phase velocity and
 coupling, grouped by data family ("measured", "simulated") and electrode
-duty factor.  Prediction is piecewise-linear in h_ln/lambda inside a
+duty factor.  A prediction is piecewise-linear in h_ln/lambda inside a
 (family, duty) group; electrode thickness and duty are not modeled, so
 mismatches against the anchors surface as warnings on the result.
 
@@ -22,7 +22,6 @@ which are ignored, so a sweep can vary only these four.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import math
 from bisect import bisect_left
@@ -118,12 +117,6 @@ class TablePoint(NamedTuple):
     keff2: float
     h_elec_over_lambda: float
     warnings: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class Prediction:
-    value: float
-    warnings: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -336,43 +329,23 @@ def _h_elec_warning(geometry: DeviceGeometry, point: TablePoint) -> tuple[str, .
     return ()
 
 
-def _predict(
+def predict(
     geometry: DeviceGeometry,
     table: DispersionTable,
-    family: str,
-    allow_extrapolation: bool,
+    family: str = "measured",
+    allow_extrapolation: bool = False,
 ) -> tuple[float, float, tuple[str, ...]]:
-    """(f_s, keff2, warnings) from a single table lookup."""
-    point = table.lookup(
-        geometry.h_ln_ratio, family, geometry.duty, allow_extrapolation
-    )
+    """(f_s, keff2, warnings) for a geometry from a single table lookup.
+
+    f_s = v_p(h_ln/lambda) / lambda, keff2 is the interpolated coupling, and
+    the warnings are the lookup's plus any electrode-thickness mismatch.
+    """
+    point = table.lookup(geometry.h_ln_ratio, family, geometry.duty, allow_extrapolation)
     return (
         point.v_p / geometry.wavelength,
         point.keff2,
         point.warnings + _h_elec_warning(geometry, point),
     )
-
-
-def predict_fs(
-    geometry: DeviceGeometry,
-    table: DispersionTable,
-    family: str = "measured",
-    allow_extrapolation: bool = False,
-) -> Prediction:
-    """Series resonance f_s = v_p(h_ln/lambda) / lambda for a geometry."""
-    f_s, _, warnings_ = _predict(geometry, table, family, allow_extrapolation)
-    return Prediction(f_s, warnings_)
-
-
-def predict_keff2(
-    geometry: DeviceGeometry,
-    table: DispersionTable,
-    family: str = "measured",
-    allow_extrapolation: bool = False,
-) -> Prediction:
-    """Interpolated coupling fraction for a geometry."""
-    _, keff2, warnings_ = _predict(geometry, table, family, allow_extrapolation)
-    return Prediction(keff2, warnings_)
 
 
 def scale_to_frequency(
@@ -422,7 +395,8 @@ def scale_to_frequency(
     return (a + math.sqrt(a * a + 4.0 * target_fs * slope * h_ln)) / (2.0 * target_fs)
 
 
-_AXIS_ALIASES = {"lambda": "wavelength"}
+# sweep axis name -> DeviceGeometry field; every field is an axis
+_SWEEP_AXES = {"lambda": "wavelength", "h_ln": "h_ln", "h_elec": "h_elec", "duty": "duty"}
 
 
 def sweep(
@@ -438,16 +412,16 @@ def sweep(
     Per-value table misses are recorded on the row instead of aborting the
     sweep; warnings are carried through from the predictions.
     """
-    field = _AXIS_ALIASES.get(axis, axis)
-    kwargs = {f.name: getattr(base, f.name) for f in dataclasses.fields(DeviceGeometry)}
-    if field not in kwargs:
-        raise ValueError(f"unknown sweep axis {axis!r}; choose from {sorted(kwargs)}")
+    if axis not in _SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}; choose from {', '.join(_SWEEP_AXES)}")
+    field = _SWEEP_AXES[axis]
+    kwargs = {f: getattr(base, f) for f in _SWEEP_AXES.values()}
     rows: list[SweepRow] = []
     for value in values:
         kwargs[field] = value = float(value)
         geometry = DeviceGeometry(**kwargs)
         try:
-            f_s, keff2, warnings_ = _predict(geometry, table, family, allow_extrapolation)
+            f_s, keff2, warnings_ = predict(geometry, table, family, allow_extrapolation)
         except OutOfTableRange as exc:
             rows.append(SweepRow(value=value, f_s=None, keff2=None, error=str(exc)))
             continue
@@ -464,7 +438,7 @@ _GEOMETRY_JSON_KEYS = {
 
 
 def geometry_from_json(obj: dict) -> DeviceGeometry:
-    """Inverse of geometry_to_json; unknown keys are ignored."""
+    """Geometry from the four keys of _GEOMETRY_JSON_KEYS; unknown keys are ignored."""
     missing = [k for k in _GEOMETRY_JSON_KEYS if k not in obj]
     if missing:
         raise ValueError(f"geometry JSON missing keys: {', '.join(missing)}")
@@ -478,7 +452,3 @@ def geometry_from_json(obj: dict) -> DeviceGeometry:
         except OverflowError:
             raise ValueError(f"geometry JSON key {key!r} must be a finite number") from None
     return DeviceGeometry(**kwargs)
-
-
-def geometry_to_json(geometry: DeviceGeometry) -> dict:
-    return {key: getattr(geometry, field) for key, field in _GEOMETRY_JSON_KEYS.items()}

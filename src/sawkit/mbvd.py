@@ -118,15 +118,6 @@ def element_admittance(r_s, r_0, r_m, l_m, c_m, c_0, f):
     return y if np.ndim(f) else y[0]
 
 
-def element_admittance_jacobian(r_s, r_0, r_m, l_m, c_m, c_0, f):
-    """dY/dlog(element) of element_admittance on a frequency array: (6, n), see _jacobian."""
-    w = 2.0 * np.pi * np.asarray(f, dtype=float)
-    values = (r_s, r_0, r_m, l_m, c_m, c_0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_w = 1.0 / w
-        return _jacobian(*values, w, inv_w, _terms(*values, w, inv_w), 1.0)
-
-
 def admittance(params: MbvdParams, f):
     """Complex admittance at frequency f in Hz (scalar or array)."""
     y = element_admittance(

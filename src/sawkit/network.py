@@ -148,13 +148,6 @@ def _band_mask(frequencies: np.ndarray, band: tuple[float, float]) -> np.ndarray
     return mask
 
 
-def fit_smith_circle(trace: OnePortTrace, band: tuple[float, float]) -> SmithCircle:
-    """Fit a circle to the S11 locus restricted to a frequency band."""
-    mask = _band_mask(trace.frequencies, band)
-    center, radius, rms = _kasa_circle(trace.s11[mask])
-    return SmithCircle(center=center, radius=radius, rms_residual=rms)
-
-
 def tune_source_impedance(y: AdmittanceTrace, band: tuple[float, float]) -> Tuning:
     """Find the source impedance that centers the in-band S11 locus.
 

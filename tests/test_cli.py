@@ -638,6 +638,36 @@ EXIT_CODE_CASES = {
         2,
         "z0 must be positive",
     ),
+    "synth-negative-noise": (
+        "synth {fx}/deviceA.params.json -o {tmp}/o.s1p --f-lo 1e9 --f-hi 2e9 --points 11 --noise -0.5",
+        2,
+        "noise must be finite and >= 0",
+    ),
+    "synth-nan-noise": (
+        "synth {fx}/deviceA.params.json -o {tmp}/o.s1p --f-lo 1e9 --f-hi 2e9 --points 11 --noise nan",
+        2,
+        "noise must be finite and >= 0",
+    ),
+    "extract-nan-lambda": (
+        "extract {fx}/deviceA.s1p -o {tmp}/r.json --lambda-nm nan",
+        2,
+        "lambda_nm must be positive and finite",
+    ),
+    "extract-infinite-lambda": (
+        "extract {fx}/deviceA.s1p -o {tmp}/r.json --lambda-nm inf",
+        2,
+        "lambda_nm must be positive and finite",
+    ),
+    "extract-negative-lambda": (
+        "extract {fx}/deviceA.s1p -o {tmp}/r.json --lambda-nm -400",
+        2,
+        "lambda_nm must be positive and finite",
+    ),
+    "sweep-wavelength-axis": (
+        "sweep {bad}/geometry.json --axis wavelength --values 4e-7 -o {tmp}/s.csv",
+        2,
+        "unknown sweep axis",
+    ),
     "synth-invalid-json": (
         "synth {bad}/garbage.json -o {tmp}/o.s1p --f-lo 1e9 --f-hi 2e9 --points 11",
         2,
@@ -765,6 +795,9 @@ def test_exit_code_map(case, fixture_dir, bad_inputs, wide_s1p, tmp_path, capsys
     assert fragment in err
     if code != 5:
         assert err.startswith("error: ")
+    if code == cli.EXIT_PARSE:
+        # an invalid input or option is refused before any output is written
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_ignores_geometry_keys_it_does_not_model(bad_inputs, tmp_path):

@@ -9,10 +9,8 @@ from sawkit.design import (
     DispersionTable,
     builtin_dispersion_table,
     geometry_from_json,
-    geometry_to_json,
     load_dispersion_csv,
-    predict_fs,
-    predict_keff2,
+    predict,
     scale_to_frequency,
     sweep,
 )
@@ -81,33 +79,32 @@ def test_unlisted_duty_falls_back_with_warning(table):
 
 def test_predicted_fs_hits_measured_values(table):
     for lambda_nm, fs_ghz in FIFTY_DUTY_DEVICES:
-        prediction = predict_fs(_geometry(lambda_nm), table)
-        assert abs(prediction.value / 1e9 - fs_ghz) / fs_ghz < 5e-3, lambda_nm
+        f_s = predict(_geometry(lambda_nm), table)[0]
+        assert abs(f_s / 1e9 - fs_ghz) / fs_ghz < 5e-3, lambda_nm
 
 
 def test_predicted_fs_seventy_duty_device(table):
-    prediction = predict_fs(_geometry(400.0, duty=0.7), table)
-    np.testing.assert_allclose(prediction.value, 9.05e9, rtol=1e-12)
-    assert prediction.warnings == ()
+    f_s, _, warnings = predict(_geometry(400.0, duty=0.7), table)
+    np.testing.assert_allclose(f_s, 9.05e9, rtol=1e-12)
+    assert warnings == ()
 
 
 def test_predicted_keff2_at_anchors(table):
     # 700/400 nm sits exactly on the thinnest-film anchor
-    np.testing.assert_allclose(predict_keff2(_geometry(400.0), table).value, 0.16)
+    np.testing.assert_allclose(predict(_geometry(400.0), table)[1], 0.16)
     # 700/240 nm is 2.9167, slightly inside the 2.92 anchor published rounding
     np.testing.assert_allclose(
-        predict_keff2(_geometry(240.0), table).value, 0.07, rtol=2e-3
+        predict(_geometry(240.0), table)[1], 0.07, rtol=2e-3
     )
 
 
 def test_simulated_family_endpoints(table):
     assert table.lookup(2.92, "simulated", 0.5).v_p == 3103.0
-    fs_low = predict_fs(_geometry(400.0), table, family="simulated")
-    fs_high = predict_fs(_geometry(240.0), table, family="simulated")
-    np.testing.assert_allclose(fs_low.value, 3664.0 / 400e-9, rtol=1e-12)
-    np.testing.assert_allclose(fs_high.value, 3103.0 / 240e-9, rtol=1e-3)
-    k2 = predict_keff2(_geometry(400.0), table, family="simulated")
-    np.testing.assert_allclose(k2.value, 0.39)
+    fs_low, k2, _ = predict(_geometry(400.0), table, family="simulated")
+    fs_high = predict(_geometry(240.0), table, family="simulated")[0]
+    np.testing.assert_allclose(fs_low, 3664.0 / 400e-9, rtol=1e-12)
+    np.testing.assert_allclose(fs_high, 3103.0 / 240e-9, rtol=1e-3)
+    np.testing.assert_allclose(k2, 0.39)
 
 
 def test_similitude_scaling(table):
@@ -120,16 +117,14 @@ def test_similitude_scaling(table):
         duty=base.duty,
     )
     np.testing.assert_allclose(
-        predict_fs(half, table).value, 2.0 * predict_fs(base, table).value, rtol=1e-12
+        predict(half, table)[0], 2.0 * predict(base, table)[0], rtol=1e-12
     )
 
 
 def test_electrode_thickness_mismatch_warns(table):
     thick = DeviceGeometry(wavelength=400e-9, h_ln=H_LN, h_elec=100e-9, duty=0.5)
-    prediction = predict_fs(thick, table)
-    assert any("h_elec" in w for w in prediction.warnings)
-    matched = predict_fs(_geometry(400.0), table)
-    assert not any("h_elec" in w for w in matched.warnings)
+    assert any("h_elec" in w for w in predict(thick, table)[2])
+    assert not any("h_elec" in w for w in predict(_geometry(400.0), table)[2])
 
 
 def test_scale_to_frequency_recovers_device_pitches(table):
@@ -143,7 +138,7 @@ def test_scale_to_frequency_is_consistent_with_prediction(table):
     target = 11.0e9
     lam = scale_to_frequency(target, H_LN, table)
     geometry = DeviceGeometry(wavelength=lam, h_ln=H_LN, h_elec=lam / 10, duty=0.5)
-    np.testing.assert_allclose(predict_fs(geometry, table).value, target, rtol=2e-4)
+    np.testing.assert_allclose(predict(geometry, table)[0], target, rtol=2e-4)
 
 
 def test_scale_to_frequency_out_of_range(table):
@@ -170,14 +165,17 @@ def test_sweep_records_misses_per_row(table):
 
 
 def test_sweep_unknown_axis(table):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown sweep axis") as info:
         sweep(_geometry(400.0), "pitch", [1e-6], table)
+    # the axes are named as the CLI names them: lambda, not the field wavelength
+    assert "lambda" in str(info.value)
+    assert "wavelength" not in str(info.value)
 
 
 def test_geometry_json_round_trip():
     geometry = DeviceGeometry(wavelength=400e-9, h_ln=H_LN, h_elec=H_ELEC, duty=0.5)
-    obj = geometry_to_json(geometry)
-    assert obj["lambda_m"] == 400e-9
+    # lambda_m is the wavelength in meters, and each other key names its field
+    obj = {"lambda_m": 400e-9, "h_ln_m": H_LN, "h_elec_m": H_ELEC, "duty": 0.5}
     assert geometry_from_json(obj) == geometry
 
 
@@ -272,9 +270,9 @@ def test_duty_without_anchors_falls_back_in_lookup_and_sweep(table):
 def test_fs_is_continuous_in_duty_at_the_single_anchor_ratio(table):
     # 700/400 nm = 1.75 is the 70 %-duty anchor's ratio: every duty nearer to
     # 0.7 than to 0.5 reads it, so a hair's change of duty cannot jump groups
-    exact = predict_fs(_geometry(400.0, duty=0.7), table).value
+    exact = predict(_geometry(400.0, duty=0.7), table)[0]
     for duty in (0.65, 0.69999, 0.7 - 1e-12, 0.70001, 0.75):
-        assert predict_fs(_geometry(400.0, duty=duty), table).value == exact, duty
+        assert predict(_geometry(400.0, duty=duty), table)[0] == exact, duty
     rows = sweep(_geometry(400.0), "duty", [0.69999, 0.7, 0.70001], table)
     assert [row.f_s for row in rows] == [exact] * 3
     # a ratio the single anchor cannot serve falls back to the nearest group that can
@@ -356,7 +354,7 @@ def test_scale_to_frequency_is_exact_to_rounding(table):
             for target in rng.uniform(products[0] / h_ln, products[-1] / h_ln, 400):
                 lam = scale_to_frequency(float(target), h_ln, synthetic, family)
                 geometry = DeviceGeometry(wavelength=lam, h_ln=h_ln, h_elec=0.0, duty=0.5)
-                f_s = predict_fs(geometry, synthetic, family).value
+                f_s = predict(geometry, synthetic, family)[0]
                 assert abs(f_s / target - 1.0) <= 1e-14, (family, h_ln, target)
             for r, v in anchors:
                 lam = scale_to_frequency(v * r / h_ln, h_ln, synthetic, family)

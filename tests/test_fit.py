@@ -336,9 +336,10 @@ def test_fit_outputs_come_from_the_kept_model(trace_name, request, monkeypatch):
     # reused, with the rows of floored resistances zeroed
     weight = 1.0 / np.maximum(np.abs(target), 0.01 * np.abs(target).max())
     floored_rows = 0
+    w = 2.0 * np.pi * freqs
     for terms, rows in jacobians:
         elements = next(args for args, kept in evaluations if kept is terms)
-        want = mbvd.element_admittance_jacobian(*elements, freqs) * weight
+        want = mbvd._jacobian(*elements, w, 1 / w, mbvd._terms(*elements, w, 1 / w), 1.0) * weight
         for k in range(6):
             if k < 3 and elements[k] == fit._R_FLOOR:
                 floored_rows += 1
@@ -354,7 +355,8 @@ def test_interleaved_normal_equations_match_stacked(noisy_wide_trace):
     start = initial_guess(noisy_wide_trace)
     elements = tuple(getattr(start, f) for f in PARAM_FIELDS)
     weight = 1.0 / np.maximum(np.abs(target), 0.01 * np.abs(target).max())
-    rows = mbvd.element_admittance_jacobian(*elements, freqs) * weight
+    w = 2.0 * np.pi * freqs
+    rows = mbvd._jacobian(*elements, w, 1 / w, mbvd._terms(*elements, w, 1 / w), 1.0) * weight
     diff = (mbvd.element_admittance(*elements, freqs) - target) * weight
     stacked = np.concatenate([rows.real, rows.imag], axis=1)
     stacked_residual = np.concatenate([diff.real, diff.imag])
