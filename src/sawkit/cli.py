@@ -25,7 +25,6 @@ from .extract import SCHEMA_VERSION, format_number as _fmt
 
 EXIT_OK = 0
 EXIT_PARSE = 2
-EXIT_EXTRACT = 3
 EXIT_IO = 4
 EXIT_NO_CONVERGENCE = 5
 
@@ -111,10 +110,7 @@ def cmd_convert(args) -> int:
     if args.z0 is not None:
         trace = network.renormalize(trace, args.z0)
     out_fmt = touchstone.TouchstoneFormat(
-        frequency_unit=args.unit or fmt.frequency_unit,
-        parameter_kind="S",
-        value_format=args.format or fmt.value_format,
-        reference_resistance=trace.z0,
+        args.unit or fmt.frequency_unit, args.format or fmt.value_format
     )
     _write_text(args.output, touchstone.write_touchstone(trace, out_fmt))
     return EXIT_OK
@@ -133,8 +129,7 @@ def _q_trace_csv(q_trace: extract.QTrace) -> str:
 
 
 def cmd_extract(args) -> int:
-    if args.lambda_nm is not None and not 0.0 < args.lambda_nm < math.inf:
-        raise ValueError("lambda_nm must be positive and finite")
+    extract.check_lambda_nm(args.lambda_nm)
     trace, _ = _parse_trace(args.input)
     options = extract.ExtractOptions(
         tune_band=args.tune_band,
@@ -226,9 +221,7 @@ def cmd_synth(args) -> int:
         f"l_m={params.l_m:g} c_m={params.c_m:g} c_0={params.c_0:g}",
     )
     trace = touchstone.OnePortTrace(grid, s11, args.z0, comments)
-    fmt = touchstone.TouchstoneFormat(
-        frequency_unit=args.unit, value_format=args.format, reference_resistance=args.z0
-    )
+    fmt = touchstone.TouchstoneFormat(args.unit, args.format)
     _write_text(args.output, touchstone.write_touchstone(trace, fmt))
     return EXIT_OK
 
@@ -301,18 +294,19 @@ def cmd_report(args) -> int:
             raise ValueError(f"{path}: report key 'device' must be a string or null")
         _check_number(path, obj, "lambda_nm", nullable=True)
         name = device or Path(path).stem
+        try:
+            fields = extract.summary_fields(name, lambda_nm, *(obj[k] for k in _REPORT_KEYS))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         count = seen.get(name, 0) + 1
         seen[name] = count
         if count > 1:
             _diag(f"warning: duplicate device name {name!r}; renaming to {name}-{count}")
-            name = f"{name}-{count}"
-        rows.append((name, lambda_nm, obj))
+            fields[0] = f"{name}-{count}"  # the device column
+        rows.append((lambda_nm, fields))
     if args.sort_lambda:
-        rows.sort(key=lambda item: (item[1] is None, -(item[1] or 0.0)))
-    table_rows = [
-        extract.summary_fields(name, lambda_nm, *(obj[k] for k in _REPORT_KEYS))
-        for name, lambda_nm, obj in rows
-    ]
+        rows.sort(key=lambda item: (item[0] is None, -(item[0] or 0.0)))
+    table_rows = [fields for _, fields in rows]
     if args.markdown:
         header = extract.CSV_HEADER.split(",")
         lines = ["| " + " | ".join(header) + " |", "|" + "|".join([" --- "] * len(header)) + "|"]
@@ -354,9 +348,7 @@ def cmd_make_fixtures(args) -> int:
                 f"target f_s {f_s / 1e9:g} GHz, keff2 {coupling * 100:g} %, Q_m {q_m:g}",
             ),
         )
-        fmt = touchstone.TouchstoneFormat(
-            frequency_unit="GHZ", value_format="RI", reference_resistance=50.0
-        )
+        fmt = touchstone.TouchstoneFormat("GHZ", "RI")
         _write_text(str(out_dir / f"device{device}.s1p"), touchstone.write_touchstone(trace, fmt))
         _write_json(
             str(out_dir / f"device{device}.params.json"),

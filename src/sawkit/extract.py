@@ -287,6 +287,12 @@ def format_number(x: float) -> str:
     return f"{x:.6g}"
 
 
+def check_lambda_nm(lambda_nm: float | None) -> None:
+    """Raise ValueError unless the summary wavelength is None or positive and finite."""
+    if lambda_nm is not None and not 0.0 < lambda_nm < np.inf:
+        raise ValueError("lambda_nm must be positive and finite")
+
+
 def report_to_json(
     report: ExtractionReport,
     device: str | None = None,
@@ -297,6 +303,7 @@ def report_to_json(
     Scalars and a "diagnostics" object, whose bands are [lo, hi] lists;
     the Bode-Q curve is not included (the CLI writes it with --q-trace).
     """
+    check_lambda_nm(lambda_nm)
     diagnostics = {
         key: list(value) if isinstance(value, tuple) else value
         for key, value in asdict(report.diagnostics).items()
@@ -321,6 +328,7 @@ def summary_fields(
     device: str, lambda_nm: float | None, f_s: float, keff2: float, q_max: float, fom: float
 ) -> list[str]:
     """The CSV_HEADER fields of one device: f_s in GHz, keff2 in percent."""
+    check_lambda_nm(lambda_nm)
     lambda_field = "" if lambda_nm is None else format_number(lambda_nm)
     return [device, lambda_field, *map(format_number, (f_s / 1e9, keff2 * 100, q_max, fom))]
 

@@ -2,10 +2,14 @@
 
 A supported file is any number of '!' comment lines, one '#' option line,
 then rows of three whitespace-separated numbers; blank lines, '!' comment
-lines and inline '!' comments may appear anywhere.  Value encodings are RI
+lines and inline '!' comments may appear anywhere.  The option line reads
+'# <unit> S <format> R <ohms>', tokens in any order and case, each optional.
+A file's TouchstoneFormat is its unit and value encoding; the reference
+impedance R lives only on the trace, as its z0.  Value encodings are RI
 (real/imag), MA (linear magnitude / angle in degrees) and DB
 (20*log10 magnitude / angle in degrees).  Frequencies are converted to Hz
-on read.  Touchstone v2 keywords and multi-port row shapes are rejected.
+on read.  Touchstone v2 keywords, parameter kinds other than S and
+multi-port row shapes are rejected.
 
 The reader walks the header and converts the whole body in one np.loadtxt
 call; only a bad body is walked, to name its offending line.  Both walks
@@ -39,6 +43,14 @@ from .errors import (
 _UNIT_SCALE = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}
 _VALUE_FORMATS = ("RI", "MA", "DB")
 _OTHER_PARAMETER_KINDS = ("Y", "Z", "G", "H")
+# option-line token -> the slot it fills, named as its duplicate error names it;
+# a slot is filled at most once, and R also takes the next token as its value
+_OPTION_SLOTS = {
+    **dict.fromkeys(_UNIT_SCALE, "frequency unit"),
+    **dict.fromkeys(_VALUE_FORMATS, "value format"),
+    "S": "parameter kind",
+    "R": "reference resistance",
+}
 # floor keeps the dB column of a true zero finite (parses back to ~0)
 _DB_MAG_FLOOR = 1e-300
 
@@ -100,28 +112,23 @@ def _as_frequency_grid(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TouchstoneFormat:
-    """Option-line contents: unit, parameter kind, encoding, reference ohms."""
+    """How a file spells its values: frequency unit and value encoding.
+
+    The option line's R is not part of it: it is the trace's z0.
+    """
 
     frequency_unit: str = "GHZ"
-    parameter_kind: str = "S"
     value_format: str = "RI"
-    reference_resistance: float = 50.0
 
     def __post_init__(self):
         unit = self.frequency_unit.upper()
         if unit not in _UNIT_SCALE:
             raise ValueError(f"unknown frequency unit {self.frequency_unit!r}")
-        if self.parameter_kind.upper() != "S":
-            raise ValueError("only S-parameter data is supported")
         fmt = self.value_format.upper()
         if fmt not in _VALUE_FORMATS:
             raise ValueError(f"unknown value format {self.value_format!r}")
-        if not self.reference_resistance > 0:
-            raise ValueError("reference resistance must be positive")
         object.__setattr__(self, "frequency_unit", unit)
-        object.__setattr__(self, "parameter_kind", "S")
         object.__setattr__(self, "value_format", fmt)
-        object.__setattr__(self, "reference_resistance", float(self.reference_resistance))
 
 
 @dataclass(frozen=True)
@@ -153,32 +160,25 @@ class OnePortTrace:
         object.__setattr__(self, "comments", comments)
 
 
-def _parse_option_line(line: str, lineno: int) -> TouchstoneFormat:
+def _parse_option_line(line: str, lineno: int) -> tuple[TouchstoneFormat, float]:
+    """The format and reference resistance an option line declares."""
     tokens = line[1:].split()
-    unit = param = vfmt = None
-    resistance = None
+    found: dict[str, str] = {}
+    resistance = 50.0
     i = 0
     while i < len(tokens):
         tok = tokens[i].upper()
-        if tok in _UNIT_SCALE:
-            if unit is not None:
-                raise MalformedOptionLine(f"line {lineno}: duplicate frequency unit")
-            unit = tok
-        elif tok in _VALUE_FORMATS:
-            if vfmt is not None:
-                raise MalformedOptionLine(f"line {lineno}: duplicate value format")
-            vfmt = tok
-        elif tok == "S":
-            if param is not None:
-                raise MalformedOptionLine(f"line {lineno}: duplicate parameter kind")
-            param = tok
-        elif tok in _OTHER_PARAMETER_KINDS:
-            raise MalformedOptionLine(
-                f"line {lineno}: only S-parameter files are supported, got {tok!r}"
-            )
-        elif tok == "R":
-            if resistance is not None:
-                raise MalformedOptionLine(f"line {lineno}: duplicate reference resistance")
+        slot = _OPTION_SLOTS.get(tok)
+        if slot is None:
+            if tok in _OTHER_PARAMETER_KINDS:
+                raise MalformedOptionLine(
+                    f"line {lineno}: only S-parameter files are supported, got {tok!r}"
+                )
+            raise MalformedOptionLine(f"line {lineno}: unknown option token {tokens[i]!r}")
+        if slot in found:
+            raise MalformedOptionLine(f"line {lineno}: duplicate {slot}")
+        found[slot] = tok
+        if tok == "R":
             i += 1
             if i >= len(tokens):
                 raise MalformedOptionLine(f"line {lineno}: R token needs a value")
@@ -190,15 +190,9 @@ def _parse_option_line(line: str, lineno: int) -> TouchstoneFormat:
                 ) from None
             if resistance <= 0:
                 raise MalformedOptionLine(f"line {lineno}: reference resistance must be positive")
-        else:
-            raise MalformedOptionLine(f"line {lineno}: unknown option token {tokens[i]!r}")
         i += 1
-    return TouchstoneFormat(
-        frequency_unit=unit or "GHZ",
-        parameter_kind=param or "S",
-        value_format=vfmt or "MA",
-        reference_resistance=50.0 if resistance is None else resistance,
-    )
+    fmt = TouchstoneFormat(found.get("frequency unit", "GHZ"), found.get("value format", "MA"))
+    return fmt, resistance
 
 
 def _to_complex(value_format: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -245,15 +239,15 @@ def _misplaced(kind: str, text: str, lineno: int) -> MalformedOptionLine:
     return MalformedOptionLine(f"line {lineno}: data row before the option line")
 
 
-def _read_header(lines: list[str]) -> tuple[list[str], TouchstoneFormat, int]:
-    """Comments, format and line number of the option line, which ends the header."""
+def _read_header(lines: list[str]) -> tuple[list[str], TouchstoneFormat, float, int]:
+    """Comments, option-line format and R, and the option line's number, which ends the header."""
     comments = []
     for lineno, raw in enumerate(lines, start=1):
         kind, text = _line_kind(raw)
         if kind == "!":
             comments.append(text)
         elif kind == "#":
-            return comments, _parse_option_line(text, lineno), lineno
+            return comments, *_parse_option_line(text, lineno), lineno
         elif kind:
             raise _misplaced(kind, text, lineno)
     raise MalformedOptionLine("missing option line")
@@ -294,10 +288,12 @@ def _body_error(lines: list[str], start: int, nonfinite_row: int | None = None) 
 def parse_touchstone(text: str) -> tuple[OnePortTrace, TouchstoneFormat]:
     """Parse one-port Touchstone text into a trace and its declared format.
 
-    The header is walked line by line up to the option line; the body goes
-    to one np.loadtxt call, and its '!' lines follow the header's on the
-    trace, verbatim and in file order.  Only a bad body is walked, to name
-    the offending line.  Errors, first match wins:
+    The option line's R (50 if absent) becomes the trace's z0; the format
+    holds its unit and value encoding.  The header is walked line by line
+    up to the option line; the body goes to one np.loadtxt call, and its
+    '!' lines follow the header's on the trace, verbatim and in file order.
+    Only a bad body is walked, to name the offending line.  Errors, first
+    match wins:
 
     1. MalformedOptionLine: a bad header, or a '#' or '[' line in the body;
     2. WrongColumnCount: the first row without 3 numeric columns;
@@ -306,7 +302,7 @@ def parse_touchstone(text: str) -> tuple[OnePortTrace, TouchstoneFormat]:
     5. WrongColumnCount: the first row whose S11 is not finite.
     """
     lines = text.splitlines()
-    comments, fmt, start = _read_header(lines)
+    comments, fmt, z0, start = _read_header(lines)
     body = lines[start:]
     if "!" in "".join(body):
         marked = (_line_kind(raw) for raw in body if "!" in raw)
@@ -330,30 +326,22 @@ def parse_touchstone(text: str) -> tuple[OnePortTrace, TouchstoneFormat]:
     bad = np.flatnonzero(~np.isfinite(s11))
     if bad.size:
         raise _body_error(lines, start, int(bad[0]))
-    trace = OnePortTrace(freqs, s11, z0=fmt.reference_resistance, comments=tuple(comments))
+    trace = OnePortTrace(freqs, s11, z0=z0, comments=tuple(comments))
     return trace, fmt
 
 
 def write_touchstone(trace: OnePortTrace, fmt: TouchstoneFormat) -> str:
     """Serialize a trace in the requested format; inverse of parse_touchstone.
 
-    The option line's R token is the trace's z0, so the two must agree;
-    renormalize first to change the reference impedance.  Each row is
-    exactly what '%.12e %.12e %.12e' prints: a numpy formatter (see
-    _format_rows) writes the body 2048 rows at a time, and hands the few
+    The option line's R token is the trace's z0; renormalize the trace to
+    write another reference impedance.  Each row is exactly what
+    '%.12e %.12e %.12e' prints: a numpy formatter (see _format_rows)
+    writes the body 2048 rows at a time, and hands the few
     values it cannot round with certainty (within 4e-3 of a .5 tie after
     scaling, whose error is at most 2.3e-3) and zeros, subnormals and
     magnitudes beyond 1e280 to Python's '%'.
     """
-    if abs(fmt.reference_resistance - trace.z0) > 1e-12 * trace.z0:
-        raise ValueError(
-            f"format declares R {fmt.reference_resistance:g} but trace z0 is {trace.z0:g}; "
-            "renormalize the trace first"
-        )
-    header = list(trace.comments)
-    header.append(
-        f"# {fmt.frequency_unit} S {fmt.value_format} R {fmt.reference_resistance:.12g}"
-    )
+    header = [*trace.comments, f"# {fmt.frequency_unit} S {fmt.value_format} R {trace.z0:.12g}"]
     freqs = trace.frequencies / _UNIT_SCALE[fmt.frequency_unit]
     col_a, col_b = _from_complex(fmt.value_format, trace.s11)
     rows = np.column_stack((freqs, col_a, col_b))

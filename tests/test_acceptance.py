@@ -146,7 +146,7 @@ def test_file_format_round_trip():
     cases = 0
     for unit in ("HZ", "KHZ", "MHZ", "GHZ"):
         for value_format in ("RI", "MA", "DB"):
-            fmt = TouchstoneFormat(unit, "S", value_format, 50.0)
+            fmt = TouchstoneFormat(unit, value_format)
             for _ in range(9):
                 n = int(rng.integers(16, 64))
                 f = np.sort(rng.uniform(1e6, 4e10, n))

@@ -199,8 +199,7 @@ def test_convert_renormalizes(fixture_dir, tmp_path):
     src = fixture_dir / "deviceB.s1p"
     out = tmp_path / "b75.s1p"
     assert cli.main(["convert", str(src), str(out), "--z0", "75"]) == 0
-    conv, fmt = parse_touchstone(out.read_text())
-    assert fmt.reference_resistance == 75.0
+    conv, _ = parse_touchstone(out.read_text())
     assert conv.z0 == 75.0
     # admittance is the invariant under the change of reference
     from sawkit.network import s_to_y
@@ -546,6 +545,8 @@ def bad_inputs(fixture_dir, tmp_path_factory):
         # numbers JSON can carry but a float cannot hold
         ("fs_huge_integer", {"f_s_hz": 10**400}),
         ("lambda_huge_integer", {"lambda_nm": 10**400}),
+        ("lambda_negative", {"lambda_nm": -400}),
+        ("lambda_zero", {"lambda_nm": 0}),
         ("q_max_nan", {"q_max": float("nan")}),
         ("fom_infinity", {"fom": float("inf")}),
         ("keff2_minus_infinity", {"keff2": float("-inf")}),
@@ -563,11 +564,16 @@ def bad_inputs(fixture_dir, tmp_path_factory):
     (out / "geometry_nan_h_elec.json").write_text(json.dumps({**geometry, "h_elec_m": float("nan")}))
     (out / "geometry_fractional_n_e.json").write_text(json.dumps({**geometry, "n_e": 2.5}))
     (out / "geometry_huge_integer.json").write_text(json.dumps({**geometry, "lambda_m": 10**400}))
+    (out / "geometry_no_duty.json").write_text(
+        json.dumps({k: v for k, v in geometry.items() if k != "duty"})
+    )
+    (out / "geometry_string.json").write_text(json.dumps({**geometry, "h_ln_m": "7e-7"}))
     params = json.loads((fixture_dir / "deviceA.params.json").read_text())
     for name, extra in (
         ("infinite_l_m", {"l_m_h": float("inf")}),
         ("infinite_c_0", {"c_0_f": float("inf")}),
         ("huge_integer", {"r_s_ohm": 10**400}),
+        ("string", {"r_s_ohm": "0.5"}),
     ):
         (out / f"params_{name}.json").write_text(json.dumps({**params, **extra}))
     (out / "infinite_velocity_table.csv").write_text(
@@ -689,6 +695,11 @@ EXIT_CODE_CASES = {
         2,
         "params JSON values must be finite numbers",
     ),
+    "synth-params-string": (
+        "synth {bad}/params_string.json -o {tmp}/o.s1p --f-lo 8e9 --f-hi 10e9 --points 3",
+        2,
+        "params JSON values must be numbers",
+    ),
     "fit-init-infinite-l-m": (
         "fit {fx}/deviceA.s1p --init {bad}/params_infinite_l_m.json -o {tmp}/f.json",
         2,
@@ -727,6 +738,16 @@ EXIT_CODE_CASES = {
         "sweep {bad}/geometry_huge_integer.json --axis lambda --values 4e-7",
         2,
         "geometry JSON key 'lambda_m' must be a finite number",
+    ),
+    "sweep-geometry-without-duty": (
+        "sweep {bad}/geometry_no_duty.json --axis lambda --values 4e-7",
+        2,
+        "geometry JSON missing keys: duty",
+    ),
+    "sweep-geometry-string": (
+        "sweep {bad}/geometry_string.json --axis lambda --values 4e-7",
+        2,
+        "geometry JSON key 'h_ln_m' must be a number",
     ),
     "sweep-nan-h-elec": ("sweep {bad}/geometry.json --axis h_elec --values nan", 2, "h_elec must be finite"),
     "sweep-infinite-wavelength": (
@@ -769,6 +790,16 @@ EXIT_CODE_CASES = {
         "report {bad}/lambda_huge_integer.json",
         2,
         "report key 'lambda_nm' must be a finite number or null",
+    ),
+    "report-lambda-negative": (
+        "report {bad}/lambda_negative.json",
+        2,
+        "lambda_negative.json: lambda_nm must be positive and finite",
+    ),
+    "report-lambda-zero": (
+        "report {bad}/lambda_zero.json --sort-lambda",
+        2,
+        "lambda_zero.json: lambda_nm must be positive and finite",
     ),
     "report-q-max-nan": (
         "report {bad}/q_max_nan.json", 2, "report key 'q_max' must be a finite number"
@@ -824,7 +855,7 @@ def test_every_error_type_has_a_cli_exit_code():
     found = list(_subclasses(SawkitError))
     assert len(found) >= 14
     for cls in [SawkitError, *found]:
-        assert cls.exit_code in (cli.EXIT_PARSE, cli.EXIT_EXTRACT), cls.__name__
+        assert cls.exit_code in (cli.EXIT_PARSE, 3), cls.__name__
 
 
 def test_extract_rejects_non_finite_s11(fixture_dir, tmp_path, capsys):

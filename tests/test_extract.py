@@ -316,6 +316,15 @@ def test_report_csv_row(device_trace):
     assert CSV_HEADER == "device,lambda_nm,f_s_GHz,keff2_pct,q_max,fom"
 
 
+@pytest.mark.parametrize("lambda_nm", [float("nan"), float("inf"), 0.0, -400.0])
+def test_report_refuses_a_wavelength_that_is_not_positive_and_finite(device_trace, lambda_nm):
+    rep = full_extraction(device_trace)
+    with pytest.raises(ValueError, match="lambda_nm must be positive and finite"):
+        report_to_json(rep, lambda_nm=lambda_nm)
+    with pytest.raises(ValueError, match="lambda_nm must be positive and finite"):
+        report_csv_row(rep, lambda_nm=lambda_nm)
+
+
 def test_extraction_work_counts(monkeypatch, device_trace, device_fp):
     # operation counts, not timings: one circle fit per tune and one
     # admittance conversion per extraction

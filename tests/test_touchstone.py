@@ -49,7 +49,7 @@ def test_option_line_defaults():
     trace, fmt = parse_touchstone(text)
     assert fmt.frequency_unit == "GHZ"
     assert fmt.value_format == "MA"
-    assert fmt.reference_resistance == 50.0
+    assert trace.z0 == 50.0
     np.testing.assert_allclose(trace.frequencies, [1e9, 2e9])
     np.testing.assert_allclose(trace.s11[0], 0.3)
 
@@ -154,6 +154,28 @@ def test_trace_rejects_non_finite_s11(bad):
         OnePortTrace(frequencies=[1e9, 2e9, 3e9], s11=s11, z0=50.0)
 
 
+_GRID = [1e9, 2e9]
+_ZEROS = np.zeros(2, complex)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TouchstoneFormat("THZ", "RI"), "unknown frequency unit 'THZ'"),
+        (lambda: TouchstoneFormat("GHZ", "XY"), "unknown value format 'XY'"),
+        (lambda: OnePortTrace(_GRID, np.zeros(3, complex), 50.0), "must have the same length"),
+        (lambda: OnePortTrace(_GRID, _ZEROS, 0.0), "z0 must be positive"),
+        (lambda: OnePortTrace(_GRID, _ZEROS, -50.0), "z0 must be positive"),
+        (lambda: touchstone._as_frequency_grid([_GRID, _GRID]), "must be one-dimensional"),
+        (lambda: touchstone._as_frequency_grid([1e9]), "needs at least 2 samples"),
+    ],
+    ids=["unit", "value-format", "length", "zero-z0", "negative-z0", "2-d-grid", "1-sample-grid"],
+)
+def test_constructors_refuse_invalid_values(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def _random_trace(rng, n=40):
     f = np.sort(rng.uniform(1e8, 2e10, n))
     while np.any(np.diff(f) <= 0):  # pragma: no cover - vanishingly unlikely
@@ -169,7 +191,7 @@ def test_write_has_full_precision():
         s11=np.array([0.123456789012345 + 0.9j, -0.5 + 0.25j]),
         z0=50.0,
     )
-    text = write_touchstone(trace, TouchstoneFormat("HZ", "S", "RI", 50.0))
+    text = write_touchstone(trace, TouchstoneFormat("HZ", "RI"))
     # twelve significant digits survive the serialization
     assert "1.234567890123e-01" in text
 
@@ -179,7 +201,7 @@ def test_roundtrip_all_formats():
     trace = _random_trace(rng)
     for unit in ("HZ", "KHZ", "MHZ", "GHZ"):
         for vf in ("RI", "MA", "DB"):
-            fmt = TouchstoneFormat(unit, "S", vf, 50.0)
+            fmt = TouchstoneFormat(unit, vf)
             back, _ = parse_touchstone(write_touchstone(trace, fmt))
             np.testing.assert_allclose(back.frequencies, trace.frequencies, rtol=1e-9)
             np.testing.assert_allclose(back.s11, trace.s11, rtol=1e-9, atol=1e-13)
@@ -191,18 +213,10 @@ def test_write_angles_stay_in_principal_range():
         s11=np.array([-1.0 + 0.0j, -0.5 - 1e-18j]),
         z0=50.0,
     )
-    text = write_touchstone(trace, TouchstoneFormat("GHZ", "S", "MA", 50.0))
+    text = write_touchstone(trace, TouchstoneFormat("GHZ", "MA"))
     angles = [float(line.split()[2]) for line in text.splitlines() if not line.startswith(("#", "!"))]
     for a in angles:
         assert -180.0 < a <= 180.0
-
-
-def test_write_reference_mismatch_rejected():
-    trace = OnePortTrace(
-        frequencies=np.array([1e9, 2e9]), s11=np.zeros(2, complex), z0=50.0
-    )
-    with pytest.raises(ValueError):
-        write_touchstone(trace, TouchstoneFormat("GHZ", "S", "RI", 75.0))
 
 
 def test_comments_roundtrip():
@@ -212,7 +226,7 @@ def test_comments_roundtrip():
         z0=50.0,
         comments=("! fixture deembedded", "! wafer 12"),
     )
-    text = write_touchstone(trace, TouchstoneFormat("GHZ", "S", "RI", 50.0))
+    text = write_touchstone(trace, TouchstoneFormat("GHZ", "RI"))
     back, _ = parse_touchstone(text)
     assert back.comments == trace.comments
 
@@ -220,7 +234,7 @@ def test_comments_roundtrip():
 def _write_rows_reference(trace, fmt):
     # the per-row writer the bulk format replaced, kept as the reference
     lines = list(trace.comments)
-    lines.append(f"# {fmt.frequency_unit} S {fmt.value_format} R {fmt.reference_resistance:.12g}")
+    lines.append(f"# {fmt.frequency_unit} S {fmt.value_format} R {trace.z0:.12g}")
     scale = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}[fmt.frequency_unit]
     s = trace.s11
     if fmt.value_format == "RI":
@@ -247,7 +261,7 @@ def test_write_matches_per_row_reference(value_format):
         z0=50.0,
         comments=("! reference",),
     )
-    fmt = TouchstoneFormat("GHZ", "S", value_format, 50.0)
+    fmt = TouchstoneFormat("GHZ", value_format)
     assert write_touchstone(trace, fmt) == _write_rows_reference(trace, fmt)
 
 
@@ -489,7 +503,7 @@ def test_body_formatter_single_row():
 def test_write_matches_per_row_reference_across_chunks(n, unit, value_format):
     # 2049 and 16001 rows cross one and seven boundaries between formatting passes
     trace = _random_trace(np.random.default_rng(n), n=n)
-    fmt = TouchstoneFormat(unit, "S", value_format, 50.0)
+    fmt = TouchstoneFormat(unit, value_format)
     assert write_touchstone(trace, fmt) == _write_rows_reference(trace, fmt)
 
 
@@ -507,6 +521,6 @@ def test_write_fallback_runs_and_stays_exact(monkeypatch):
     ties = [0.12345678901235, -4.4444444444445e-3, 1.0000000000005]
     s11 = np.array([0.0, *ties, 1e290, 0.25]) + 0.25j
     trace = OnePortTrace(np.arange(1.0, 7.0) * 1e9, s11, 50.0)
-    fmt = TouchstoneFormat("GHZ", "S", "RI", 50.0)
+    fmt = TouchstoneFormat("GHZ", "RI")
     assert write_touchstone(trace, fmt) == _write_rows_reference(trace, fmt)
     assert sent == [5]
