@@ -6,13 +6,16 @@ duty factor.  A prediction is piecewise-linear in h_ln/lambda inside a
 (family, duty) group; electrode thickness and duty are not modeled, so
 mismatches against the anchors surface as warnings on the result.
 
-A group holds its columns as tuples of Python floats: with five anchors a
-lookup is a handful of float operations, which numpy scalars would only
-slow down.  What depends on the table alone (each family's groups in
-fallback order, each group's invertibility and reach) is computed once when
-the table is built, and a lookup finds its segment once for all three
-columns.  A duty without anchors falls back to the nearest duty whose group
-can serve the request.
+A sweep is evaluated as float64 arrays over the whole axis: one division
+for h_ln/lambda, one group choice, one np.searchsorted per group and one
+interpolation of v_p, keff2 and h_elec/lambda together, in the scalar
+formula's order of operations, so every value has the bits that formula
+gives.  Strings are formatted only for rows that warn or fail.  A lookup
+and a prediction are the one-row case of the same evaluation.  What depends
+on the table alone (each family's groups in fallback order, each group's
+segments, invertibility, reach and anchor products) is computed once when
+the table is built.  A duty without anchors falls back to the nearest duty
+whose group can serve the request.
 
 A DeviceGeometry holds only what the model reads: wavelength, h_ln, h_elec
 and duty.  Its geometry JSON has one key for each and may carry others,
@@ -30,6 +33,8 @@ from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import OutOfTableRange, TargetOutOfRange
 
 _CSV_HEADER = [
@@ -46,6 +51,15 @@ _H_ELEC_WARN_RTOL = 0.02
 _DUTY_MATCH_ATOL = 1e-9
 _RATIO_MATCH_RTOL = 1e-12
 
+# DeviceGeometry field -> (in range, message); written with & so that one
+# rule checks a geometry's float and a sweep's whole column
+_GEOMETRY_RULES = {
+    "wavelength": (lambda x: (0.0 < x) & (x < math.inf), "wavelength must be positive and finite"),
+    "h_ln": (lambda x: (0.0 < x) & (x < math.inf), "h_ln must be positive and finite"),
+    "h_elec": (lambda x: (0.0 <= x) & (x < math.inf), "h_elec must be finite and >= 0"),
+    "duty": (lambda x: (0.0 < x) & (x < 1.0), "duty must lie in (0, 1)"),
+}
+
 
 @dataclass(frozen=True)
 class DeviceGeometry:
@@ -57,21 +71,9 @@ class DeviceGeometry:
     duty: float
 
     def __post_init__(self):
-        for name in ("wavelength", "h_ln"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if not 0.0 <= self.h_elec < math.inf:
-            raise ValueError("h_elec must be finite and >= 0")
-        if not 0.0 < self.duty < 1.0:
-            raise ValueError("duty must lie in (0, 1)")
-
-    @property
-    def h_ln_ratio(self) -> float:
-        return self.h_ln / self.wavelength
-
-    @property
-    def h_elec_ratio(self) -> float:
-        return self.h_elec / self.wavelength
+        for name, (in_range, message) in _GEOMETRY_RULES.items():
+            if not in_range(getattr(self, name)):
+                raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -102,14 +104,23 @@ class DispersionAnchor:
 class _Group(NamedTuple):
     ratios: tuple[float, ...]
     v_p: tuple[float, ...]
-    keff2: tuple[float, ...]
-    h_elec_ratio: tuple[float, ...]
+    # v_k r_k at each anchor (= f_s h_ln there), which scale_to_frequency
+    # searches for the segment that brackets a target
+    products: tuple[float, ...]
     # f_s(lambda) = v_p(h_ln/lambda) / lambda is strictly monotone, so
     # scale_to_frequency can invert it
     invertible: bool
     # thickness ratios a lookup serves without extrapolating: the hull plus
     # the rounding slack, or the single anchor within _RATIO_MATCH_RTOL
     reach: tuple[float, float]
+    # segment k runs from starts[k] over spans[k]; columns[:, k] holds v_p,
+    # keff2 and h_elec/lambda at its start and steps[:, k] their rise along
+    # it.  A single anchor is one segment that does not rise.
+    inner: np.ndarray  # the anchors between the end ones, searched for the segment
+    starts: np.ndarray
+    spans: np.ndarray
+    columns: np.ndarray
+    steps: np.ndarray
 
 
 class TablePoint(NamedTuple):
@@ -119,31 +130,12 @@ class TablePoint(NamedTuple):
     warnings: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     value: float
     f_s: float | None
     keff2: float | None
     warnings: tuple[str, ...] = ()
     error: str | None = None
-
-
-def _segment(ratios: tuple[float, ...], ratio: float) -> tuple[int, float]:
-    """Segment index and fraction; the end segments extend past the hull.
-
-    An inner anchor belongs to the segment that ends at it (bisect_left).
-    """
-    if ratio <= ratios[0]:
-        i = 0
-    elif ratio >= ratios[-1]:
-        i = len(ratios) - 2
-    else:
-        i = bisect_left(ratios, ratio) - 1
-    return i, (ratio - ratios[i]) / (ratios[i + 1] - ratios[i])
-
-
-def _interp_column(column: tuple[float, ...], i: int, t: float) -> float:
-    return column[i] + t * (column[i + 1] - column[i])
 
 
 def _is_invertible(ratios: tuple[float, ...], v_p: tuple[float, ...]) -> bool:
@@ -153,6 +145,31 @@ def _is_invertible(ratios: tuple[float, ...], v_p: tuple[float, ...]) -> bool:
         if not (v_p[i] + ratios[i] * slope > 0 and v_p[i + 1] + ratios[i + 1] * slope > 0):
             return False
     return True
+
+
+def _build_group(members: list[DispersionAnchor]) -> _Group:
+    ratios = tuple(float(a.h_ln_over_lambda) for a in members)
+    v_p = tuple(float(a.v_p) for a in members)
+    slack = 1e-9 if len(ratios) > 1 else _RATIO_MATCH_RTOL
+    r = np.array(ratios)
+    c = np.array([v_p, [a.keff2 for a in members], [a.h_elec_over_lambda for a in members]],
+                 dtype=float)
+    if len(ratios) == 1:
+        starts, spans, columns, steps = r, np.ones(1), c, np.zeros((3, 1))
+    else:
+        starts, spans, columns, steps = r[:-1], np.diff(r), c[:, :-1], np.diff(c)
+    return _Group(
+        ratios=ratios,
+        v_p=v_p,
+        products=tuple(v * r for v, r in zip(v_p, ratios)),
+        invertible=_is_invertible(ratios, v_p),
+        reach=(ratios[0] * (1.0 - slack), ratios[-1] * (1.0 + slack)),
+        inner=r[1:-1],
+        starts=starts,
+        spans=spans,
+        columns=columns,
+        steps=steps,
+    )
 
 
 class DispersionTable:
@@ -170,26 +187,17 @@ class DispersionTable:
         self._families: dict[str, list[tuple[float, _Group]]] = {}
         for (family, duty), members in groups.items():
             members = sorted(members, key=lambda a: a.h_ln_over_lambda)
-            ratios = tuple(float(a.h_ln_over_lambda) for a in members)
+            ratios = [a.h_ln_over_lambda for a in members]
             if any(b <= a for a, b in zip(ratios, ratios[1:])):
                 raise ValueError(
                     f"anchors in group {(family, duty)} share a thickness ratio"
                 )
-            v_p = tuple(float(a.v_p) for a in members)
+            v_p = [a.v_p for a in members]
             if (family, duty) == ("measured", 0.5) and any(
                 b >= a for a, b in zip(v_p, v_p[1:])
             ):
                 raise ValueError("measured 50%-duty anchors must have strictly decreasing v_p")
-            slack = 1e-9 if len(ratios) > 1 else _RATIO_MATCH_RTOL
-            group = _Group(
-                ratios=ratios,
-                v_p=v_p,
-                keff2=tuple(float(a.keff2) for a in members),
-                h_elec_ratio=tuple(float(a.h_elec_over_lambda) for a in members),
-                invertible=_is_invertible(ratios, v_p),
-                reach=(ratios[0] * (1.0 - slack), ratios[-1] * (1.0 + slack)),
-            )
-            self._families.setdefault(family, []).append((duty, group))
+            self._families.setdefault(family, []).append((duty, _build_group(members)))
         # better-populated groups first (stable, so first-seen among equals):
         # the fallback scan keeps the earlier of two equally near duties
         for members in self._families.values():
@@ -199,40 +207,124 @@ class DispersionTable:
     def families(self) -> tuple[str, ...]:
         return tuple(sorted(self._families))
 
-    def _select_group(
-        self, family: str, duty: float, ratio: float | None = None, extrapolate: bool = False
-    ) -> tuple[_Group, tuple[str, ...]]:
-        """The group at this duty, else the nearest duty that can serve the request.
-
-        A lookup (ratio given) can be served by a group whose reach covers
-        the ratio, or by any multi-anchor group when it may extrapolate; an
-        inversion (ratio None) by any multi-anchor group.  When no group
-        can, the nearest duty of all is taken and its lookup raises as usual.
-        Duties within _DUTY_MATCH_ATOL of each other tie, and a tie goes to
-        the better-populated group.
-        """
+    def _members(self, family: str) -> list[tuple[float, _Group]]:
         members = self._families.get(family)
         if members is None:
             raise ValueError(
                 f"unknown family {family!r}; table has {', '.join(self.families())}"
             )
-        best = best_serves = best_gap = None
-        for d, group in members:
+        return members
+
+    def _choose(self, family: str, duty, serves):
+        """Per request, the index of its group among _members(family), and
+        whether the request fell back from a duty without anchors.
+
+        The group at this duty wins, else the nearest duty whose group
+        serves(group) the request; when none does, the nearest duty of all
+        is taken and its lookup raises as usual.  Duties within
+        _DUTY_MATCH_ATOL of each other tie, and a tie goes to the
+        better-populated group.  Written with &, |, ^ and products of bools
+        only, so the same lines take a float duty with bool serves and a
+        sweep's arrays, returning an int and a bool or arrays of them.
+        """
+        members = self._members(family)
+        choice = 0
+        best_serves = serves(members[0][1])
+        best_gap = abs(members[0][0] - duty)
+        open_ = (best_gap <= _DUTY_MATCH_ATOL) ^ True  # no group at this duty yet
+        for k in range(1, len(members)):
+            d, group = members[k]
             gap = abs(d - duty)
-            if gap <= _DUTY_MATCH_ATOL:
-                return group, ()
-            multi = len(group.ratios) > 1
-            serves = multi if ratio is None else (
-                group.reach[0] <= ratio <= group.reach[1] or (extrapolate and multi)
+            exact = gap <= _DUTY_MATCH_ATOL
+            s = serves(group)
+            take = open_ & (
+                exact
+                | (s > best_serves)
+                | ((s == best_serves) & (gap < best_gap - _DUTY_MATCH_ATOL))
             )
-            if best is None or serves > best_serves or (
-                serves == best_serves and gap < best_gap - _DUTY_MATCH_ATOL
-            ):
-                best, best_serves, best_gap = (d, group), serves, gap
-        warning = (
-            f"duty {duty:g} has no anchors in family {family!r}; using duty {best[0]:g} anchors"
-        )
-        return best[1], (warning,)
+            keep = take ^ True
+            choice = take * k + keep * choice
+            best_serves = (take & s) | (keep & best_serves)
+            best_gap = take * gap + keep * best_gap
+            open_ = open_ & (exact ^ True)
+        return choice, open_
+
+    def _evaluate(self, ratio: np.ndarray, family: str, duty: np.ndarray, extrapolate: bool):
+        """(v_p, keff2, anchor h_elec/lambda) as a (3, n) array at n thickness
+        ratios and duties, the n rows' warnings, and {row: error} for the rows
+        that cannot be served.
+
+        Thickness ratios arrive as h_ln/lambda divisions whose rounding can
+        land a hair outside the hull, so a ratio within a group's reach is
+        clipped to its hull.  Searching the inner anchors (side left) puts an
+        inner anchor in the segment that ends at it and extends the end
+        segments past the hull.
+        """
+        members = self._members(family)
+
+        def serves(group):
+            multi = extrapolate and len(group.ratios) > 1
+            return ((group.reach[0] <= ratio) & (ratio <= group.reach[1])) | multi
+
+        with np.errstate(invalid="ignore"):  # an infinite duty blends 0 * inf
+            choice, fell_back = self._choose(family, duty, serves)
+        choice = np.broadcast_to(choice, ratio.shape)
+        n = ratio.size
+        values = np.empty((3, n))
+        warnings_: list[tuple[str, ...]] = [()] * n
+        errors: dict[int, str] = {}
+        duties, choices = duty.tolist(), choice.tolist()
+        notes: dict[tuple[float, int], str] = {}  # one per duty and group
+        for i in np.flatnonzero(fell_back).tolist():
+            key = (duties[i], choices[i])
+            if key not in notes:
+                notes[key] = (
+                    f"duty {key[0]:g} has no anchors in family {family!r}; "
+                    f"using duty {members[key[1]][0]:g} anchors"
+                )
+            warnings_[i] = (notes[key],)
+        for k, (_, group) in enumerate(members):
+            rows = np.flatnonzero(choice == k)
+            if rows.size == 0:
+                continue
+            r = ratio[rows]
+            lo, hi = group.ratios[0], group.ratios[-1]
+            in_reach = (group.reach[0] <= r) & (r <= group.reach[1])
+            extrapolated = ~in_reach & ~np.isnan(r) & (extrapolate and len(group.ratios) > 1)
+            clipped = np.where(extrapolated, r, np.clip(r, lo, hi))
+            i = np.searchsorted(group.inner, clipped)
+            with np.errstate(all="ignore"):  # far extrapolation may overflow
+                t = (clipped - group.starts[i]) / group.spans[i]
+                point = group.columns[:, i] + t * group.steps[:, i]
+            values[:, rows] = point
+            missed = np.flatnonzero(~in_reach).tolist()
+            if not missed:
+                continue
+            hull = f"[{lo:g}, {hi:g}]"
+            rows, r, (v_p, keff2, _) = rows.tolist(), r.tolist(), point.tolist()
+            extrapolated = extrapolated.tolist()
+            for j in missed:
+                row, x, v, k2 = rows[j], r[j], v_p[j], keff2[j]
+                if len(group.ratios) == 1:
+                    errors[row] = (
+                        f"family {family!r} at duty {duties[row]:g} has a single anchor at "
+                        f"h_ln/lambda = {lo:g}; cannot interpolate to {x:g}"
+                    )
+                elif not extrapolated[j]:
+                    errors[row] = f"h_ln/lambda = {x:g} outside table hull {hull} for family {family!r}"
+                # what is extrapolated must keep the range DispersionAnchor enforces
+                elif not 0.0 < v < math.inf:
+                    errors[row] = (
+                        f"h_ln/lambda = {x:g} extrapolates to v_p = {v:g} m/s "
+                        "(must be positive and finite)"
+                    )
+                elif not 0.0 <= k2 < 1.0:
+                    errors[row] = (
+                        f"h_ln/lambda = {x:g} extrapolates to keff2 = {k2:g} (must lie in [0, 1))"
+                    )
+                else:
+                    warnings_[row] += (f"h_ln/lambda = {x:g} extrapolated beyond {hull}",)
+        return values, warnings_, errors
 
     def lookup(
         self,
@@ -242,39 +334,13 @@ class DispersionTable:
         allow_extrapolation: bool = False,
     ) -> TablePoint:
         """Interpolated (v_p, keff2, anchor h_elec/lambda) at a thickness ratio."""
-        group, warnings_ = self._select_group(family, duty, ratio, allow_extrapolation)
-        ratios = group.ratios
-        lo, hi = ratios[0], ratios[-1]
-        reach_lo, reach_hi = group.reach
-        if len(ratios) == 1:
-            if not reach_lo <= ratio <= reach_hi:
-                raise OutOfTableRange(
-                    f"family {family!r} at duty {duty:g} has a single anchor at "
-                    f"h_ln/lambda = {lo:g}; cannot interpolate to {ratio:g}"
-                )
-            return TablePoint(group.v_p[0], group.keff2[0], group.h_elec_ratio[0], warnings_)
-        # thickness ratios arrive as h_ln/lambda divisions whose rounding can
-        # land a hair outside the hull; forgive sub-ppb overshoot at the edges
-        if reach_lo <= ratio < lo:
-            ratio = lo
-        elif hi < ratio <= reach_hi:
-            ratio = hi
-        if not lo <= ratio <= hi:
-            if not allow_extrapolation or math.isnan(ratio):
-                raise OutOfTableRange(
-                    f"h_ln/lambda = {ratio:g} outside table hull "
-                    f"[{lo:g}, {hi:g}] for family {family!r}"
-                )
-            warnings_ = warnings_ + (
-                f"h_ln/lambda = {ratio:g} extrapolated beyond [{lo:g}, {hi:g}]",
-            )
-        i, t = _segment(ratios, ratio)
-        return TablePoint(
-            _interp_column(group.v_p, i, t),
-            _interp_column(group.keff2, i, t),
-            _interp_column(group.h_elec_ratio, i, t),
-            warnings_,
+        values, warnings_, errors = self._evaluate(
+            np.array([ratio], dtype=float), family, np.array([duty], dtype=float),
+            allow_extrapolation,
         )
+        if errors:
+            raise OutOfTableRange(errors[0])
+        return TablePoint(*values[:, 0].tolist(), warnings_[0])
 
 
 def load_dispersion_csv(text: str) -> DispersionTable:
@@ -316,17 +382,27 @@ def builtin_dispersion_table() -> DispersionTable:
     return load_dispersion_csv(text)
 
 
-def _h_elec_warning(geometry: DeviceGeometry, point: TablePoint) -> tuple[str, ...]:
-    anchor = point.h_elec_over_lambda
-    if anchor <= 0:
-        return ()
-    mismatch = abs(geometry.h_elec_ratio - anchor) / anchor
-    if mismatch > _H_ELEC_WARN_RTOL:
-        return (
-            f"h_elec/lambda = {geometry.h_elec_ratio:g} differs from the anchor value "
-            f"{anchor:g}; electrode loading is not modeled",
-        )
-    return ()
+def _predict_rows(wavelength, h_ln, h_elec, duty, table, family, extrapolate):
+    """f_s and keff2 lists, warnings and {row: error} for geometry columns.
+
+    f_s = v_p(h_ln/lambda) / lambda, keff2 is the interpolated coupling, and
+    the warnings are the lookup's plus any electrode-thickness mismatch.
+    """
+    values, warnings_, errors = table._evaluate(h_ln / wavelength, family, duty, extrapolate)
+    h_elec_ratio = h_elec / wavelength
+    anchor = values[2]
+    with np.errstate(all="ignore"):  # an anchor h_elec/lambda may be 0
+        f_s = values[0] / wavelength
+        mismatch = np.abs(h_elec_ratio - anchor) / anchor
+    mismatched = np.flatnonzero((anchor > 0) & (mismatch > _H_ELEC_WARN_RTOL)).tolist()
+    if mismatched:
+        h_elec_ratio, anchor = h_elec_ratio.tolist(), anchor.tolist()
+        for i in (i for i in mismatched if i not in errors):
+            warnings_[i] += (
+                f"h_elec/lambda = {h_elec_ratio[i]:g} differs from the anchor value "
+                f"{anchor[i]:g}; electrode loading is not modeled",
+            )
+    return f_s.tolist(), values[1].tolist(), warnings_, errors
 
 
 def predict(
@@ -335,17 +411,12 @@ def predict(
     family: str = "measured",
     allow_extrapolation: bool = False,
 ) -> tuple[float, float, tuple[str, ...]]:
-    """(f_s, keff2, warnings) for a geometry from a single table lookup.
-
-    f_s = v_p(h_ln/lambda) / lambda, keff2 is the interpolated coupling, and
-    the warnings are the lookup's plus any electrode-thickness mismatch.
-    """
-    point = table.lookup(geometry.h_ln_ratio, family, geometry.duty, allow_extrapolation)
-    return (
-        point.v_p / geometry.wavelength,
-        point.keff2,
-        point.warnings + _h_elec_warning(geometry, point),
-    )
+    """(f_s, keff2, warnings) for a geometry: the one-row case of sweep."""
+    columns = (np.array([getattr(geometry, f)]) for f in _SWEEP_AXES.values())
+    f_s, keff2, warnings_, errors = _predict_rows(*columns, table, family, allow_extrapolation)
+    if errors:
+        raise OutOfTableRange(errors[0])
+    return f_s[0], keff2[0], warnings_[0]
 
 
 def scale_to_frequency(
@@ -373,15 +444,15 @@ def scale_to_frequency(
         raise ValueError("rel_tol must be > 0")
     if not target_fs > 0 or not 0.0 < h_ln < math.inf:
         raise ValueError("target_fs must be positive and h_ln positive and finite")
-    group, _ = table._select_group(family, duty)
-    ratios, v_p = group.ratios, group.v_p
+    k, _ = table._choose(family, duty, lambda group: len(group.ratios) > 1)
+    group = table._members(family)[k][1]
+    ratios, v_p, products = group.ratios, group.v_p, group.products
     if len(ratios) < 2:
         raise TargetOutOfRange(
             f"family {family!r} at duty {duty:g} has a single anchor; cannot invert"
         )
     if not group.invertible:
         raise ValueError("dispersion table is not monotone enough to invert f_s(lambda)")
-    products = [v * r for v, r in zip(v_p, ratios)]
     f_min = products[0] / h_ln
     f_max = products[-1] / h_ln
     if not f_min * (1.0 - 1e-12) <= target_fs <= f_max * (1.0 + 1e-12):
@@ -395,7 +466,8 @@ def scale_to_frequency(
     return (a + math.sqrt(a * a + 4.0 * target_fs * slope * h_ln)) / (2.0 * target_fs)
 
 
-# sweep axis name -> DeviceGeometry field; every field is an axis
+# sweep axis name -> DeviceGeometry field; every field is an axis, listed in
+# the order _predict_rows takes the columns
 _SWEEP_AXES = {"lambda": "wavelength", "h_ln": "h_ln", "h_elec": "h_elec", "duty": "duty"}
 
 
@@ -409,24 +481,30 @@ def sweep(
 ) -> list[SweepRow]:
     """Predict (f_s, keff2) while varying one geometry field.
 
+    A value the geometry refuses raises its ValueError for the whole sweep.
     Per-value table misses are recorded on the row instead of aborting the
     sweep; warnings are carried through from the predictions.
     """
     if axis not in _SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; choose from {', '.join(_SWEEP_AXES)}")
     field = _SWEEP_AXES[axis]
-    kwargs = {f: getattr(base, f) for f in _SWEEP_AXES.values()}
-    rows: list[SweepRow] = []
-    for value in values:
-        kwargs[field] = value = float(value)
-        geometry = DeviceGeometry(**kwargs)
-        try:
-            f_s, keff2, warnings_ = predict(geometry, table, family, allow_extrapolation)
-        except OutOfTableRange as exc:
-            rows.append(SweepRow(value=value, f_s=None, keff2=None, error=str(exc)))
-            continue
-        rows.append(SweepRow(value, f_s, keff2, warnings_))
-    return rows
+    values = [float(v) for v in values]
+    column = np.array(values, dtype=float)
+    in_range, message = _GEOMETRY_RULES[field]
+    if not in_range(column).all():
+        raise ValueError(message)
+    columns = [
+        column if f == field else np.full(column.size, getattr(base, f))
+        for f in _SWEEP_AXES.values()
+    ]
+    f_s, keff2, warnings_, errors = _predict_rows(
+        *columns, table, family, allow_extrapolation
+    )
+    errors_ = [None] * len(values)
+    for i, error in errors.items():
+        f_s[i] = keff2[i] = None
+        warnings_[i], errors_[i] = (), error
+    return list(map(SweepRow._make, zip(values, f_s, keff2, warnings_, errors_)))
 
 
 _GEOMETRY_JSON_KEYS = {

@@ -15,6 +15,7 @@ stays in memory on ExtractionReport.q_bode.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -288,8 +289,12 @@ def format_number(x: float) -> str:
 
 
 def check_lambda_nm(lambda_nm: float | None) -> None:
-    """Raise ValueError unless the summary wavelength is None or positive and finite."""
-    if lambda_nm is not None and not 0.0 < lambda_nm < np.inf:
+    """Raise ValueError unless the summary wavelength is None or positive and finite.
+
+    The bound is the largest float, not inf: an int too large for a float
+    still compares below inf.
+    """
+    if lambda_nm is not None and not 0.0 < lambda_nm <= sys.float_info.max:
         raise ValueError("lambda_nm must be positive and finite")
 
 

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,3 +361,192 @@ def test_scale_to_frequency_is_exact_to_rounding(table):
             for r, v in anchors:
                 lam = scale_to_frequency(v * r / h_ln, h_ln, synthetic, family)
                 assert abs(lam / (h_ln / r) - 1.0) <= 1e-15, (family, h_ln, r)
+
+
+# --- golden sweep --------------------------------------------------------
+#
+# tests/data/sweep_golden.json was written by the per-row sweep that walked
+# DeviceGeometry -> predict -> lookup once per value.  Every float is stored
+# as float.hex, so the array evaluation must reproduce each row to the bit.
+
+GOLDEN = Path(__file__).parent / "data" / "sweep_golden.json"
+_EDGE_LO = 1.75 * (1 - 5e-10)  # forgiven: inside the hull's sub-ppb slack
+_EDGE_HI = 2.92 * (1 + 5e-10)
+_PAST_LO = 1.75 * (1 - 2e-9)  # not forgiven
+_PAST_HI = 2.92 * (1 + 2e-9)
+_GOLDEN_VALUES = {
+    # h_ln = 0.7 um: the five 50 %-duty anchors, inner points, both forgiven
+    # edges, both just-missed edges, points past the hull and far beyond it
+    "lambda": [H_LN / r for r in (1.75, 1.94, 2.16, 2.36, 2.92, _EDGE_LO, _EDGE_HI,
+                                  _PAST_LO, _PAST_HI)]
+    + [3.2e-7, 3e-7, 2.5e-7, 4.4e-7, 2.2e-7, 1e-8, 1e-5],
+    # lambda = 400 nm
+    "h_ln": [400e-9 * r for r in (1.75, 1.94, 2.92, _EDGE_LO, _EDGE_HI, _PAST_HI)]
+    + [9e-7, 6e-7, 1.2e-6, 2e-6, 4e-6],
+    "h_elec": [0.0, 4e-8, 4.08e-8, 4.1e-8, 2e-8, 1e-7],
+    "duty": [0.5, 0.6, 0.65, 0.69999, 0.7, 0.70001, 0.3, 0.95, 0.5 + 5e-10, 0.7 - 5e-10],
+}
+
+
+def _golden_cases():
+    """(name, base geometry, axis, values, family, allow_extrapolation)."""
+    cases = []
+    for family in ("measured", "simulated"):
+        for extrapolate in (False, True):
+            tag = f"{family}/{'extrapolate' if extrapolate else 'hull'}"
+            for axis, duties in (
+                ("lambda", (0.5, 0.6, 0.69999, 0.7)),
+                ("h_ln", (0.5, 0.6, 0.69999, 0.7)),
+                ("h_elec", (0.5, 0.7)),
+            ):
+                for duty in duties:
+                    base = DeviceGeometry(400e-9, H_LN, H_ELEC, duty)
+                    cases.append((f"{axis}/{tag}/duty={duty:g}", base, axis,
+                                  _GOLDEN_VALUES[axis], family, extrapolate))
+            for lam in (400e-9, 300e-9):
+                base = DeviceGeometry(lam, H_LN, H_ELEC, 0.5)
+                cases.append((f"duty/{tag}/lambda={lam:g}", base, "duty",
+                               _GOLDEN_VALUES["duty"], family, extrapolate))
+    base = DeviceGeometry(400e-9, H_LN, H_ELEC, 0.5)
+    for axis, values in (
+        ("lambda", [4e-7, -1e-7, math.nan]),
+        ("lambda", [math.inf]),
+        ("h_ln", [7e-7, 0.0]),
+        ("h_elec", [-1e-9]),
+        ("h_elec", [math.nan]),
+        ("duty", [0.5, 1.0]),
+        ("duty", [0.0]),
+    ):
+        cases.append((f"invalid/{axis}/{values[-1]!r}", base, axis, values, "measured", False))
+    cases.append(("invalid/family", base, "lambda", [4e-7], "nope", False))
+    return cases
+
+
+def _hex(x):
+    return None if x is None else float.hex(x)
+
+
+def _golden_records():
+    """Case name -> the sweep's rows as [value, f_s, keff2, warnings, error],
+    or the message of the ValueError it raised."""
+    records = {}
+    for name, base, axis, values, family, extrapolate in _golden_cases():
+        try:
+            rows = sweep(base, axis, values, builtin_dispersion_table(), family, extrapolate)
+        except ValueError as exc:
+            records[name] = f"{type(exc).__name__}: {exc}"
+            continue
+        records[name] = [
+            [_hex(row.value), _hex(row.f_s), _hex(row.keff2), list(row.warnings), row.error]
+            for row in rows
+        ]
+    return records
+
+
+def _golden_text(records):
+    """JSON with one case name or row per line, so a changed row diffs alone."""
+    lines = []
+    for name, rows in records.items():
+        if isinstance(rows, str):
+            lines.append(f"{json.dumps(name)}: {json.dumps(rows)}")
+        else:
+            body = ",\n".join(f"  {json.dumps(row)}" for row in rows)
+            lines.append(f"{json.dumps(name)}: [\n{body}\n]")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+# rows the per-row sweep wrote with a negative v_p or keff2: extrapolated to
+# h_ln/lambda = 70 (lambda = 10 nm), 5 (h_ln = 2 um) or 10 (h_ln = 4 um)
+_REFUSED = {
+    ("lambda/measured/extrapolate/duty=0.5", 14),
+    ("lambda/measured/extrapolate/duty=0.6", 14),
+    ("lambda/measured/extrapolate/duty=0.69999", 14),
+    ("lambda/simulated/extrapolate/duty=0.5", 14),
+    ("lambda/simulated/extrapolate/duty=0.6", 14),
+    ("lambda/simulated/extrapolate/duty=0.69999", 14),
+    ("lambda/simulated/extrapolate/duty=0.7", 14),
+    ("h_ln/measured/extrapolate/duty=0.5", 9),
+    ("h_ln/measured/extrapolate/duty=0.5", 10),
+    ("h_ln/measured/extrapolate/duty=0.6", 9),
+    ("h_ln/measured/extrapolate/duty=0.6", 10),
+    ("h_ln/measured/extrapolate/duty=0.69999", 9),
+    ("h_ln/measured/extrapolate/duty=0.69999", 10),
+    ("h_ln/simulated/extrapolate/duty=0.5", 10),
+    ("h_ln/simulated/extrapolate/duty=0.6", 10),
+    ("h_ln/simulated/extrapolate/duty=0.69999", 10),
+    ("h_ln/simulated/extrapolate/duty=0.7", 10),
+}
+
+
+def test_sweep_reproduces_the_golden_rows_to_the_bit():
+    golden = json.loads(GOLDEN.read_text())
+    records = _golden_records()
+    for name, i in _REFUSED:
+        value, f_s, keff2, warnings, error = records[name][i]
+        assert (value, f_s, keff2, warnings) == (golden[name][i][0], None, None, []), (name, i)
+        assert "extrapolates to" in error, (name, i)
+        records[name][i] = golden[name][i]
+    assert _golden_text(records) == GOLDEN.read_text()
+
+
+def test_lookup_and_predict_are_the_one_row_case_of_sweep(table):
+    for family in ("measured", "simulated"):
+        for duty in (0.5, 0.6, 0.7):
+            for extrapolate in (False, True):
+                base = DeviceGeometry(400e-9, H_LN, H_ELEC, duty)
+                values = _GOLDEN_VALUES["lambda"]
+                rows = sweep(base, "lambda", values, table, family, extrapolate)
+                for lam, row in zip(values, rows):
+                    geometry = DeviceGeometry(lam, H_LN, H_ELEC, duty)
+                    if row.error is not None:
+                        with pytest.raises(OutOfTableRange) as info:
+                            predict(geometry, table, family, extrapolate)
+                        assert str(info.value) == row.error
+                        with pytest.raises(OutOfTableRange) as info:
+                            table.lookup(H_LN / lam, family, duty, extrapolate)
+                        assert str(info.value) == row.error
+                        continue
+                    assert predict(geometry, table, family, extrapolate) == row[1:4]
+                    point = table.lookup(H_LN / lam, family, duty, extrapolate)
+                    assert point.v_p / lam == row.f_s and point.keff2 == row.keff2
+                    assert point.warnings == row.warnings[: len(point.warnings)]
+
+
+def test_sweep_refuses_an_invalid_value_for_the_whole_sweep(table):
+    with pytest.raises(ValueError, match="wavelength must be positive and finite"):
+        sweep(_geometry(400.0), "lambda", [4e-7, -1e-7, math.nan], table)
+
+
+def test_extrapolation_refuses_a_non_positive_velocity(table):
+    # h_ln/lambda = 70: the last measured segment runs v_p far below zero
+    rows = sweep(_geometry(400.0), "lambda", [4e-7, 1e-8], table, allow_extrapolation=True)
+    assert rows[0].error is None
+    assert rows[1][1:] == (None, None, (), rows[1].error)
+    assert rows[1].error.startswith("h_ln/lambda = 70 extrapolates to v_p = -")
+    with pytest.raises(OutOfTableRange, match=r"v_p = -\S+ m/s \(must be positive and finite\)"):
+        table.lookup(70.0, "measured", allow_extrapolation=True)
+
+
+def test_extrapolation_refuses_a_coupling_outside_the_unit_interval(table):
+    # h_ln/lambda = 5 keeps v_p > 0 but takes keff2 below zero
+    geometry = DeviceGeometry(400e-9, 2e-6, H_ELEC, 0.5)
+    with pytest.raises(OutOfTableRange, match=r"keff2 = -0.00428571 \(must lie in \[0, 1\)\)"):
+        predict(geometry, table, allow_extrapolation=True)
+    # a rising coupling extrapolated past 1
+    rising = DispersionTable((
+        DispersionAnchor(1.0, 0.1, 0.5, 3000.0, 0.5, "rising", ""),
+        DispersionAnchor(2.0, 0.1, 0.5, 2900.0, 0.9, "rising", ""),
+    ))
+    assert rising.lookup(2.2, "rising", allow_extrapolation=True).keff2 < 1.0
+    with pytest.raises(OutOfTableRange, match=r"keff2 = 1.02 \(must lie in \[0, 1\)\)"):
+        rising.lookup(2.3, "rising", allow_extrapolation=True)
+
+
+def test_an_inner_anchor_is_read_from_the_segment_that_ends_at_it():
+    # keff2 0.1 -> 0.45 -> 0.2: read from the first segment at t = 1 the inner
+    # anchor gives 0.1 + (0.45 - 0.1) = 0.44999999999999996, not 0.45
+    steps = DispersionTable(
+        DispersionAnchor(r, 0.1, 0.5, 3000.0, k, "steps", "")
+        for r, k in ((1.0, 0.1), (2.0, 0.45), (3.0, 0.2))
+    )
+    assert steps.lookup(2.0, "steps").keff2 == 0.1 + (0.45 - 0.1) != 0.45

@@ -24,6 +24,7 @@ from sawkit.extract import (
     q_max,
     report_csv_row,
     report_to_json,
+    summary_fields,
 )
 from sawkit.network import AdmittanceTrace, OnePortTrace, passivity_violations, s_to_y
 
@@ -323,6 +324,19 @@ def test_report_refuses_a_wavelength_that_is_not_positive_and_finite(device_trac
         report_to_json(rep, lambda_nm=lambda_nm)
     with pytest.raises(ValueError, match="lambda_nm must be positive and finite"):
         report_csv_row(rep, lambda_nm=lambda_nm)
+
+
+def test_summary_refuses_an_integer_wavelength_too_large_for_a_float():
+    with pytest.raises(ValueError, match="lambda_nm must be positive and finite"):
+        summary_fields("a", 10**400, 9e9, 0.1, 100.0, 10.0)
+    assert summary_fields("a", 400, 9e9, 0.1, 100.0, 10.0)[1] == "400"
+
+
+def test_report_json_refuses_an_integer_wavelength_too_large_for_a_float(device_trace):
+    rep = full_extraction(device_trace)
+    with pytest.raises(ValueError, match="lambda_nm must be positive and finite"):
+        report_to_json(rep, lambda_nm=10**400)
+    assert report_to_json(rep, lambda_nm=400)["lambda_nm"] == 400
 
 
 def test_extraction_work_counts(monkeypatch, device_trace, device_fp):
