@@ -399,7 +399,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("-o", "--output", help="fit JSON path (default: <input>.fit.json, '-' for stdout)")
     p.add_argument("--init", help="params JSON to start from (default: closed-form guess)")
-    p.add_argument("--max-iter", type=int, default=200)
+    p.add_argument("--max-iter", type=int, default=200,
+                   help="Jacobian builds allowed in all (default 200): the coarse stage on "
+                        "every k-th sample and the full-trace polish share them, and the "
+                        "polish keeps at least one")
     p.add_argument("--report", action="store_true",
                    help="also compare measured vs fitted-model coupling")
     p.set_defaults(func=cmd_fit)

@@ -438,8 +438,12 @@ def scale_to_frequency(
     d(v r)/dr = -2 at r = 2; so the invertibility check made when the table
     is built decides (raised here).  A target outside the anchor hull raises
     TargetOutOfRange.  The result is exact to rounding, so it always meets
-    rel_tol, a relative bound on f_s that must be > 0.
+    rel_tol, a relative bound on f_s that must be > 0.  duty must pass
+    DeviceGeometry's rule (finite, 0 < duty < 1).
     """
+    in_range, message = _GEOMETRY_RULES["duty"]
+    if not in_range(duty):
+        raise ValueError(message)
     if not rel_tol > 0:
         raise ValueError("rel_tol must be > 0")
     if not target_fs > 0 or not 0.0 < h_ln < math.inf:

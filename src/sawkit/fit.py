@@ -6,17 +6,29 @@ the series peak and the parallel notch carry comparable weight.  The
 Jacobian is the closed-form dY/dlog(element) of the mBVD kernel, built
 from the terms the accepted trial step already evaluated (mbvd._terms,
 mbvd._jacobian), so an iteration evaluates the model once per trial step:
-never twice at one point, never by finite differences.  The weights go
+never twice at one point of one sample set, never by finite differences.  The weights go
 into the Jacobian's three base vectors, and its rows are read through a
 float view, real and imaginary parts interleaved, which gives the same
 J J^T and J r as stacking them.  The damping ladder stops as soon as the
 damped step is below the step tolerance, since more damping only shortens
-it.  The procedure is deterministic: no randomness, fixed traversal order.
+it.  A step below it is still taken when it lowers the cost, then the
+descent stops.  The procedure is deterministic: no randomness, fixed
+traversal order.
+
+The descent runs twice (coarse-to-fine continuation; Madsen, Nielsen &
+Tingleff 2004): first on every k-th sample with the weights the whole trace
+gives them, then on all samples.  k is the largest stride that keeps 8
+samples per motional linewidth f_s/Q_m of the start (at the grid's mean
+spacing) and 512 samples in all, so short or very-high-Q traces get k = 1
+and no coarse stage.  The full-trace stage starts from whichever of the
+start and the coarse result fits the whole trace better, so a misleading
+coarse stage costs time but never fit quality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +42,7 @@ _LOG_CM_C0_CAP = np.log(8.0)
 # stop when the relative cost improvement of an accepted step drops below this
 _RESIDUAL_TOL = 1e-10
 # or when a damped step, relative to the parameter vector, is shorter than
-# this; checked before the trial step is evaluated
+# this; such a step is the last one tried, and taken if it lowers the cost
 _STEP_TOL = 1e-8
 _INITIAL_DAMPING = 1e-3
 _DAMPING_FACTOR = 10.0
@@ -40,6 +52,10 @@ _R_FLOOR = 1e-6
 # largest accepted per-iteration move of any single log-parameter;
 # near-flat directions otherwise produce basin-hopping steps
 _MAX_LOG_STEP = 4.0
+# the coarse stage keeps at least this many samples per motional linewidth
+# of the start, and this many samples in all
+_COARSE_SAMPLES_PER_LINEWIDTH = 8
+_COARSE_MIN_SAMPLES = 512
 
 
 @dataclass(frozen=True)
@@ -48,9 +64,14 @@ class FitResult:
 
     stop_reason is one of "cost_tolerance" (an accepted step improved the
     cost by less than the tolerance), "step_tolerance" (the damped step
-    shrank below the step tolerance), "damping_exhausted" (no damping in
-    range lowered the cost; converged tells whether the remaining gap was
-    within tolerance) or "iteration_budget".
+    shrank below the step tolerance; it was taken if it lowered the cost),
+    "damping_exhausted" (no damping in range lowered the cost; converged
+    tells whether the remaining gap was within tolerance) or
+    "iteration_budget"; it and converged describe the full-trace stage.  iterations counts every Jacobian build, the
+    coarse_iterations built on every coarse_stride-th sample included
+    (coarse_stride 1: there was no coarse stage).  cost_history holds
+    whole-trace costs: the start's, the coarse result's when the full-trace
+    stage starts from it, then one per accepted full-trace step.
     """
 
     params: MbvdParams
@@ -59,6 +80,8 @@ class FitResult:
     converged: bool
     stop_reason: str
     cost_history: tuple[float, ...] = ()
+    coarse_stride: int = 1
+    coarse_iterations: int = 0
 
 
 def initial_guess(trace: AdmittanceTrace) -> MbvdParams:
@@ -123,54 +146,55 @@ def _align_resonance(trace: AdmittanceTrace, init: MbvdParams) -> MbvdParams:
         return init
 
 
-def fit_mbvd(
-    trace: AdmittanceTrace,
-    init: MbvdParams,
-    max_iterations: int = 200,
-) -> FitResult:
-    """Refine mBVD elements against measured admittance.
+class _Samples(NamedTuple):
+    """What a descent reads of a trace: angular frequencies, their inverses,
+    the measured admittance and its residual weights, on one set of samples."""
 
-    The initial point is first retuned onto the measured |Y| peak (see
-    _align_resonance), then polished by damped Gauss-Newton for at most
-    max_iterations steps.  Returns best-so-far with converged=False when
-    the iteration budget or the damping range is exhausted.  Raises
-    ValueError when max_iterations < 1 and NonFiniteResidual when the
-    model cannot be evaluated at the initial point.
-    """
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
-    freqs = trace.frequencies
-    target = trace.y
-    scale = float(np.abs(target).max())
-    if not scale > 0:
-        raise NonFiniteResidual("admittance trace is identically zero")
-    sqrt_weight = 1.0 / np.maximum(np.abs(target), 0.01 * scale)
-    w = 2.0 * np.pi * freqs
-    inv_w = 1.0 / w
+    w: np.ndarray
+    inv_w: np.ndarray
+    target: np.ndarray
+    sqrt_weight: np.ndarray
 
-    def evaluate(x: np.ndarray) -> tuple[tuple, np.ndarray]:
+    def every(self, stride: int) -> _Samples:
+        """Every stride-th sample, with the weights the full trace gave it."""
+        return _Samples(*(np.ascontiguousarray(a[::stride]) for a in self))
+
+    def evaluate(self, x: np.ndarray) -> tuple[tuple, np.ndarray]:
         """Model terms at x and the weighted misfit (2n floats, real and imaginary interleaved)."""
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            terms = _terms(*_elements(x), w, inv_w)
-            diff = terms[0] - target
-            diff *= sqrt_weight
+            terms = _terms(*_elements(x), self.w, self.inv_w)
+            diff = terms[0] - self.target
+            diff *= self.sqrt_weight
         return terms, diff.view(float)
 
-    def normal_equations(x: np.ndarray, terms: tuple, misfit: np.ndarray):
+    def normal_equations(self, x: np.ndarray, terms: tuple, misfit: np.ndarray):
         """J J^T and J r, with J the (6, 2n) d misfit / d x built from the terms at x."""
         values = _elements(x)
         # a resistance held at the floor does not move with its log-parameter
         values[:3][x[:3] < np.log(_R_FLOOR)] = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            jac = _jacobian(*values, w, inv_w, terms, sqrt_weight).view(float)
+            jac = _jacobian(*values, self.w, self.inv_w, terms, self.sqrt_weight).view(float)
         return jac @ jac.T, jac @ misfit
 
-    init = _align_resonance(trace, init)
-    x = _log_vector(init)
-    terms, current = evaluate(x)
-    if not np.all(np.isfinite(current)):
-        raise NonFiniteResidual("model admittance is not finite at the initial point")
-    cost = float(current @ current)
+
+class _Descent(NamedTuple):
+    """Where one damped Gauss-Newton descent stopped, the model terms there,
+    the accepted costs from its start on, and why it stopped."""
+
+    x: np.ndarray
+    terms: tuple
+    history: list
+    iterations: int
+    converged: bool
+    stop_reason: str
+
+
+def _descend(samples: _Samples, x, terms, misfit, max_iterations: int) -> _Descent:
+    """Damped Gauss-Newton from x, whose terms and finite misfit on samples are given.
+
+    One Jacobian build per iteration, for at most max_iterations.
+    """
+    cost = float(misfit @ misfit)
     history = [cost]
     damping = _INITIAL_DAMPING
     identity = np.eye(x.size)
@@ -179,7 +203,7 @@ def fit_mbvd(
     iterations = 0
 
     for iterations in range(1, max_iterations + 1):
-        jtj, jtr = normal_equations(x, terms, current)
+        jtj, jtr = samples.normal_equations(x, terms, misfit)
         if not (np.all(np.isfinite(jtj)) and np.all(np.isfinite(jtr))):
             raise NonFiniteResidual("Jacobian is not finite")
         accepted = False
@@ -191,10 +215,9 @@ def fit_mbvd(
                 damping *= _DAMPING_FACTOR
                 continue
             # more damping only shortens the step: once it is this small
-            # there is nothing left to try at this point
+            # there is nothing left to try at this point but the step itself
             if float(np.linalg.norm(step)) / max(float(np.linalg.norm(x)), 1.0) < _STEP_TOL:
                 converged, stop_reason = True, "step_tolerance"
-                break
             x_trial = x + step
             # reject steps that leave the parameter sanity region or move
             # too far at once: near-flat directions otherwise carry the
@@ -203,42 +226,125 @@ def fit_mbvd(
                 float(np.abs(step).max()) > _MAX_LOG_STEP
                 or x_trial[4] >= x_trial[5] + _LOG_CM_C0_CAP
             ):
+                if converged:
+                    break
                 damping *= _DAMPING_FACTOR
                 continue
-            trial_terms, trial = evaluate(x_trial)
+            trial_terms, trial = samples.evaluate(x_trial)
             trial_cost = float(trial @ trial) if np.all(np.isfinite(trial)) else np.inf
             if trial_cost < cost:
                 accepted = True
                 break
+            if converged:
+                break
             if np.isfinite(trial_cost):
                 best_gap = min(best_gap, trial_cost - cost)
             damping *= _DAMPING_FACTOR
-        if converged:
-            break
         if not accepted:
-            # no strictly decreasing step exists in the damping range; a
-            # vanishing gap means we are sitting at a minimum
-            converged = best_gap <= _RESIDUAL_TOL * max(cost, 1e-300)
-            stop_reason = "damping_exhausted"
+            if not converged:
+                # no strictly decreasing step exists in the damping range; a
+                # vanishing gap means we are sitting at a minimum
+                converged = best_gap <= _RESIDUAL_TOL * max(cost, 1e-300)
+                stop_reason = "damping_exhausted"
             break
         improvement = (cost - trial_cost) / cost if cost > 0 else 0.0
-        x, terms, current, cost = x_trial, trial_terms, trial, trial_cost
+        x, terms, misfit, cost = x_trial, trial_terms, trial, trial_cost
         history.append(cost)
         damping = max(damping / _DAMPING_FACTOR, 1e-15)
+        if converged:
+            break
         if improvement < _RESIDUAL_TOL:
             converged, stop_reason = True, "cost_tolerance"
             break
+    return _Descent(x, terms, history, iterations, converged, stop_reason)
 
-    params = MbvdParams(*(float(v) for v in _elements(x)))
+
+def _coarse_stride(freqs: np.ndarray, elements: np.ndarray) -> int:
+    """Largest stride that keeps enough samples per motional linewidth and in all.
+
+    The linewidth f_s/Q_m = r_m/(2 pi l_m) is the start's; the spacing is the
+    grid's mean.  1 means the trace is too short or the resonance too narrow
+    for a coarse stage.
+    """
+    linewidth = elements[2] / (2.0 * np.pi * elements[3])
+    spacing = (freqs[-1] - freqs[0]) / (freqs.size - 1)
+    by_linewidth = linewidth / (_COARSE_SAMPLES_PER_LINEWIDTH * spacing)
+    # every k-th of n samples keeps (n - 1) // k + 1 of them
+    by_count = (freqs.size - 1) // (_COARSE_MIN_SAMPLES - 1)
+    return max(1, int(min(by_linewidth, by_count)))
+
+
+def fit_mbvd(
+    trace: AdmittanceTrace,
+    init: MbvdParams,
+    max_iterations: int = 200,
+) -> FitResult:
+    """Refine mBVD elements against measured admittance.
+
+    The initial point is first retuned onto the measured |Y| peak (see
+    _align_resonance).  Damped Gauss-Newton then descends on every k-th
+    sample (k from _coarse_stride; none when k = 1) and polishes on all of
+    them, from whichever of the start and the coarse result fits the whole
+    trace better.  max_iterations bounds the Jacobian builds of both stages
+    together, and the coarse stage leaves at least one to the full trace.
+    Returns best-so-far with converged=False when the iteration budget or
+    the damping range is exhausted.  Raises ValueError when
+    max_iterations < 1, and NonFiniteResidual when the admittance has a
+    non-finite sample or is identically zero, or when the model cannot be
+    evaluated at the initial point.
+    """
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
+    freqs = trace.frequencies
+    target = trace.y
+    magnitude = np.abs(target)
+    scale = float(magnitude.max())
+    # a NaN or infinite sample makes the largest magnitude NaN or inf
+    if not scale < np.inf:
+        first = freqs[np.argmin(np.isfinite(target))]
+        raise NonFiniteResidual(f"admittance is not finite at {float(first)!r} Hz")
+    if not scale > 0:
+        raise NonFiniteResidual("admittance trace is identically zero")
+    w = 2.0 * np.pi * freqs
+    full = _Samples(w, 1.0 / w, target, 1.0 / np.maximum(magnitude, 0.01 * scale))
+
+    init = _align_resonance(trace, init)
+    x = _log_vector(init)
+    terms, misfit = full.evaluate(x)
+    if not np.all(np.isfinite(misfit)):
+        raise NonFiniteResidual("model admittance is not finite at the initial point")
+    history = [float(misfit @ misfit)]
+    # a coarse stage needs a budget that leaves the full trace an iteration,
+    # and a damping ladder with a rung to try
+    can_descend = max_iterations > 1 and _INITIAL_DAMPING <= _MAX_DAMPING
+    stride = _coarse_stride(freqs, _elements(x)) if can_descend else 1
+    coarse_iterations = 0
+    if stride > 1:
+        coarse = full.every(stride)
+        descent = _descend(coarse, x, *coarse.evaluate(x), max_iterations - 1)
+        coarse_iterations = descent.iterations
+        # the polish starts from the coarse result only where it fits the
+        # whole trace better than the start did
+        coarse_terms, coarse_misfit = full.evaluate(descent.x)
+        coarse_cost = float(coarse_misfit @ coarse_misfit)
+        if coarse_cost < history[0]:
+            x, terms, misfit = descent.x, coarse_terms, coarse_misfit
+            history.append(coarse_cost)
+    polish = _descend(full, x, terms, misfit, max_iterations - coarse_iterations)
+
+    params = MbvdParams(*(float(v) for v in _elements(polish.x)))
     # the kept model is the admittance of exactly these element values
-    rms = float(np.sqrt(np.mean(np.abs(terms[0] - target) ** 2)))
+    rms = float(np.sqrt(np.mean(np.abs(polish.terms[0] - target) ** 2)))
     return FitResult(
         params=params,
         rms_residual=rms,
-        iterations=iterations,
-        converged=converged,
-        stop_reason=stop_reason,
-        cost_history=tuple(history),
+        iterations=coarse_iterations + polish.iterations,
+        converged=polish.converged,
+        stop_reason=polish.stop_reason,
+        # the polish's history opens with the cost it started from
+        cost_history=tuple(history + polish.history[1:]),
+        coarse_stride=stride,
+        coarse_iterations=coarse_iterations,
     )
 
 
@@ -252,4 +358,6 @@ def result_to_json(result: FitResult) -> dict:
         "converged": result.converged,
         "stop_reason": result.stop_reason,
         "cost_history": list(result.cost_history),
+        "coarse_stride": result.coarse_stride,
+        "coarse_iterations": result.coarse_iterations,
     }

@@ -150,6 +150,22 @@ def test_scale_to_frequency_out_of_range(table):
         scale_to_frequency(1e9, H_LN, table)
 
 
+@pytest.mark.parametrize("duty", [math.nan, 7.0, -1.0, 0.0])
+def test_scale_to_frequency_refuses_a_duty_outside_the_unit_interval(table, duty):
+    # the rule DeviceGeometry applies, checked before the table is read
+    with pytest.raises(ValueError, match=r"duty must lie in \(0, 1\)"):
+        scale_to_frequency(11e9, H_LN, table, duty=duty)
+    # the refusal comes before the other argument checks
+    with pytest.raises(ValueError, match="duty"):
+        scale_to_frequency(-1.0, H_LN, table, duty=duty, rel_tol=0.0)
+
+
+def test_scale_to_frequency_at_valid_duties_is_unchanged(table):
+    # duty 0.6 has no anchors and reads the 50 % group, to the bit
+    for duty in (0.5, 0.6):
+        assert scale_to_frequency(11e9, H_LN, table, duty=duty).hex() == "0x1.57d15eb8ca3a2p-22"
+
+
 def test_sweep_over_wavelength(table):
     values = [lam * 1e-9 for lam, _ in FIFTY_DUTY_DEVICES]
     rows = sweep(_geometry(400.0), "lambda", values, table)

@@ -12,7 +12,7 @@ from sawkit.fit import fit_mbvd, initial_guess, result_to_json
 from sawkit.network import AdmittanceTrace, s_to_y, tune_source_impedance
 from sawkit.touchstone import OnePortTrace
 
-from conftest import C_0, F_S, KEFF2, Q_M
+from conftest import C_0, F_S, KEFF2, Q_M, R_0, R_S
 
 PARAM_FIELDS = ("r_s", "r_0", "r_m", "l_m", "c_m", "c_0")
 
@@ -322,7 +322,7 @@ def test_fit_outputs_come_from_the_kept_model(trace_name, request, monkeypatch):
 
     def logged_jacobian(*args):
         rows = jacobian(*args)
-        jacobians.append((args[8], rows))
+        jacobians.append((args[6], args[8], rows))
         return rows
 
     monkeypatch.setattr(fit, "_terms", logged_kernel)
@@ -332,14 +332,18 @@ def test_fit_outputs_come_from_the_kept_model(trace_name, request, monkeypatch):
     model = mbvd.admittance(result.params, freqs)
     rms = np.sqrt(np.mean(np.abs(model - target) ** 2))
     assert result.rms_residual == pytest.approx(rms, rel=1e-12, abs=0.0)
-    # each Jacobian is the weighted public one at the point whose terms it
-    # reused, with the rows of floored resistances zeroed
+    # each Jacobian, coarse ones included, is the weighted public one at the
+    # point whose terms it reused, on the samples it was built on, with the
+    # rows of floored resistances zeroed
     weight = 1.0 / np.maximum(np.abs(target), 0.01 * np.abs(target).max())
     floored_rows = 0
-    w = 2.0 * np.pi * freqs
-    for terms, rows in jacobians:
+    full_w = 2.0 * np.pi * freqs
+    for w, terms, rows in jacobians:
+        samples = np.searchsorted(full_w, w)
+        assert np.array_equal(full_w[samples], w)
         elements = next(args for args, kept in evaluations if kept is terms)
-        want = mbvd._jacobian(*elements, w, 1 / w, mbvd._terms(*elements, w, 1 / w), 1.0) * weight
+        want = mbvd._jacobian(*elements, w, 1 / w, mbvd._terms(*elements, w, 1 / w), 1.0)
+        want *= weight[samples]
         for k in range(6):
             if k < 3 and elements[k] == fit._R_FLOOR:
                 floored_rows += 1
@@ -416,3 +420,155 @@ def test_align_resonance_leaves_a_start_it_cannot_rescale_alone(device_params, w
     ratio = mbvd.derived_fs(start) / find_fs_fp(wide_trace)[0]
     assert start.c_m * ratio >= 8.0 * start.c_0
     assert fit._align_resonance(wide_trace, start) is start
+
+
+def test_fit_names_the_first_non_finite_admittance_sample(device_params, wide_trace):
+    freqs = wide_trace.frequencies
+    for bad in (np.nan, np.inf, complex(np.inf, np.inf)):
+        y = wide_trace.y.copy()
+        y[[1234, 2345]] = bad
+        with pytest.raises(NonFiniteResidual, match=f"not finite at {float(freqs[1234])!r} Hz"):
+            fit_mbvd(AdmittanceTrace(freqs, y), device_params)
+    # after the budget check, before the zero-trace check
+    dead = np.zeros(freqs.size, complex)
+    dead[7] = np.nan
+    with pytest.raises(ValueError, match="max_iterations"):
+        fit_mbvd(AdmittanceTrace(freqs, dead), device_params, max_iterations=0)
+    with pytest.raises(NonFiniteResidual, match="not finite"):
+        fit_mbvd(AdmittanceTrace(freqs, dead), device_params)
+
+
+def _single_stage(monkeypatch, trace, start):
+    """The fit with no coarse stage: a minimum sample count above the trace's."""
+    with monkeypatch.context() as patch:
+        patch.setattr(fit, "_COARSE_MIN_SAMPLES", trace.frequencies.size + 1)
+        result = fit_mbvd(trace, start)
+    assert result.coarse_stride == 1 and result.coarse_iterations == 0
+    return result
+
+
+def _assert_same_elements(result, reference):
+    # the parity bounds the two-stage fit keeps against the single-stage one
+    for k, f in enumerate(PARAM_FIELDS):
+        got, want = getattr(result.params, f), getattr(reference.params, f)
+        assert abs(got / want - 1.0) <= (1e-6 if k < 3 else 1e-9), f
+
+
+@pytest.mark.parametrize("trace_name", ["wide_trace", "noisy_wide_trace"])
+def test_two_stage_fit_matches_the_single_stage_descent(trace_name, request, monkeypatch):
+    trace = request.getfixturevalue(trace_name)
+    start = initial_guess(trace)
+    single = _single_stage(monkeypatch, trace, start)
+    result = fit_mbvd(trace, start)
+    assert result.coarse_stride > 1 and result.coarse_iterations > 0
+    assert result.converged and single.converged
+    _assert_same_elements(result, single)
+    # both histories open with the start's whole-trace cost and never rise
+    assert result.cost_history[0] == single.cost_history[0]
+    assert result.cost_history[-1] <= single.cost_history[-1] * (1.0 + 1e-9)
+    assert np.all(np.diff(result.cost_history) <= 0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-3])
+@pytest.mark.parametrize("q_m", [1000.0, 3000.0, 10000.0])
+def test_two_stage_fit_across_q_and_noise(q_m, sigma, monkeypatch):
+    params = mbvd.params_from_metrics(F_S, KEFF2, q_m, C_0, r_s=R_S, r_0=R_0)
+    grid = np.linspace(0.85 * F_S, 1.15 * mbvd.derived_fp(params), 16001)
+    s11 = mbvd.synthesize_s11(params, grid, z0=50.0).s11
+    rng = np.random.default_rng(NOISE_SEED)
+    s11 = s11 + sigma * (
+        rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    ) / np.sqrt(2.0)
+    trace = s_to_y(OnePortTrace(grid, s11, z0=50.0))
+    start = initial_guess(trace)
+    result = fit_mbvd(trace, start)
+    single = _single_stage(monkeypatch, trace, start)
+    assert result.converged and single.converged
+    _assert_same_elements(result, single)
+    if sigma == 0.0:
+        # 8 samples per linewidth of the start at a 208 kHz spacing: a stride
+        # of 5 at Q_m = 1000, none at 3000 and above.  (Under noise the circle
+        # start reads Q_m near 2000 on the two high-Q traces, so they get a
+        # stride of 2 and still land on the single-stage elements.)
+        assert (result.coarse_stride > 1) == (q_m == 1000.0)
+
+
+def test_coarse_stage_never_costs_fit_quality(device_params, noisy_wide_trace, monkeypatch):
+    # from the generating elements the coarse optimum, fitted to a fraction of
+    # the noise, fits the whole trace worse than the start: the polish starts
+    # from the start, exactly as the single-stage descent does
+    result = fit_mbvd(noisy_wide_trace, device_params)
+    single = _single_stage(monkeypatch, noisy_wide_trace, device_params)
+    assert result.coarse_iterations > 0
+    assert np.all(np.diff(result.cost_history) <= 0)
+    assert result.cost_history == single.cost_history
+    assert result.params == single.params
+    assert result.iterations == result.coarse_iterations + single.iterations
+
+
+def test_fit_builds_at_most_three_full_trace_jacobians(noisy_wide_trace, monkeypatch):
+    sizes = []
+    jacobian = fit._jacobian
+
+    def logged_jacobian(*args):
+        sizes.append(args[6].size)
+        return jacobian(*args)
+
+    monkeypatch.setattr(fit, "_jacobian", logged_jacobian)
+    result = fit_mbvd(noisy_wide_trace, initial_guess(noisy_wide_trace))
+    n = noisy_wide_trace.frequencies.size
+    assert result.converged
+    assert len(sizes) == result.iterations
+    assert sizes.count(n) <= 3
+    # every other build is on the coarse samples: every k-th, first included
+    assert sizes.count(len(range(0, n, result.coarse_stride))) == result.coarse_iterations
+
+
+def test_coarse_stride_follows_the_linewidth_and_the_sample_count(device_params):
+    # a 1001-point grid keeps fewer than 512 samples at any stride above 1
+    short = _wide_trace(device_params, n=1001)
+    assert fit_mbvd(short, initial_guess(short)).coarse_stride == 1
+    freqs = np.linspace(8e9, 10e9, 16001)
+    elements = fit._elements(fit._log_vector(device_params))
+    # Q_m = 426: 8 samples per 21 MHz linewidth at a 125 kHz spacing
+    elements[2] *= 0.5
+    linewidth = elements[2] / (2.0 * np.pi * elements[3])
+    assert fit._coarse_stride(freqs, elements) == int(linewidth / (8 * 125e3)) == 21
+    # a wider linewidth is capped by the 512-sample floor: (16001 - 1) // 511
+    wide = elements.copy()
+    wide[2] *= 100.0
+    assert fit._coarse_stride(freqs, wide) == 31
+    assert len(range(0, 16001, 31)) >= 512 > len(range(0, 16001, 32))
+    # stride 2 keeps 512 of 1023 samples but 511 of 1022
+    for n, stride in ((1023, 2), (1022, 1)):
+        assert fit._coarse_stride(np.linspace(8e9, 10e9, n), wide) == stride
+    # a resonance narrower than 8 samples gets no coarse stage
+    narrow = elements.copy()
+    narrow[2] *= 1e-3
+    assert fit._coarse_stride(freqs, narrow) == 1
+
+
+def test_a_step_below_the_step_tolerance_is_tried_once(device_params, wide_trace, monkeypatch):
+    # at the generating elements every step is below tolerance: each stage
+    # tries it once, keeps it only if it lowers the cost, and stops
+    log = []
+    kernel, jacobian = fit._terms, fit._jacobian
+    monkeypatch.setattr(fit, "_terms", lambda *args: log.append("k") or kernel(*args))
+    monkeypatch.setattr(fit, "_jacobian", lambda *args: log.append("j") or jacobian(*args))
+    result = fit_mbvd(wide_trace, device_params)
+    assert result.stop_reason == "step_tolerance" and result.coarse_iterations == 1
+    # start (whole trace), coarse start, its step, the coarse result on the
+    # whole trace, the polish's step
+    assert log == ["k", "k", "j", "k", "k", "j", "k"]
+    assert np.all(np.diff(result.cost_history) <= 0)
+
+
+def test_one_iteration_budget_runs_no_coarse_stage(device_params, wide_trace):
+    # the coarse stage leaves the full trace at least one iteration
+    result = fit_mbvd(wide_trace, initial_guess(wide_trace), max_iterations=1)
+    assert (result.coarse_stride, result.coarse_iterations, result.iterations) == (1, 0, 1)
+    result = fit_mbvd(wide_trace, initial_guess(wide_trace), max_iterations=3)
+    assert result.coarse_iterations == 2 and result.iterations == 3
+    assert result.stop_reason == "iteration_budget"
+    obj = result_to_json(result)
+    assert (obj["coarse_stride"], obj["coarse_iterations"]) == (result.coarse_stride, 2)
