@@ -51,14 +51,27 @@ _H_ELEC_WARN_RTOL = 0.02
 _DUTY_MATCH_ATOL = 1e-9
 _RATIO_MATCH_RTOL = 1e-12
 
-# DeviceGeometry field -> (in range, message); written with & so that one
-# rule checks a geometry's float and a sweep's whole column
-_GEOMETRY_RULES = {
-    "wavelength": (lambda x: (0.0 < x) & (x < math.inf), "wavelength must be positive and finite"),
-    "h_ln": (lambda x: (0.0 < x) & (x < math.inf), "h_ln must be positive and finite"),
-    "h_elec": (lambda x: (0.0 <= x) & (x < math.inf), "h_elec must be finite and >= 0"),
-    "duty": (lambda x: (0.0 < x) & (x < 1.0), "duty must lie in (0, 1)"),
+_POSITIVE_FINITE = (lambda x: (0.0 < x) & (x < math.inf), "must be positive and finite")
+_FINITE_NONNEGATIVE = (lambda x: (0.0 <= x) & (x < math.inf), "must be finite and >= 0")
+# field -> (in range, requirement): the one range of each DeviceGeometry and
+# DispersionAnchor field, which sweep, _evaluate and scale_to_frequency read
+# too; written with & so that one rule checks a float and a sweep's column
+_RULES = {
+    "wavelength": _POSITIVE_FINITE,
+    "h_ln": _POSITIVE_FINITE,
+    "h_elec": _FINITE_NONNEGATIVE,
+    "duty": (lambda x: (0.0 < x) & (x < 1.0), "must lie in (0, 1)"),
+    "h_ln_over_lambda": _POSITIVE_FINITE,
+    "h_elec_over_lambda": _FINITE_NONNEGATIVE,
+    "v_p": _POSITIVE_FINITE,
+    "keff2": (lambda x: (0.0 <= x) & (x < 1.0), "must lie in [0, 1)"),
 }
+
+
+def _unmet(name: str, value: float) -> str:
+    """What _RULES requires of name if value breaks it, else ''."""
+    in_range, requirement = _RULES[name]
+    return "" if in_range(value) else requirement
 
 
 @dataclass(frozen=True)
@@ -71,9 +84,9 @@ class DeviceGeometry:
     duty: float
 
     def __post_init__(self):
-        for name, (in_range, message) in _GEOMETRY_RULES.items():
-            if not in_range(getattr(self, name)):
-                raise ValueError(message)
+        for name in ("wavelength", "h_ln", "h_elec", "duty"):
+            if unmet := _unmet(name, getattr(self, name)):
+                raise ValueError(f"{name} {unmet}")
 
 
 @dataclass(frozen=True)
@@ -87,16 +100,9 @@ class DispersionAnchor:
     provenance: str = ""
 
     def __post_init__(self):
-        if not 0.0 < self.h_ln_over_lambda < math.inf:
-            raise ValueError("h_ln_over_lambda must be positive and finite")
-        if not 0.0 <= self.h_elec_over_lambda < math.inf:
-            raise ValueError("h_elec_over_lambda must be finite and >= 0")
-        if not 0.0 < self.duty < 1.0:
-            raise ValueError("duty must lie in (0, 1)")
-        if not 0.0 < self.v_p < math.inf:
-            raise ValueError("v_p must be positive and finite")
-        if not 0.0 <= self.keff2 < 1.0:
-            raise ValueError("keff2 must lie in [0, 1)")
+        for name in ("h_ln_over_lambda", "h_elec_over_lambda", "duty", "v_p", "keff2"):
+            if unmet := _unmet(name, getattr(self, name)):
+                raise ValueError(f"{name} {unmet}")
         if not self.family:
             raise ValueError("family must be non-empty")
 
@@ -312,16 +318,10 @@ class DispersionTable:
                     )
                 elif not extrapolated[j]:
                     errors[row] = f"h_ln/lambda = {x:g} outside table hull {hull} for family {family!r}"
-                # what is extrapolated must keep the range DispersionAnchor enforces
-                elif not 0.0 < v < math.inf:
-                    errors[row] = (
-                        f"h_ln/lambda = {x:g} extrapolates to v_p = {v:g} m/s "
-                        "(must be positive and finite)"
-                    )
-                elif not 0.0 <= k2 < 1.0:
-                    errors[row] = (
-                        f"h_ln/lambda = {x:g} extrapolates to keff2 = {k2:g} (must lie in [0, 1))"
-                    )
+                elif unmet := _unmet("v_p", v):
+                    errors[row] = f"h_ln/lambda = {x:g} extrapolates to v_p = {v:g} m/s ({unmet})"
+                elif unmet := _unmet("keff2", k2):
+                    errors[row] = f"h_ln/lambda = {x:g} extrapolates to keff2 = {k2:g} ({unmet})"
                 else:
                     warnings_[row] += (f"h_ln/lambda = {x:g} extrapolated beyond {hull}",)
         return values, warnings_, errors
@@ -441,12 +441,11 @@ def scale_to_frequency(
     rel_tol, a relative bound on f_s that must be > 0.  duty must pass
     DeviceGeometry's rule (finite, 0 < duty < 1).
     """
-    in_range, message = _GEOMETRY_RULES["duty"]
-    if not in_range(duty):
-        raise ValueError(message)
+    if unmet := _unmet("duty", duty):
+        raise ValueError(f"duty {unmet}")
     if not rel_tol > 0:
         raise ValueError("rel_tol must be > 0")
-    if not target_fs > 0 or not 0.0 < h_ln < math.inf:
+    if not target_fs > 0 or _unmet("h_ln", h_ln):
         raise ValueError("target_fs must be positive and h_ln positive and finite")
     k, _ = table._choose(family, duty, lambda group: len(group.ratios) > 1)
     group = table._members(family)[k][1]
@@ -494,9 +493,9 @@ def sweep(
     field = _SWEEP_AXES[axis]
     values = [float(v) for v in values]
     column = np.array(values, dtype=float)
-    in_range, message = _GEOMETRY_RULES[field]
+    in_range, requirement = _RULES[field]
     if not in_range(column).all():
-        raise ValueError(message)
+        raise ValueError(f"{field} {requirement}")
     columns = [
         column if f == field else np.full(column.size, getattr(base, f))
         for f in _SWEEP_AXES.values()

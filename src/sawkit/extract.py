@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, EmptyBand, ResonanceNotBracketed, TooFewPoints
+from .mbvd import _COUPLING_FACTOR
 from .network import AdmittanceTrace, _in_band, passivity_violations, s_to_y, tune_source_impedance
 from .touchstone import OnePortTrace
 
@@ -102,11 +103,23 @@ class ExtractionReport:
 
 @dataclass(frozen=True)
 class ExtractOptions:
-    """Band overrides in Hz; None means derive the band from (f_s, f_p)."""
+    """Band overrides in Hz; None means derive the band from (f_s, f_p).
+
+    A band given is (lo, hi), both finite with lo < hi, else ValueError.
+    """
 
     tune_band: tuple[float, float] | None = None
     qmax_band: tuple[float, float] | None = None
     smooth_window: int | None = None
+
+    def __post_init__(self):
+        for name in ("tune_band", "qmax_band"):
+            band = getattr(self, name)
+            if band is not None:
+                lo, hi = map(float, band)
+                if not -np.inf < lo < hi < np.inf:
+                    raise ValueError(f"{name} must be finite with lo < hi")
+                object.__setattr__(self, name, (lo, hi))
 
 
 def _parabolic_refine(x: np.ndarray, v: np.ndarray, i: int) -> float:
@@ -151,7 +164,7 @@ def keff2(f_s: float, f_p: float) -> float:
         raise DomainError("f_s must be positive")
     if f_p < f_s:
         raise DomainError(f"f_p ({f_p:g} Hz) must not be below f_s ({f_s:g} Hz)")
-    return float(np.pi**2 / 8.0 * (f_p**2 - f_s**2) / f_s**2)
+    return float(_COUPLING_FACTOR * (f_p**2 - f_s**2) / f_s**2)
 
 
 def admittance_ratio(trace: AdmittanceTrace, f_s: float, f_p: float) -> AdmittanceRatio:
@@ -248,10 +261,10 @@ def full_extraction(
     f_s, f_p = find_fs_fp(y)
     coupling = keff2(f_s, f_p)
     ratio = admittance_ratio(y, f_s, f_p)
-    tune_band = tuple(map(float, opts.tune_band or _tune_band(f_s, f_p)))
+    tune_band = opts.tune_band or _tune_band(f_s, f_p)
     tuning = tune_source_impedance(y, tune_band)
     q_trace = bode_q(tuning.trace, opts.smooth_window)
-    search_band = tuple(map(float, opts.qmax_band or (0.9 * f_s, 1.1 * f_p)))
+    search_band = opts.qmax_band or (0.9 * f_s, 1.1 * f_p)
     best_q = q_max(q_trace, search_band)
     violations, worst_conductance = passivity_violations(y)
     tune_samples = np.count_nonzero(_in_band(y.frequencies, tune_band))

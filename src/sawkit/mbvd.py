@@ -16,7 +16,8 @@ import numpy as np
 from .network import AdmittanceTrace, y_to_s
 from .touchstone import OnePortTrace
 
-# pi^2/8 prefactor relating fractional frequency spread to coupling
+# pi^2/8 prefactor relating fractional frequency spread to coupling, for
+# extract.keff2 as for the element formulas here
 _COUPLING_FACTOR = np.pi**2 / 8.0
 
 _JSON_KEYS = ("r_s_ohm", "r_0_ohm", "r_m_ohm", "l_m_h", "c_m_f", "c_0_f")

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateLocus, SingularReflection, TooFewPoints
-from .touchstone import OnePortTrace, _as_frequency_grid
+from .touchstone import OnePortTrace, _as_frequency_grid, _valid_z0
 
 # Re(Y) below -1e-6 S counts as a passivity violation
 _PASSIVITY_EPS = 1e-6
@@ -88,9 +88,13 @@ def passivity_violations(trace: AdmittanceTrace) -> tuple[int, float]:
 
 
 def y_to_s(trace: AdmittanceTrace, z0: float) -> OnePortTrace:
-    """S11 = (1 - z0 Y) / (1 + z0 Y) referenced to the given z0."""
-    if not z0 > 0:
-        raise ValueError("z0 must be positive")
+    """S11 = (1 - z0 Y) / (1 + z0 Y) referenced to the given z0.
+
+    z0 must pass OnePortTrace's rule, positive and finite, before any
+    arithmetic: an infinite z0 would map every sample to S11 = -1.
+    """
+    if not _valid_z0(z0):
+        raise ValueError("z0 must be positive and finite")
     with np.errstate(invalid="ignore"):
         zy = z0 * trace.y
         s = (1.0 - zy) / (1.0 + zy)
@@ -103,9 +107,10 @@ def y_to_s(trace: AdmittanceTrace, z0: float) -> OnePortTrace:
 
 
 def renormalize(trace: OnePortTrace, z0_new: float) -> OnePortTrace:
-    """Re-reference S11 to a new source impedance via the admittance invariant."""
-    if not z0_new > 0:
-        raise ValueError("z0 must be positive")
+    """Re-reference S11 to a new source impedance via the admittance invariant.
+
+    y_to_s refuses a z0_new that is not positive and finite.
+    """
     if z0_new == trace.z0:
         return trace
     return replace(y_to_s(s_to_y(trace), z0_new), comments=trace.comments)

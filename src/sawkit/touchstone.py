@@ -5,11 +5,11 @@ then rows of three whitespace-separated numbers; blank lines, '!' comment
 lines and inline '!' comments may appear anywhere.  The option line reads
 '# <unit> S <format> R <ohms>', tokens in any order and case, each optional.
 A file's TouchstoneFormat is its unit and value encoding; the reference
-impedance R lives only on the trace, as its z0.  Value encodings are RI
-(real/imag), MA (linear magnitude / angle in degrees) and DB
-(20*log10 magnitude / angle in degrees).  Frequencies are converted to Hz
-on read.  Touchstone v2 keywords, parameter kinds other than S and
-multi-port row shapes are rejected.
+impedance R lives only on the trace, as its z0, and must be positive and
+finite.  Value encodings are RI (real/imag), MA (linear magnitude / angle
+in degrees) and DB (20*log10 magnitude / angle in degrees).  Frequencies
+are converted to Hz on read.  Touchstone v2 keywords, parameter kinds
+other than S and multi-port row shapes are rejected.
 
 The reader walks the header and converts the whole body in one np.loadtxt
 call; only a bad body is walked, to name its offending line.  Both walks
@@ -29,6 +29,7 @@ the whole body.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +132,12 @@ class TouchstoneFormat:
         object.__setattr__(self, "value_format", fmt)
 
 
+def _valid_z0(z0) -> bool:
+    """The one reference-impedance rule, positive and finite; an int too large
+    for a float still compares below inf, so the bound is the largest float."""
+    return 0.0 < z0 <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class OnePortTrace:
     """Sampled one-port reflection: frequency grid in Hz, complex S11, z0."""
@@ -147,8 +154,8 @@ class OnePortTrace:
             raise ValueError("frequencies and s11 must have the same length")
         if not np.all(np.isfinite(s11)):
             raise ValueError("s11 must be finite")
-        if not self.z0 > 0:
-            raise ValueError("z0 must be positive")
+        if not _valid_z0(self.z0):
+            raise ValueError("z0 must be positive and finite")
         comments = tuple(self.comments)
         for comment in comments:
             # written verbatim above the option line, so anything else breaks the file
@@ -188,8 +195,10 @@ def _parse_option_line(line: str, lineno: int) -> tuple[TouchstoneFormat, float]
                 raise MalformedOptionLine(
                     f"line {lineno}: reference resistance {tokens[i]!r} is not a number"
                 ) from None
-            if resistance <= 0:
-                raise MalformedOptionLine(f"line {lineno}: reference resistance must be positive")
+            if not _valid_z0(resistance):
+                raise MalformedOptionLine(
+                    f"line {lineno}: reference resistance must be positive and finite"
+                )
         i += 1
     fmt = TouchstoneFormat(found.get("frequency unit", "GHZ"), found.get("value format", "MA"))
     return fmt, resistance

@@ -576,6 +576,10 @@ def bad_inputs(fixture_dir, tmp_path_factory):
         ("string", {"r_s_ohm": "0.5"}),
     ):
         (out / f"params_{name}.json").write_text(json.dumps({**params, **extra}))
+    # the option line's R must be positive and finite, like every z0
+    device_a = (fixture_dir / "deviceA.s1p").read_text()
+    for name, ohms in (("inf", "inf"), ("overflow", "1e400"), ("nan", "nan")):
+        (out / f"r_{name}.s1p").write_text(device_a.replace("R 50\n", f"R {ohms}\n", 1))
     (out / "infinite_velocity_table.csv").write_text(
         "h_ln_over_lambda,h_elec_over_lambda,duty,v_p_mps,keff2,family,provenance\n"
         "1.75,0.1,0.5,inf,0.16,measured,x\n"
@@ -625,6 +629,43 @@ EXIT_CODE_CASES = {
     ),
     # invalid option values and malformed JSON/CSV content -> 2
     "convert-negative-z0": ("convert {fx}/deviceA.s1p {tmp}/o.s1p --z0 -5", 2, "z0 must be positive"),
+    # an infinite z0 would write S11 = -1 on every row
+    "convert-infinite-z0": (
+        "convert {fx}/deviceA.s1p {tmp}/o.s1p --z0 inf", 2, "z0 must be positive and finite"
+    ),
+    "convert-overflowing-z0": (
+        "convert {fx}/deviceA.s1p {tmp}/o.s1p --z0 1e400", 2, "z0 must be positive and finite"
+    ),
+    "convert-option-line-nan-r": (
+        "convert {bad}/r_nan.s1p {tmp}/o.s1p",
+        2,
+        "r_nan.s1p: line 2: reference resistance must be positive and finite",
+    ),
+    "extract-option-line-infinite-r": (
+        "extract {bad}/r_inf.s1p -o {tmp}/r.json",
+        2,
+        "r_inf.s1p: line 2: reference resistance must be positive and finite",
+    ),
+    "fit-option-line-overflowing-r": (
+        "fit {bad}/r_overflow.s1p -o {tmp}/f.json",
+        2,
+        "r_overflow.s1p: line 2: reference resistance must be positive and finite",
+    ),
+    "extract-reversed-tune-band": (
+        "extract {fx}/deviceA.s1p -o {tmp}/r.json --tune-band 1e10 8e9",
+        2,
+        "tune_band must be finite with lo < hi",
+    ),
+    "extract-nan-tune-band": (
+        "extract {fx}/deviceA.s1p -o {tmp}/r.json --tune-band nan nan",
+        2,
+        "tune_band must be finite with lo < hi",
+    ),
+    "extract-nan-qmax-band": (
+        "extract {fx}/deviceA.s1p -o {tmp}/r.json --qmax-band nan 1e10",
+        2,
+        "qmax_band must be finite with lo < hi",
+    ),
     "extract-even-smooth": (
         "extract {fx}/deviceA.s1p -o {tmp}/r.json --smooth 4", 2, "smooth_window must be odd"
     ),
@@ -643,6 +684,16 @@ EXIT_CODE_CASES = {
         "synth {fx}/deviceA.params.json -o {tmp}/o.s1p --f-lo 1e9 --f-hi 2e9 --points 11 --z0 -1",
         2,
         "z0 must be positive",
+    ),
+    "synth-infinite-z0": (
+        "synth {fx}/deviceA.params.json -o {tmp}/o.s1p --f-lo 1e9 --f-hi 2e9 --points 11 --z0 inf",
+        2,
+        "z0 must be positive and finite",
+    ),
+    "synth-overflowing-z0": (
+        "synth {fx}/deviceA.params.json -o {tmp}/o.s1p --f-lo 1e9 --f-hi 2e9 --points 11 --z0 1e400",
+        2,
+        "z0 must be positive and finite",
     ),
     "synth-negative-noise": (
         "synth {fx}/deviceA.params.json -o {tmp}/o.s1p --f-lo 1e9 --f-hi 2e9 --points 11 --noise -0.5",

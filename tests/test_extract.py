@@ -239,6 +239,15 @@ def test_full_extraction_band_overrides(device_trace):
     assert rep.f_s == default.f_s
 
 
+@pytest.mark.parametrize(
+    "band", [(1e10, 8e9), (9e9, 9e9), (np.nan, np.nan), (np.nan, 1e10), (-np.inf, 1e10), (8e9, np.inf)]
+)
+@pytest.mark.parametrize("name", ["tune_band", "qmax_band"])
+def test_options_refuse_a_band_that_is_not_finite_and_increasing(name, band):
+    with pytest.raises(ValueError, match=f"{name} must be finite with lo < hi"):
+        ExtractOptions(**{name: band})
+
+
 def test_report_json_shape(device_trace):
     rep = full_extraction(device_trace)
     obj = report_to_json(rep)

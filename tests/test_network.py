@@ -69,6 +69,17 @@ def test_y_to_s_round_trip():
     np.testing.assert_allclose(back.s11, trace.s11, rtol=1e-12, atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "z0", [0.0, -50.0, np.inf, np.nan, 10**400], ids=["zero", "negative", "inf", "nan", "huge-integer"]
+)
+def test_new_reference_impedance_must_be_positive_and_finite(z0):
+    # checked before any arithmetic: an infinite z0 would give S11 = -1 everywhere
+    trace = _trace([0.2, 0.3 + 0.1j])
+    for convert in (lambda: y_to_s(s_to_y(trace), z0), lambda: renormalize(trace, z0)):
+        with pytest.raises(ValueError, match="z0 must be positive and finite"):
+            convert()
+
+
 def test_renormalize_matched_to_double_impedance():
     out = renormalize(_trace([0.0, 0.0]), 100.0)
     np.testing.assert_allclose(out.s11, -1.0 / 3.0, rtol=1e-14)

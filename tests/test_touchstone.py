@@ -88,6 +88,9 @@ MALFORMED_HEADERS = {
     "# GHZ S RI S R 50": "line 1: duplicate parameter kind",
     "# GHZ S RI R 50 R 75": "line 1: duplicate reference resistance",
     "# GHZ S RI R fifty": "line 1: reference resistance 'fifty' is not a number",
+    "# GHZ S RI R inf": "line 1: reference resistance must be positive and finite",
+    "# GHZ S RI R 1e400": "line 1: reference resistance must be positive and finite",
+    "# GHZ S RI R nan": "line 1: reference resistance must be positive and finite",
     "! device\n0.5 0 0\n# GHZ S RI R 50": "line 2: data row before the option line",
 }
 
@@ -166,10 +169,17 @@ _ZEROS = np.zeros(2, complex)
         (lambda: OnePortTrace(_GRID, np.zeros(3, complex), 50.0), "must have the same length"),
         (lambda: OnePortTrace(_GRID, _ZEROS, 0.0), "z0 must be positive"),
         (lambda: OnePortTrace(_GRID, _ZEROS, -50.0), "z0 must be positive"),
+        (lambda: OnePortTrace(_GRID, _ZEROS, np.inf), "z0 must be positive and finite"),
+        (lambda: OnePortTrace(_GRID, _ZEROS, np.nan), "z0 must be positive and finite"),
+        # an int too large for a float compares below inf
+        (lambda: OnePortTrace(_GRID, _ZEROS, 10**400), "z0 must be positive and finite"),
         (lambda: touchstone._as_frequency_grid([_GRID, _GRID]), "must be one-dimensional"),
         (lambda: touchstone._as_frequency_grid([1e9]), "needs at least 2 samples"),
     ],
-    ids=["unit", "value-format", "length", "zero-z0", "negative-z0", "2-d-grid", "1-sample-grid"],
+    ids=[
+        "unit", "value-format", "length", "zero-z0", "negative-z0", "infinite-z0", "nan-z0",
+        "huge-integer-z0", "2-d-grid", "1-sample-grid",
+    ],
 )
 def test_constructors_refuse_invalid_values(build, message):
     with pytest.raises(ValueError, match=message):
