@@ -387,9 +387,15 @@ def _predict_rows(wavelength, h_ln, h_elec, duty, table, family, extrapolate):
 
     f_s = v_p(h_ln/lambda) / lambda, keff2 is the interpolated coupling, and
     the warnings are the lookup's plus any electrode-thickness mismatch.
+    Finite lengths can give a ratio that overflows (1e308 m / 4e-7 m); the
+    largest of each ratio column is held to _RULES, else ValueError.
     """
-    values, warnings_, errors = table._evaluate(h_ln / wavelength, family, duty, extrapolate)
-    h_elec_ratio = h_elec / wavelength
+    with np.errstate(over="ignore"):
+        ratio, h_elec_ratio = h_ln / wavelength, h_elec / wavelength
+    for name, column in (("h_ln_over_lambda", ratio), ("h_elec_over_lambda", h_elec_ratio)):
+        if unmet := _unmet(name, column.max()):
+            raise ValueError(f"{name} {unmet}")
+    values, warnings_, errors = table._evaluate(ratio, family, duty, extrapolate)
     anchor = values[2]
     with np.errstate(all="ignore"):  # an anchor h_elec/lambda may be 0
         f_s = values[0] / wavelength

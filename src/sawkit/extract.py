@@ -15,6 +15,7 @@ stays in memory on ExtractionReport.q_bode.
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -105,7 +106,8 @@ class ExtractionReport:
 class ExtractOptions:
     """Band overrides in Hz; None means derive the band from (f_s, f_p).
 
-    A band given is (lo, hi), both finite with lo < hi, else ValueError.
+    A band given is (lo, hi), both finite with lo < hi, and a smooth_window
+    given is an odd int >= 5 (bode_q checks it against the trace), else ValueError.
     """
 
     tune_band: tuple[float, float] | None = None
@@ -120,6 +122,8 @@ class ExtractOptions:
                 if not -np.inf < lo < hi < np.inf:
                     raise ValueError(f"{name} must be finite with lo < hi")
                 object.__setattr__(self, name, (lo, hi))
+        if self.smooth_window is not None:
+            _check_smooth_window(self.smooth_window)
 
 
 def _parabolic_refine(x: np.ndarray, v: np.ndarray, i: int) -> float:
@@ -179,24 +183,42 @@ def admittance_ratio(trace: AdmittanceTrace, f_s: float, f_p: float) -> Admittan
     return AdmittanceRatio(linear=ratio, db=float(20.0 * np.log10(ratio)))
 
 
+@functools.lru_cache(maxsize=16)
+def _savgol_basis(window: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Vandermonde matrix, its pseudo-inverse) of the cubic on one window, read-only."""
+    half = window // 2
+    # offsets scaled to [-1, 1] keep the Vandermonde matrix well conditioned
+    vander = np.vander(np.arange(-half, half + 1) / half, 4, increasing=True)
+    fit = np.linalg.pinv(vander)  # window samples -> cubic coefficients
+    vander.flags.writeable = fit.flags.writeable = False
+    return vander, fit
+
+
 def _savgol_cubic(x: np.ndarray, window: int) -> np.ndarray:
     """Cubic Savitzky-Golay smoothing (Savitzky & Golay 1964, Anal. Chem. 36:1627).
 
     Each interior sample becomes the value at its centre of the least-squares
     cubic through its odd-length window; the first and last window // 2
     samples take the cubic fitted to the first and last window.  Needs
-    5 <= window <= x.size, window odd.
+    5 <= window <= x.size, window odd.  The basis depends on the window
+    alone, so _savgol_basis builds it once per window size.
     """
     half = window // 2
-    # offsets scaled to [-1, 1] keep the Vandermonde matrix well conditioned
-    vander = np.vander(np.arange(-half, half + 1) / half, 4, increasing=True)
-    fit = np.linalg.pinv(vander)  # window samples -> cubic coefficients
+    vander, fit = _savgol_basis(window)
     # the fitted cubic at the centre is its constant term; fit[0] is
     # symmetric, so convolving with it is correlating
     y = np.convolve(x, fit[0], mode="same")
     y[:half] = vander[:half] @ (fit @ x[:window])
     y[-half:] = vander[half + 1 :] @ (fit @ x[-window:])
     return y
+
+
+def _check_smooth_window(window) -> None:
+    """Raise ValueError unless the Savitzky-Golay window is an odd int >= 5."""
+    if not isinstance(window, (int, np.integer)):
+        raise ValueError("smooth_window must be an int")
+    if window % 2 == 0 or window < 5:
+        raise ValueError("smooth_window must be odd and >= 5")
 
 
 def bode_q(trace: OnePortTrace, smooth_window: int | None = None) -> QTrace:
@@ -213,8 +235,7 @@ def bode_q(trace: OnePortTrace, smooth_window: int | None = None) -> QTrace:
         raise TooFewPoints("need at least 3 samples to differentiate S11")
     s = trace.s11
     if smooth_window is not None:
-        if smooth_window % 2 == 0 or smooth_window < 5:
-            raise ValueError("smooth_window must be odd and >= 5")
+        _check_smooth_window(smooth_window)
         if smooth_window > s.size:
             raise ValueError("smooth_window exceeds the trace length")
         s = _savgol_cubic(s, smooth_window)

@@ -5,14 +5,16 @@ algebraic (Kasa 1976, IEEE T-IM 25:8) circle fitting, and the source
 impedance that centers the reflection locus at the Smith-chart origin.
 A change of reference impedance is a Moebius map of the admittance, so one
 circle fit in the admittance plane gives the reflection circle for every
-z0 in closed form, and that impedance is found without a search.  The
-tuning takes the caller's admittance and hands back that circle and whether
+z0 in closed form, and that impedance is a bound or a root of one of two
+quadratics, found without a search or a linear-algebra call.  The tuning
+takes the caller's admittance and hands back that circle and whether
 z0* sits on a search bound, and passivity_violations counts the samples of
 negative conductance; neither is printed here, so a caller records them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -120,21 +122,45 @@ def _kasa_circle(points: np.ndarray) -> tuple[complex, float, float]:
     """Algebraic least-squares circle through complex points.
 
     Minimizes sum((x-cx)^2 + (y-cy)^2 - r^2)^2, which is linear in
-    (cx, cy, r^2 - cx^2 - cy^2).  Exact for noiseless circular data.
+    (cx, cy, r^2 - cx^2 - cy^2).  Exact for noiseless circular data.  With
+    (u, v) the points less their mean and r2 = u^2 + v^2, that is the 2x2
+    system [[Suu, Suv], [Suv, Svv]] c = [S(r2 u), S(r2 v)] / 2: the center
+    is the mean plus c and r^2 = |c|^2 + (Suu + Svv) / n.  It is solved on
+    the principal axes (half the angle of S(u + jv)^2), where Suv ~ 0 and
+    Suu, Svv are the spread's squared singular values to the rounding of
+    the points; on other axes the determinant's rounding, ~eps Suu Svv,
+    would hide a line.  DegenerateLocus (coincident or collinear points)
+    when sigma_min <= 1e-12 max(sigma_max, 1e-30), or when the determinant
+    is not positive (non-finite points).
     """
-    x = points.real
-    y = points.imag
-    spread = np.column_stack([x - x.mean(), y - y.mean()])
-    singular_values = np.linalg.svd(spread, compute_uv=False)
-    if singular_values[-1] <= _COLLINEAR_TOL * max(singular_values[0], 1e-30):
+    mean = complex(points.mean())
+    centred = points - mean
+    spin = (centred * centred).sum()  # Suu - Svv + 2j Suv on any axes
+    phi = 0.5 * math.atan2(spin.imag, spin.real)
+    axis = complex(math.cos(phi), math.sin(phi))
+    w = centred * axis.conjugate()  # u + jv on the principal axes
+    u, v = w.real, w.imag
+    suu, svv, suv = u @ u, v @ v, u @ v
+    det = suu * svv - suv * suv
+    if svv <= _COLLINEAR_TOL**2 * max(suu, 1e-60) or not det > 0.0:
         raise DegenerateLocus("samples are coincident or collinear; circle radius unbounded")
-    coeffs = np.column_stack([2.0 * x, 2.0 * y, np.ones_like(x)])
-    rhs = x * x + y * y
-    (cx, cy, c), *_ = np.linalg.lstsq(coeffs, rhs, rcond=None)
-    radius = float(np.sqrt(max(c + cx * cx + cy * cy, 0.0)))
-    distances = np.hypot(x - cx, y - cy)
-    rms = float(np.sqrt(np.mean((distances - radius) ** 2)))
-    return complex(cx, cy), radius, rms
+    r2 = u * u + v * v
+    pu, pv = r2 @ u, r2 @ v
+    c = complex(svv * pu - suv * pv, suu * pv - suv * pu) / (2.0 * det)
+    radius = math.sqrt(abs(c) ** 2 + (suu + svv) / w.size)
+    rms = math.sqrt(np.mean((np.abs(w - c) - radius) ** 2))
+    return mean + c * axis, radius, rms
+
+
+def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
+    """Real parts of np.roots([a, b, c]): leading zeros lower the degree."""
+    if a == 0.0:
+        return [] if b == 0.0 else [-c / b]
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:  # a complex pair: its real part, twice
+        return [-b / (2.0 * a)] * 2
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))  # no cancellation
+    return [q / a, c / q] if q else [0.0, 0.0]
 
 
 def _in_band(frequencies: np.ndarray, band: tuple[float, float]) -> np.ndarray:
@@ -171,13 +197,13 @@ def tune_source_impedance(y: AdmittanceTrace, band: tuple[float, float]) -> Tuni
     mask = _band_mask(y.frequencies, band)
     center, radius, rms = _kasa_circle(y.y[mask])
     # in x = z0 * scale every coefficient below is at most 1 in magnitude
-    scale = np.hypot(abs(center), radius)
+    scale = math.hypot(abs(center), radius)
     g, b, r = center.real / scale, center.imag / scale, radius / scale
     k = g * g + b * b - r * r
-    roots = np.concatenate([np.roots([k, 0.0, -1.0]), np.roots([g * k, 2.0 * (g * g - r * r), g])])
+    roots = _quadratic_roots(k, 0.0, -1.0) + _quadratic_roots(g * k, 2.0 * (g * g - r * r), g)
     # the real part of a complex root is just one more feasible point, so no
     # tolerance is needed to tell real roots from near-real ones
-    z = np.array([_Z0_MIN, _Z0_MAX, *(roots.real / scale)])
+    z = np.array([_Z0_MIN, _Z0_MAX, *(root / scale for root in roots)])
     z = z[(z >= _Z0_MIN) & (z <= _Z0_MAX)]
     x = z * scale
     offset = np.abs((1.0 - k * x * x - 2j * b * x) / (1.0 + 2.0 * g * x + k * x * x))

@@ -669,6 +669,10 @@ EXIT_CODE_CASES = {
     "extract-even-smooth": (
         "extract {fx}/deviceA.s1p -o {tmp}/r.json --smooth 4", 2, "smooth_window must be odd"
     ),
+    # refused with the options, before a trace without a resonance fails the extraction
+    "extract-capacitor-even-smooth": (
+        "extract {bad}/cap.s1p -o {tmp}/r.json --smooth 4", 2, "smooth_window must be odd"
+    ),
     "extract-smooth-longer-than-trace": (
         "extract {fx}/deviceA.s1p -o {tmp}/r.json --smooth 4003", 2, "exceeds the trace length"
     ),
@@ -803,6 +807,17 @@ EXIT_CODE_CASES = {
     "sweep-nan-h-elec": ("sweep {bad}/geometry.json --axis h_elec --values nan", 2, "h_elec must be finite"),
     "sweep-infinite-wavelength": (
         "sweep {bad}/geometry.json --axis lambda --values inf", 2, "wavelength must be positive and finite"
+    ),
+    # finite lengths whose ratio to the wavelength overflows
+    "sweep-overflowing-h-ln-ratio": (
+        "sweep {bad}/geometry.json --axis h_ln --values 1e308",
+        2,
+        "h_ln_over_lambda must be positive and finite",
+    ),
+    "sweep-overflowing-h-elec-ratio": (
+        "sweep {bad}/geometry.json --axis h_elec --values 1e308",
+        2,
+        "h_elec_over_lambda must be finite and >= 0",
     ),
     "sweep-infinite-aperture": (
         "sweep {bad}/geometry.json --axis aperture --values inf", 2, "unknown sweep axis"

@@ -533,6 +533,16 @@ def test_sweep_refuses_an_invalid_value_for_the_whole_sweep(table):
         sweep(_geometry(400.0), "lambda", [4e-7, -1e-7, math.nan], table)
 
 
+@pytest.mark.parametrize(
+    "axis, ratio", [("h_ln", "h_ln_over_lambda"), ("h_elec", "h_elec_over_lambda")]
+)
+def test_sweep_refuses_a_thickness_ratio_beyond_the_float_range(table, axis, ratio):
+    # 1e308 m is a finite length, but 1e308 / 4e-7 is not a finite ratio;
+    # filterwarnings = error also fails an overflow warning
+    with pytest.raises(ValueError, match=f"{ratio} must be"):
+        sweep(DeviceGeometry(4e-7, 7e-7, 4e-8, 0.5), axis, [1e308], table)
+
+
 def test_extrapolation_refuses_a_non_positive_velocity(table):
     # h_ln/lambda = 70: the last measured segment runs v_p far below zero
     rows = sweep(_geometry(400.0), "lambda", [4e-7, 1e-8], table, allow_extrapolation=True)

@@ -248,6 +248,14 @@ def test_options_refuse_a_band_that_is_not_finite_and_increasing(name, band):
         ExtractOptions(**{name: band})
 
 
+@pytest.mark.parametrize("window", [4, 3, 1, 0, -5, 31.0, "31"])
+def test_options_refuse_a_smoothing_window_that_is_not_an_odd_int_of_five_or_more(window):
+    with pytest.raises(ValueError, match="smooth_window must be"):
+        ExtractOptions(smooth_window=window)
+    ExtractOptions(smooth_window=5)
+    ExtractOptions(smooth_window=np.int64(31))
+
+
 def test_report_json_shape(device_trace):
     rep = full_extraction(device_trace)
     obj = report_to_json(rep)
@@ -373,6 +381,22 @@ def test_extraction_work_counts(monkeypatch, device_trace, device_fp):
     extract.full_extraction(device_trace)
     assert calls["circle_fit"] == 1
     assert calls["s_to_y"] == 1
+
+    # the circle and z0* are closed forms, and the Savitzky-Golay basis is
+    # built once per window: after a warm call, no SVD, least squares,
+    # pseudo-inverse or eigen-solve runs in either extraction
+    smoothed = ExtractOptions(smooth_window=31)
+    extract.full_extraction(device_trace, smoothed)
+    linalg = ("svd", "lstsq", "pinv", "eigvals")
+    for name in linalg:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(np, "roots", counted("roots", np.roots))
+    calls.update(dict.fromkeys((*linalg, "roots"), 0))
+    for options in (smoothed, None):
+        extract.full_extraction(device_trace, options)
+    assert [calls[name] for name in (*linalg, "roots")] == [0] * 5
+    np.roots([1.0, 0.0, -1.0])
+    assert calls["roots"] == 1
 
 
 def test_full_extraction_converts_s11_to_y_once(monkeypatch, device_trace):

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from sawkit.network import (
     SmithCircle,
     _band_mask,
     _kasa_circle,
+    _quadratic_roots,
     passivity_violations,
     renormalize,
     s_to_y,
@@ -119,6 +121,65 @@ def test_circle_fit_rejects_collinear_points():
     s = np.linspace(-0.5, 0.5, 30) + 0.0j
     with pytest.raises(DegenerateLocus):
         _smith_circle(_trace(s), (1e9, 2e9))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_circle_fit_matches_the_least_squares_formulation(seed):
+    # the reference: least squares on [2x, 2y, 1] (cx, cy, c) = x^2 + y^2
+    rng = np.random.default_rng(seed)
+    center = complex(*rng.normal(0.0, 3.0, 2))
+    radius = rng.uniform(0.1, 2.0)
+    arc = rng.uniform(0.5, 2 * np.pi) * np.linspace(0.0, 1.0, 200) + rng.uniform(0, 2 * np.pi)
+    points = center + radius * np.exp(1j * arc) + 1e-3 * radius * rng.standard_normal(200)
+    x, y = points.real, points.imag
+    coeffs = np.column_stack([2.0 * x, 2.0 * y, np.ones_like(x)])
+    (cx, cy, c), *_ = np.linalg.lstsq(coeffs, x * x + y * y, rcond=None)
+    ref_radius = np.sqrt(c + cx * cx + cy * cy)
+    ref_rms = np.sqrt(np.mean((np.hypot(x - cx, y - cy) - ref_radius) ** 2))
+    got_center, got_radius, got_rms = _kasa_circle(points)
+    assert abs(got_center - complex(cx, cy)) <= 1e-12 * abs(complex(cx, cy))
+    assert got_radius == pytest.approx(ref_radius, rel=1e-12)
+    # the residuals are ~1e-3 r, so a 1e-12 r move of the center is ~1e-9 of them
+    assert got_rms == pytest.approx(ref_rms, rel=1e-9)
+
+
+_LINE = np.linspace(-0.5, 0.5, 30)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        _LINE * (1 + 3j),
+        _LINE * np.exp(0.7j),
+        _LINE * np.exp(2.5j),
+        _LINE * (1e-3 + 2e-3j),
+        _LINE + 0j,
+        _LINE * 1j,
+        _LINE + 1e-13j * np.random.default_rng(3).standard_normal(_LINE.size),
+    ],
+    ids=["1+3j", "exp(0.7j)", "exp(2.5j)", "1e-3+2e-3j", "real", "imaginary", "real-with-jitter"],
+)
+def test_circle_fit_rejects_lines_at_any_angle(points):
+    # a determinant test on the (u, v) axes can pass a rotated line: its
+    # rounding, ~eps Suu Svv, stands in for a spread across the line
+    with pytest.raises(DegenerateLocus):
+        _kasa_circle(points)
+    y = AdmittanceTrace(np.linspace(1e9, 2e9, points.size), points)
+    with pytest.raises(DegenerateLocus):
+        tune_source_impedance(y, (1e9, 2e9))
+
+
+def test_quadratic_roots_are_the_real_parts_of_np_roots():
+    # a = 0, a = b = 0, b = 0, zero and negative discriminants are all on the grid
+    grid = (-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0)
+    for a, b, c in itertools.product(grid, repeat=3):
+        expected = np.sort(np.roots([a, b, c]).real)
+        got = np.sort(_quadratic_roots(a, b, c))
+        assert got.shape == expected.shape, (a, b, c)
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=1e-15)
+    assert _quadratic_roots(1.0, -2.0, 1.0) == [1.0, 1.0]
+    assert _quadratic_roots(1.0, 2.0, 5.0) == [-1.0, -1.0]
+    assert _quadratic_roots(0.0, 0.0, 1.0) == []
 
 
 def test_circle_fit_needs_five_samples():
