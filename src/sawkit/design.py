@@ -6,16 +6,17 @@ duty factor.  A prediction is piecewise-linear in h_ln/lambda inside a
 (family, duty) group; electrode thickness and duty are not modeled, so
 mismatches against the anchors surface as warnings on the result.
 
-A sweep is evaluated as float64 arrays over the whole axis: one division
-for h_ln/lambda, one group choice, one np.searchsorted per group and one
-interpolation of v_p, keff2 and h_elec/lambda together, in the scalar
-formula's order of operations, so every value has the bits that formula
-gives.  Strings are formatted only for rows that warn or fail.  A lookup
-and a prediction are the one-row case of the same evaluation.  What depends
-on the table alone (each family's groups in fallback order, each group's
-segments, invertibility, reach and anchor products) is computed once when
-the table is built.  A duty without anchors falls back to the nearest duty
-whose group can serve the request.
+sweep is the one evaluation of the table.  It works as float64 arrays over
+the whole axis: one division for h_ln/lambda, one group choice, one
+np.searchsorted per group and one interpolation of v_p, keff2 and
+h_elec/lambda together, in the scalar formula's order of operations, so
+every value has the bits that formula gives.  Strings are formatted only for
+rows that warn or fail.  predict is the one-row sweep over a geometry's own
+wavelength.  What depends on the table alone (each family's groups in
+fallback order, each group's segments, invertibility, reach and anchor
+products) is computed once when the table is built.  A duty without anchors
+falls back to the nearest duty whose group can serve the request, and three
+calls share this one chooser: sweep, predict and scale_to_frequency.
 
 A DeviceGeometry holds only what the model reads: wavelength, h_ln, h_elec
 and duty.  Its geometry JSON has one key for each and may carry others,
@@ -27,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
@@ -51,8 +53,10 @@ _H_ELEC_WARN_RTOL = 0.02
 _DUTY_MATCH_ATOL = 1e-9
 _RATIO_MATCH_RTOL = 1e-12
 
-_POSITIVE_FINITE = (lambda x: (0.0 < x) & (x < math.inf), "must be positive and finite")
-_FINITE_NONNEGATIVE = (lambda x: (0.0 <= x) & (x < math.inf), "must be finite and >= 0")
+# the bound is the largest float, not inf: an int too large for a float
+# still compares below inf
+_POSITIVE_FINITE = (lambda x: (0.0 < x) & (x <= sys.float_info.max), "must be positive and finite")
+_FINITE_NONNEGATIVE = (lambda x: (0.0 <= x) & (x <= sys.float_info.max), "must be finite and >= 0")
 # field -> (in range, requirement): the one range of each DeviceGeometry and
 # DispersionAnchor field, which sweep, _evaluate and scale_to_frequency read
 # too; written with & so that one rule checks a float and a sweep's column
@@ -116,7 +120,7 @@ class _Group(NamedTuple):
     # f_s(lambda) = v_p(h_ln/lambda) / lambda is strictly monotone, so
     # scale_to_frequency can invert it
     invertible: bool
-    # thickness ratios a lookup serves without extrapolating: the hull plus
+    # thickness ratios the group serves without extrapolating: the hull plus
     # the rounding slack, or the single anchor within _RATIO_MATCH_RTOL
     reach: tuple[float, float]
     # segment k runs from starts[k] over spans[k]; columns[:, k] holds v_p,
@@ -127,13 +131,6 @@ class _Group(NamedTuple):
     spans: np.ndarray
     columns: np.ndarray
     steps: np.ndarray
-
-
-class TablePoint(NamedTuple):
-    v_p: float
-    keff2: float
-    h_elec_over_lambda: float
-    warnings: tuple[str, ...]
 
 
 class SweepRow(NamedTuple):
@@ -189,7 +186,7 @@ class DispersionTable:
         for a in anchors:
             groups.setdefault((a.family, a.duty), []).append(a)
         # family -> [(duty, group), ...] in first-seen order, which breaks
-        # ties between equally close duties the same way on every lookup
+        # ties between equally close duties the same way on every request
         self._families: dict[str, list[tuple[float, _Group]]] = {}
         for (family, duty), members in groups.items():
             members = sorted(members, key=lambda a: a.h_ln_over_lambda)
@@ -210,14 +207,11 @@ class DispersionTable:
             members.sort(key=lambda m: -len(m[1].ratios))
         self.anchors = anchors
 
-    def families(self) -> tuple[str, ...]:
-        return tuple(sorted(self._families))
-
     def _members(self, family: str) -> list[tuple[float, _Group]]:
         members = self._families.get(family)
         if members is None:
             raise ValueError(
-                f"unknown family {family!r}; table has {', '.join(self.families())}"
+                f"unknown family {family!r}; table has {', '.join(sorted(self._families))}"
             )
         return members
 
@@ -227,7 +221,7 @@ class DispersionTable:
 
         The group at this duty wins, else the nearest duty whose group
         serves(group) the request; when none does, the nearest duty of all
-        is taken and its lookup raises as usual.  Duties within
+        is taken and its evaluation raises as usual.  Duties within
         _DUTY_MATCH_ATOL of each other tie, and a tie goes to the
         better-populated group.  Written with &, |, ^ and products of bools
         only, so the same lines take a float duty with bool serves and a
@@ -264,7 +258,8 @@ class DispersionTable:
         land a hair outside the hull, so a ratio within a group's reach is
         clipped to its hull.  Searching the inner anchors (side left) puts an
         inner anchor in the segment that ends at it and extends the end
-        segments past the hull.
+        segments past the hull.  Every ratio and duty is finite: sweep and
+        scale_to_frequency hold them to _RULES first.
         """
         members = self._members(family)
 
@@ -272,8 +267,7 @@ class DispersionTable:
             multi = extrapolate and len(group.ratios) > 1
             return ((group.reach[0] <= ratio) & (ratio <= group.reach[1])) | multi
 
-        with np.errstate(invalid="ignore"):  # an infinite duty blends 0 * inf
-            choice, fell_back = self._choose(family, duty, serves)
+        choice, fell_back = self._choose(family, duty, serves)
         choice = np.broadcast_to(choice, ratio.shape)
         n = ratio.size
         values = np.empty((3, n))
@@ -296,7 +290,7 @@ class DispersionTable:
             r = ratio[rows]
             lo, hi = group.ratios[0], group.ratios[-1]
             in_reach = (group.reach[0] <= r) & (r <= group.reach[1])
-            extrapolated = ~in_reach & ~np.isnan(r) & (extrapolate and len(group.ratios) > 1)
+            extrapolated = ~in_reach & (extrapolate and len(group.ratios) > 1)
             clipped = np.where(extrapolated, r, np.clip(r, lo, hi))
             i = np.searchsorted(group.inner, clipped)
             with np.errstate(all="ignore"):  # far extrapolation may overflow
@@ -325,22 +319,6 @@ class DispersionTable:
                 else:
                     warnings_[row] += (f"h_ln/lambda = {x:g} extrapolated beyond {hull}",)
         return values, warnings_, errors
-
-    def lookup(
-        self,
-        ratio: float,
-        family: str,
-        duty: float = 0.5,
-        allow_extrapolation: bool = False,
-    ) -> TablePoint:
-        """Interpolated (v_p, keff2, anchor h_elec/lambda) at a thickness ratio."""
-        values, warnings_, errors = self._evaluate(
-            np.array([ratio], dtype=float), family, np.array([duty], dtype=float),
-            allow_extrapolation,
-        )
-        if errors:
-            raise OutOfTableRange(errors[0])
-        return TablePoint(*values[:, 0].tolist(), warnings_[0])
 
 
 def load_dispersion_csv(text: str) -> DispersionTable:
@@ -382,47 +360,18 @@ def builtin_dispersion_table() -> DispersionTable:
     return load_dispersion_csv(text)
 
 
-def _predict_rows(wavelength, h_ln, h_elec, duty, table, family, extrapolate):
-    """f_s and keff2 lists, warnings and {row: error} for geometry columns.
-
-    f_s = v_p(h_ln/lambda) / lambda, keff2 is the interpolated coupling, and
-    the warnings are the lookup's plus any electrode-thickness mismatch.
-    Finite lengths can give a ratio that overflows (1e308 m / 4e-7 m); the
-    largest of each ratio column is held to _RULES, else ValueError.
-    """
-    with np.errstate(over="ignore"):
-        ratio, h_elec_ratio = h_ln / wavelength, h_elec / wavelength
-    for name, column in (("h_ln_over_lambda", ratio), ("h_elec_over_lambda", h_elec_ratio)):
-        if unmet := _unmet(name, column.max()):
-            raise ValueError(f"{name} {unmet}")
-    values, warnings_, errors = table._evaluate(ratio, family, duty, extrapolate)
-    anchor = values[2]
-    with np.errstate(all="ignore"):  # an anchor h_elec/lambda may be 0
-        f_s = values[0] / wavelength
-        mismatch = np.abs(h_elec_ratio - anchor) / anchor
-    mismatched = np.flatnonzero((anchor > 0) & (mismatch > _H_ELEC_WARN_RTOL)).tolist()
-    if mismatched:
-        h_elec_ratio, anchor = h_elec_ratio.tolist(), anchor.tolist()
-        for i in (i for i in mismatched if i not in errors):
-            warnings_[i] += (
-                f"h_elec/lambda = {h_elec_ratio[i]:g} differs from the anchor value "
-                f"{anchor[i]:g}; electrode loading is not modeled",
-            )
-    return f_s.tolist(), values[1].tolist(), warnings_, errors
-
-
 def predict(
     geometry: DeviceGeometry,
     table: DispersionTable,
     family: str = "measured",
     allow_extrapolation: bool = False,
 ) -> tuple[float, float, tuple[str, ...]]:
-    """(f_s, keff2, warnings) for a geometry: the one-row case of sweep."""
-    columns = (np.array([getattr(geometry, f)]) for f in _SWEEP_AXES.values())
-    f_s, keff2, warnings_, errors = _predict_rows(*columns, table, family, allow_extrapolation)
-    if errors:
-        raise OutOfTableRange(errors[0])
-    return f_s[0], keff2[0], warnings_[0]
+    """(f_s, keff2, warnings) for a geometry: the one-row sweep over its own
+    wavelength, whose miss raises OutOfTableRange."""
+    row = sweep(geometry, "lambda", [geometry.wavelength], table, family, allow_extrapolation)[0]
+    if row.error is not None:
+        raise OutOfTableRange(row.error)
+    return row.f_s, row.keff2, row.warnings
 
 
 def scale_to_frequency(
@@ -445,7 +394,9 @@ def scale_to_frequency(
     is built decides (raised here).  A target outside the anchor hull raises
     TargetOutOfRange.  The result is exact to rounding, so it always meets
     rel_tol, a relative bound on f_s that must be > 0.  duty must pass
-    DeviceGeometry's rule (finite, 0 < duty < 1).
+    DeviceGeometry's rule (finite, 0 < duty < 1).  A duty without a
+    multi-anchor group reads the nearest duty that has one, silently: the
+    result is a bare float and carries no warning.
     """
     if unmet := _unmet("duty", duty):
         raise ValueError(f"duty {unmet}")
@@ -476,7 +427,7 @@ def scale_to_frequency(
 
 
 # sweep axis name -> DeviceGeometry field; every field is an axis, listed in
-# the order _predict_rows takes the columns
+# the order sweep unpacks the columns
 _SWEEP_AXES = {"lambda": "wavelength", "h_ln": "h_ln", "h_elec": "h_elec", "duty": "duty"}
 
 
@@ -490,9 +441,12 @@ def sweep(
 ) -> list[SweepRow]:
     """Predict (f_s, keff2) while varying one geometry field.
 
-    A value the geometry refuses raises its ValueError for the whole sweep.
-    Per-value table misses are recorded on the row instead of aborting the
-    sweep; warnings are carried through from the predictions.
+    f_s = v_p(h_ln/lambda) / lambda, keff2 is the interpolated coupling, and
+    the warnings are the table's plus any electrode-thickness mismatch.  A
+    value the geometry refuses raises its ValueError for the whole sweep, and
+    so do finite lengths whose ratio leaves the float range (1e308 m /
+    4e-7 m): the largest of each ratio column is held to _RULES.  Per-value
+    table misses are recorded on the row instead of aborting the sweep.
     """
     if axis not in _SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; choose from {', '.join(_SWEEP_AXES)}")
@@ -502,13 +456,29 @@ def sweep(
     in_range, requirement = _RULES[field]
     if not in_range(column).all():
         raise ValueError(f"{field} {requirement}")
-    columns = [
+    wavelength, h_ln, h_elec, duty = (
         column if f == field else np.full(column.size, getattr(base, f))
         for f in _SWEEP_AXES.values()
-    ]
-    f_s, keff2, warnings_, errors = _predict_rows(
-        *columns, table, family, allow_extrapolation
     )
+    with np.errstate(over="ignore"):
+        ratio, h_elec_ratio = h_ln / wavelength, h_elec / wavelength
+    for name, ratios in (("h_ln_over_lambda", ratio), ("h_elec_over_lambda", h_elec_ratio)):
+        if unmet := _unmet(name, ratios.max()):
+            raise ValueError(f"{name} {unmet}")
+    point, warnings_, errors = table._evaluate(ratio, family, duty, allow_extrapolation)
+    anchor = point[2]
+    with np.errstate(all="ignore"):  # an anchor h_elec/lambda may be 0
+        f_s = point[0] / wavelength
+        mismatch = np.abs(h_elec_ratio - anchor) / anchor
+    mismatched = np.flatnonzero((anchor > 0) & (mismatch > _H_ELEC_WARN_RTOL)).tolist()
+    if mismatched:
+        h_elec_ratio, anchor = h_elec_ratio.tolist(), anchor.tolist()
+        for i in (i for i in mismatched if i not in errors):
+            warnings_[i] += (
+                f"h_elec/lambda = {h_elec_ratio[i]:g} differs from the anchor value "
+                f"{anchor[i]:g}; electrode loading is not modeled",
+            )
+    f_s, keff2 = f_s.tolist(), point[1].tolist()
     errors_ = [None] * len(values)
     for i, error in errors.items():
         f_s[i] = keff2[i] = None

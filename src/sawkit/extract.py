@@ -118,7 +118,10 @@ class ExtractOptions:
         for name in ("tune_band", "qmax_band"):
             band = getattr(self, name)
             if band is not None:
-                lo, hi = map(float, band)
+                try:
+                    lo, hi = map(float, band)
+                except OverflowError:  # an integer too large for a float
+                    lo = hi = np.inf
                 if not -np.inf < lo < hi < np.inf:
                     raise ValueError(f"{name} must be finite with lo < hi")
                 object.__setattr__(self, name, (lo, hi))

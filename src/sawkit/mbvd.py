@@ -9,6 +9,7 @@ functions, synthesis and the fit all run through it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -35,12 +36,13 @@ class MbvdParams:
     c_0: float
 
     def __post_init__(self):
-        # an infinite element evaluates to S11 = -1 or a non-finite model
+        # an infinite element evaluates to S11 = -1 or a non-finite model; the
+        # bound is the largest float, as an int too large for one is below inf
         for name in ("r_s", "r_0", "r_m"):
-            if not 0.0 <= getattr(self, name) < np.inf:
+            if not 0.0 <= getattr(self, name) <= sys.float_info.max:
                 raise ValueError(f"{name} must be finite and >= 0")
         for name in ("l_m", "c_m", "c_0"):
-            if not 0.0 < getattr(self, name) < np.inf:
+            if not 0.0 < getattr(self, name) <= sys.float_info.max:
                 raise ValueError(f"{name} must be positive and finite")
         # c_m approaching 8*c_0 would put the coupling factor past 100%
         if not self.c_m < 8.0 * self.c_0:
@@ -157,17 +159,22 @@ def params_from_metrics(
     r_s: float = 0.0,
     r_0: float = 0.0,
 ) -> MbvdParams:
-    """Element values hitting a target series resonance, coupling and motional Q."""
-    if not f_s > 0 or not c_0 > 0:
-        raise ValueError("f_s and c_0 must be positive")
+    """Element values hitting a target series resonance, coupling and motional Q.
+
+    q_m = inf is the lossless resonator (r_m = 0); every other value must be
+    positive and finite, else ValueError naming it.
+    """
+    for name, value in (("f_s", f_s), ("c_0", c_0)):
+        if not 0.0 < value <= sys.float_info.max:
+            raise ValueError(f"{name} must be positive and finite")
     if not 0 < keff2 < 1:
         raise ValueError("keff2 must be a fraction in (0, 1)")
-    if not q_m > 0:
-        raise ValueError("q_m must be positive")
+    if not (0.0 < q_m <= sys.float_info.max or q_m == np.inf):
+        raise ValueError("q_m must be positive, and finite or inf")
     c_m = c_0 * keff2 / _COUPLING_FACTOR
     w_s = 2.0 * np.pi * f_s
     l_m = 1.0 / (w_s**2 * c_m)
-    r_m = 0.0 if np.isinf(q_m) else w_s * l_m / q_m
+    r_m = 0.0 if q_m == np.inf else w_s * l_m / q_m
     return MbvdParams(r_s=r_s, r_0=r_0, r_m=r_m, l_m=l_m, c_m=c_m, c_0=c_0)
 
 

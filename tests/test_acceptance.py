@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from sawkit import mbvd
-from sawkit.design import builtin_dispersion_table, scale_to_frequency
+from sawkit.design import (
+    DeviceGeometry,
+    builtin_dispersion_table,
+    predict,
+    scale_to_frequency,
+)
 from sawkit.extract import bode_q, find_fs_fp, fom, full_extraction, keff2
 from sawkit.fit import fit_mbvd
 from sawkit.network import OnePortTrace, s_to_y
@@ -44,8 +49,10 @@ def test_published_fom_closure():
 
 def test_dispersion_velocity_strictly_decreases():
     table = builtin_dispersion_table()
+    # on a 1 m pitch h_ln is the thickness ratio and f_s is v_p; h_elec/lambda
+    # is the 40 nm electrode's on the 0.7 um film
     velocities = [
-        table.lookup(r, "measured", 0.5).v_p for r in ANCHOR_RATIOS
+        predict(DeviceGeometry(1.0, r, r * 0.04 / 0.7, 0.5), table)[0] for r in ANCHOR_RATIOS
     ]
     assert velocities == ANCHOR_VELOCITIES
     assert all(a > b for a, b in zip(velocities, velocities[1:]))

@@ -42,41 +42,56 @@ def _geometry(lambda_nm, duty=0.5):
     )
 
 
+def _at_ratio(table, ratio, family="measured", duty=0.5, extrapolate=False, h_elec_ratio=None):
+    """(v_p, keff2, warnings) at a thickness ratio: predict on a 1 m pitch,
+    where h_ln is the ratio and f_s is v_p to the bit.  h_elec/lambda
+    defaults to the device's H_ELEC/H_LN of the ratio, within 2 % of every
+    measured anchor's, so no electrode mismatch warns."""
+    if h_elec_ratio is None:
+        h_elec_ratio = ratio * H_ELEC / H_LN
+    geometry = DeviceGeometry(wavelength=1.0, h_ln=ratio, h_elec=h_elec_ratio, duty=duty)
+    return predict(geometry, table, family, extrapolate)
+
+
+def _table_point(table, ratio, family="measured", duty=0.5):
+    """The table's (v_p, keff2, anchor h_elec/lambda) at one ratio, no extrapolation."""
+    point, _, errors = table._evaluate(np.array([ratio]), family, np.array([duty]), False)
+    assert not errors, errors
+    return tuple(point[:, 0].tolist())
+
+
 def test_anchor_values_reproduce_exactly(table):
-    low = table.lookup(1.75, "measured", 0.5)
-    high = table.lookup(2.92, "measured", 0.5)
-    assert low.v_p == 3736.0 and low.keff2 == 0.16
-    assert high.v_p == 3209.0 and high.keff2 == 0.07
+    assert _at_ratio(table, 1.75)[:2] == (3736.0, 0.16)
+    assert _at_ratio(table, 2.92)[:2] == (3209.0, 0.07)
 
 
 def test_linear_interpolation_between_anchors(table):
     # midpoint of the 1.94 / 2.16 segment
-    point = table.lookup(2.05, "measured", 0.5)
-    np.testing.assert_allclose(point.v_p, 3609.0, rtol=1e-12)
-    np.testing.assert_allclose(point.keff2, 0.12, rtol=1e-10)
+    v_p, keff2, _ = _at_ratio(table, 2.05)
+    np.testing.assert_allclose(v_p, 3609.0, rtol=1e-12)
+    np.testing.assert_allclose(keff2, 0.12, rtol=1e-10)
 
 
 def test_lookup_outside_hull(table):
     with pytest.raises(OutOfTableRange):
-        table.lookup(1.0, "measured", 0.5)
+        _at_ratio(table, 1.0)
     with pytest.raises(OutOfTableRange):
-        table.lookup(3.5, "measured", 0.5)
-    point = table.lookup(3.0, "measured", 0.5, allow_extrapolation=True)
-    assert any("extrapolated" in w for w in point.warnings)
+        _at_ratio(table, 3.5)
+    warnings = _at_ratio(table, 3.0, extrapolate=True)[2]
+    assert any("extrapolated" in w for w in warnings)
 
 
 def test_single_anchor_group_is_exact_only(table):
-    point = table.lookup(1.75, "measured", 0.7)
-    assert point.v_p == 3620.0 and point.keff2 == 0.15
+    assert _at_ratio(table, 1.75, duty=0.7)[:2] == (3620.0, 0.15)
     with pytest.raises(OutOfTableRange):
-        table.lookup(1.80, "measured", 0.7)
+        _at_ratio(table, 1.80, duty=0.7)
 
 
 def test_unlisted_duty_falls_back_with_warning(table):
-    point = table.lookup(2.05, "measured", 0.62)
-    assert point.warnings
-    assert any("duty" in w for w in point.warnings)
-    np.testing.assert_allclose(point.v_p, 3609.0, rtol=1e-12)
+    v_p, _, warnings = _at_ratio(table, 2.05, duty=0.62)
+    assert warnings
+    assert any("duty" in w for w in warnings)
+    np.testing.assert_allclose(v_p, 3609.0, rtol=1e-12)
 
 
 def test_predicted_fs_hits_measured_values(table):
@@ -101,7 +116,7 @@ def test_predicted_keff2_at_anchors(table):
 
 
 def test_simulated_family_endpoints(table):
-    assert table.lookup(2.92, "simulated", 0.5).v_p == 3103.0
+    assert _at_ratio(table, 2.92, "simulated")[0] == 3103.0
     fs_low, k2, _ = predict(_geometry(400.0), table, family="simulated")
     fs_high = predict(_geometry(240.0), table, family="simulated")[0]
     np.testing.assert_allclose(fs_low, 3664.0 / 400e-9, rtol=1e-12)
@@ -205,6 +220,7 @@ def test_geometry_validation():
     # an infinite pitch predicts f_s = 0; a NaN h_elec passed "< 0"
     for bad in (
         {"wavelength": math.inf},
+        {"wavelength": 10**400},  # an int too large for a float is below inf
         {"h_ln": math.inf},
         {"h_elec": math.nan},
         {"h_elec": math.inf},
@@ -252,32 +268,34 @@ def test_duplicate_anchor_rejected():
 
 def test_lookup_at_every_anchor_is_exact(table):
     for a in table.anchors:
-        point = table.lookup(a.h_ln_over_lambda, a.family, a.duty)
-        assert (point.v_p, point.keff2, point.h_elec_over_lambda) == (
-            a.v_p, a.keff2, a.h_elec_over_lambda
-        ), a
-        assert point.warnings == ()
+        ratio, h_elec_ratio = a.h_ln_over_lambda, a.h_elec_over_lambda
+        assert _table_point(table, ratio, a.family, a.duty) == (a.v_p, a.keff2, h_elec_ratio), a
+        point = _at_ratio(table, ratio, a.family, a.duty, h_elec_ratio=h_elec_ratio)
+        assert point == (a.v_p, a.keff2, ()), a
 
 
 def test_ratio_just_outside_the_hull_snaps_to_the_end_anchor(table):
-    assert table.lookup(1.75 * (1 - 5e-10), "measured") == table.lookup(1.75, "measured")
-    assert table.lookup(2.92 * (1 + 5e-10), "measured") == table.lookup(2.92, "measured")
+    for edge, anchor in ((1.75 * (1 - 5e-10), 1.75), (2.92 * (1 + 5e-10), 2.92)):
+        assert _table_point(table, edge) == _table_point(table, anchor)
+        h_elec_ratio = _table_point(table, anchor)[2]
+        assert _at_ratio(table, edge, h_elec_ratio=h_elec_ratio) == _at_ratio(
+            table, anchor, h_elec_ratio=h_elec_ratio
+        )
     with pytest.raises(OutOfTableRange):
-        table.lookup(1.75 * (1 - 2e-9), "measured")
+        _at_ratio(table, 1.75 * (1 - 2e-9))
 
 
 def test_single_anchor_group_cannot_be_inverted(table):
     with pytest.raises(OutOfTableRange):
-        table.lookup(2.0, "measured", 0.7)
+        _at_ratio(table, 2.0, duty=0.7)
     with pytest.raises(TargetOutOfRange):
         scale_to_frequency(9.05e9, H_LN, table, duty=0.7)
 
 
 def test_duty_without_anchors_falls_back_in_lookup_and_sweep(table):
     warning = "duty 0.6 has no anchors in family 'measured'; using duty 0.5 anchors"
-    point = table.lookup(2.05, "measured", 0.6)
-    assert point.warnings == (warning,)
-    assert point[:3] == table.lookup(2.05, "measured", 0.5)[:3]
+    assert _at_ratio(table, 2.05, duty=0.6) == _at_ratio(table, 2.05)[:2] + ((warning,),)
+    assert _table_point(table, 2.05, duty=0.6) == _table_point(table, 2.05)
     rows = sweep(_geometry(400.0), "duty", [0.5, 0.6, 0.5], table)
     assert [row.warnings for row in rows] == [(), (warning,), ()]
     assert [row.value for row in rows] == [0.5, 0.6, 0.5]
@@ -294,7 +312,7 @@ def test_fs_is_continuous_in_duty_at_the_single_anchor_ratio(table):
     rows = sweep(_geometry(400.0), "duty", [0.69999, 0.7, 0.70001], table)
     assert [row.f_s for row in rows] == [exact] * 3
     # a ratio the single anchor cannot serve falls back to the nearest group that can
-    assert table.lookup(2.05, "measured", 0.69999)[:3] == table.lookup(2.05, "measured")[:3]
+    assert _table_point(table, 2.05, duty=0.69999) == _table_point(table, 2.05)
     assert scale_to_frequency(11e9, H_LN, table, duty=0.69999) == scale_to_frequency(
         11e9, H_LN, table
     )
@@ -307,22 +325,14 @@ def test_non_invertible_group_loads_and_serves_lookups(table):
         DispersionAnchor(2.0, 0.1, 0.5, 1000.0, 0.1, "steep", "b"),
     )
     mixed = DispersionTable(table.anchors + steep)
-    assert mixed.lookup(1.5, "steep").v_p == 2500.0
+    assert _at_ratio(mixed, 1.5, "steep")[0] == 2500.0
     with pytest.raises(ValueError, match="not monotone enough"):
         scale_to_frequency(1e9, 1e-6, mixed, family="steep")
     assert scale_to_frequency(11e9, H_LN, mixed) == scale_to_frequency(11e9, H_LN, table)
 
 
-def test_nan_ratio_is_outside_every_group(table):
-    for duty in (0.5, 0.7):
-        with pytest.raises(OutOfTableRange):
-            table.lookup(math.nan, "measured", duty)
-    with pytest.raises(OutOfTableRange):
-        table.lookup(math.nan, "measured", allow_extrapolation=True)
-
-
 def test_scale_to_frequency_rejects_a_non_finite_film(table):
-    for h_ln in (math.inf, math.nan):
+    for h_ln in (math.inf, math.nan, 10**400):
         with pytest.raises(ValueError, match="h_ln positive and finite"):
             scale_to_frequency(11e9, h_ln, table)
 
@@ -343,7 +353,8 @@ def test_lookup_keeps_the_searchsorted_interpolation(table):
         i = min(max(int(np.searchsorted(ratios, r)) - 1, 0), ratios.size - 2)
         t = (r - ratios[i]) / (ratios[i + 1] - ratios[i])
         expected = tuple(float(c[i] + t * (c[i + 1] - c[i])) for c in columns)
-        assert table.lookup(r, "measured")[:3] == expected, r
+        assert _table_point(table, r) == expected, r
+        assert _at_ratio(table, r)[:2] == expected[:2], r
 
 
 def test_scale_to_frequency_rejects_a_bad_rel_tol(table):
@@ -382,8 +393,9 @@ def test_scale_to_frequency_is_exact_to_rounding(table):
 # --- golden sweep --------------------------------------------------------
 #
 # tests/data/sweep_golden.json was written by the per-row sweep that walked
-# DeviceGeometry -> predict -> lookup once per value.  Every float is stored
-# as float.hex, so the array evaluation must reproduce each row to the bit.
+# DeviceGeometry -> predict -> a per-ratio table lookup once per value.
+# Every float is stored as float.hex, so the array evaluation must reproduce
+# each row to the bit.
 
 GOLDEN = Path(__file__).parent / "data" / "sweep_golden.json"
 _EDGE_LO = 1.75 * (1 - 5e-10)  # forgiven: inside the hull's sub-ppb slack
@@ -519,13 +531,16 @@ def test_lookup_and_predict_are_the_one_row_case_of_sweep(table):
                             predict(geometry, table, family, extrapolate)
                         assert str(info.value) == row.error
                         with pytest.raises(OutOfTableRange) as info:
-                            table.lookup(H_LN / lam, family, duty, extrapolate)
+                            _at_ratio(table, H_LN / lam, family, duty, extrapolate, H_ELEC / lam)
                         assert str(info.value) == row.error
                         continue
                     assert predict(geometry, table, family, extrapolate) == row[1:4]
-                    point = table.lookup(H_LN / lam, family, duty, extrapolate)
-                    assert point.v_p / lam == row.f_s and point.keff2 == row.keff2
-                    assert point.warnings == row.warnings[: len(point.warnings)]
+                    # the same row's ratio and h_elec/lambda on a 1 m pitch
+                    v_p, keff2, warnings = _at_ratio(
+                        table, H_LN / lam, family, duty, extrapolate, H_ELEC / lam
+                    )
+                    assert v_p / lam == row.f_s and keff2 == row.keff2
+                    assert warnings == row.warnings
 
 
 def test_sweep_refuses_an_invalid_value_for_the_whole_sweep(table):
@@ -550,7 +565,7 @@ def test_extrapolation_refuses_a_non_positive_velocity(table):
     assert rows[1][1:] == (None, None, (), rows[1].error)
     assert rows[1].error.startswith("h_ln/lambda = 70 extrapolates to v_p = -")
     with pytest.raises(OutOfTableRange, match=r"v_p = -\S+ m/s \(must be positive and finite\)"):
-        table.lookup(70.0, "measured", allow_extrapolation=True)
+        _at_ratio(table, 70.0, extrapolate=True)
 
 
 def test_extrapolation_refuses_a_coupling_outside_the_unit_interval(table):
@@ -563,9 +578,9 @@ def test_extrapolation_refuses_a_coupling_outside_the_unit_interval(table):
         DispersionAnchor(1.0, 0.1, 0.5, 3000.0, 0.5, "rising", ""),
         DispersionAnchor(2.0, 0.1, 0.5, 2900.0, 0.9, "rising", ""),
     ))
-    assert rising.lookup(2.2, "rising", allow_extrapolation=True).keff2 < 1.0
+    assert _at_ratio(rising, 2.2, "rising", extrapolate=True)[1] < 1.0
     with pytest.raises(OutOfTableRange, match=r"keff2 = 1.02 \(must lie in \[0, 1\)\)"):
-        rising.lookup(2.3, "rising", allow_extrapolation=True)
+        _at_ratio(rising, 2.3, "rising", extrapolate=True)
 
 
 def test_an_inner_anchor_is_read_from_the_segment_that_ends_at_it():
@@ -575,4 +590,4 @@ def test_an_inner_anchor_is_read_from_the_segment_that_ends_at_it():
         DispersionAnchor(r, 0.1, 0.5, 3000.0, k, "steps", "")
         for r, k in ((1.0, 0.1), (2.0, 0.45), (3.0, 0.2))
     )
-    assert steps.lookup(2.0, "steps").keff2 == 0.1 + (0.45 - 0.1) != 0.45
+    assert _at_ratio(steps, 2.0, "steps")[1] == 0.1 + (0.45 - 0.1) != 0.45

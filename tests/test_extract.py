@@ -240,7 +240,9 @@ def test_full_extraction_band_overrides(device_trace):
 
 
 @pytest.mark.parametrize(
-    "band", [(1e10, 8e9), (9e9, 9e9), (np.nan, np.nan), (np.nan, 1e10), (-np.inf, 1e10), (8e9, np.inf)]
+    "band",
+    [(1e10, 8e9), (9e9, 9e9), (np.nan, np.nan), (np.nan, 1e10), (-np.inf, 1e10), (8e9, np.inf),
+     (1, 10**400)],
 )
 @pytest.mark.parametrize("name", ["tune_band", "qmax_band"])
 def test_options_refuse_a_band_that_is_not_finite_and_increasing(name, band):

@@ -165,6 +165,29 @@ def test_invalid_elements_rejected(kwargs):
         MbvdParams(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: MbvdParams(0.5, 0.5, 10**400, 1e-8, 1e-14, 1e-13), "r_m"),
+        (lambda: MbvdParams(0.5, 0.5, 1.0, 10**400, 1e-14, 1e-13), "l_m"),
+        (lambda: params_from_metrics(10**400, 0.1, 100, 1e-13), "f_s"),
+        (lambda: params_from_metrics(np.inf, 0.1, 100, 1e-13), "f_s"),
+        (lambda: params_from_metrics(9e9, 0.1, 100, np.inf), "c_0"),
+        (lambda: params_from_metrics(9e9, 0.1, 100, 10**400), "c_0"),
+        (lambda: params_from_metrics(9e9, 0.1, 10**400, 1e-13), "q_m"),
+        (lambda: params_from_metrics(9e9, 0.1, np.nan, 1e-13), "q_m"),
+        (lambda: params_from_metrics(9e9, 0.1, 100, 1e-13, r_s=10**400), "r_s"),
+    ],
+    ids=["r_m-huge-int", "l_m-huge-int", "f_s-huge-int", "f_s-inf", "c_0-inf",
+         "c_0-huge-int", "q_m-huge-int", "q_m-nan", "r_s-huge-int"],
+)
+def test_a_value_beyond_the_float_range_is_refused_by_name(build, field):
+    # an int too large for a float compares below inf, and used to end in
+    # OverflowError; an infinite f_s or c_0 used to blame r_m or l_m
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        build()
+
+
 def test_capacitance_ratio_cap_is_strict():
     with pytest.raises(ValueError):
         MbvdParams(r_s=0, r_0=0, r_m=1, l_m=1e-9, c_m=8e-12, c_0=1e-12)
