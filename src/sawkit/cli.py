@@ -239,8 +239,6 @@ def cmd_sweep(args) -> int:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
         raise ValueError(f"cannot parse sweep values {args.values!r}") from None
-    if not values:
-        raise ValueError("no sweep values given")
     rows = design.sweep(geometry, args.axis, values, table, args.family, args.allow_extrapolation)
     lines = [f"{args.axis},f_s_GHz,keff2_pct,warnings,error"]
     for row in rows:

@@ -394,16 +394,17 @@ def scale_to_frequency(
     is built decides (raised here).  A target outside the anchor hull raises
     TargetOutOfRange.  The result is exact to rounding, so it always meets
     rel_tol, a relative bound on f_s that must be > 0.  duty must pass
-    DeviceGeometry's rule (finite, 0 < duty < 1).  A duty without a
-    multi-anchor group reads the nearest duty that has one, silently: the
-    result is a bare float and carries no warning.
+    DeviceGeometry's rule (finite, 0 < duty < 1), and target_fs and h_ln
+    must be positive and finite.  A duty without a multi-anchor group reads
+    the nearest duty that has one, silently: the result is a bare float and
+    carries no warning.
     """
     if unmet := _unmet("duty", duty):
         raise ValueError(f"duty {unmet}")
     if not rel_tol > 0:
         raise ValueError("rel_tol must be > 0")
-    if not target_fs > 0 or _unmet("h_ln", h_ln):
-        raise ValueError("target_fs must be positive and h_ln positive and finite")
+    if not 0.0 < target_fs <= sys.float_info.max or _unmet("h_ln", h_ln):
+        raise ValueError("target_fs must be positive and finite and h_ln positive and finite")
     k, _ = table._choose(family, duty, lambda group: len(group.ratios) > 1)
     group = table._members(family)[k][1]
     ratios, v_p, products = group.ratios, group.v_p, group.products
@@ -443,17 +444,21 @@ def sweep(
 
     f_s = v_p(h_ln/lambda) / lambda, keff2 is the interpolated coupling, and
     the warnings are the table's plus any electrode-thickness mismatch.  A
-    value the geometry refuses raises its ValueError for the whole sweep, and
-    so do finite lengths whose ratio leaves the float range (1e308 m /
+    value the geometry refuses raises its ValueError for the whole sweep, as
+    do no values and lengths whose ratio leaves the float range (1e308 m /
     4e-7 m): the largest of each ratio column is held to _RULES.  Per-value
     table misses are recorded on the row instead of aborting the sweep.
     """
     if axis not in _SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; choose from {', '.join(_SWEEP_AXES)}")
     field = _SWEEP_AXES[axis]
-    values = [float(v) for v in values]
-    column = np.array(values, dtype=float)
     in_range, requirement = _RULES[field]
+    try:
+        column = np.array(values, dtype=float)
+    except OverflowError:  # an int too large for a float breaks the rule too
+        raise ValueError(f"{field} {requirement}") from None
+    if not column.size:
+        raise ValueError("no sweep values given")
     if not in_range(column).all():
         raise ValueError(f"{field} {requirement}")
     wavelength, h_ln, h_elec, duty = (
@@ -479,11 +484,11 @@ def sweep(
                 f"{anchor[i]:g}; electrode loading is not modeled",
             )
     f_s, keff2 = f_s.tolist(), point[1].tolist()
-    errors_ = [None] * len(values)
+    errors_ = [None] * column.size
     for i, error in errors.items():
         f_s[i] = keff2[i] = None
         warnings_[i], errors_[i] = (), error
-    return list(map(SweepRow._make, zip(values, f_s, keff2, warnings_, errors_)))
+    return list(map(SweepRow._make, zip(column.tolist(), f_s, keff2, warnings_, errors_)))
 
 
 _GEOMETRY_JSON_KEYS = {

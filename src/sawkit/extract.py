@@ -1,10 +1,10 @@
 """Resonator metrics from a one-port trace.
 
-Locates the series/parallel resonance pair on the admittance magnitude,
-computes the effective coupling from the frequency spread, the series-to-
-parallel admittance ratio, and a reflection-derived quality factor
-Q(w) = w |dS11/dw| / (1 - |S11|^2) evaluated after centering the Smith
-locus with a tuned source impedance.
+Locates the series/parallel resonance pair at the conductance and
+resistance peaks (IEEE Std 176), computes the effective coupling from the
+frequency spread, the series-to-parallel admittance ratio, and a
+reflection-derived quality factor Q(w) = w |dS11/dw| / (1 - |S11|^2)
+evaluated after centering the Smith locus with a tuned source impedance.
 
 The report records how it was computed in a Diagnostics record: bands and
 their sample counts, the admittance circle the tuning fitted, whether z0*
@@ -38,7 +38,9 @@ SCHEMA_VERSION = 1
 REPORT_SCHEMA_VERSION = 2
 
 # the only resonance definition find_fs_fp implements
-RESONANCE_DEFINITION = "abs_y_extrema"
+RESONANCE_DEFINITION = "max_conductance_max_resistance"
+# each resonance peak must clear what bounds it by 3 dB, this amplitude ratio
+_THREE_DB = 10.0 ** (3.0 / 20.0)
 
 
 class AdmittanceRatio(NamedTuple):
@@ -129,40 +131,34 @@ class ExtractOptions:
             _check_smooth_window(self.smooth_window)
 
 
-def _parabolic_refine(x: np.ndarray, v: np.ndarray, i: int) -> float:
-    """Vertex of the parabola through samples i-1, i, i+1, clamped to that window."""
-    x0, x1, x2 = x[i - 1], x[i], x[i + 1]
-    d0 = (v[i] - v[i - 1]) / (x1 - x0)
-    d1 = (v[i + 1] - v[i]) / (x2 - x1)
-    curvature = (d1 - d0) / (x2 - x0)
-    if curvature == 0.0:
-        return float(x1)
-    vertex = 0.5 * (x0 + x1) - d0 / (2.0 * curvature)
-    return float(min(max(vertex, x0), x2))
-
-
 def find_fs_fp(trace: AdmittanceTrace) -> tuple[float, float]:
-    """Series and parallel resonance from the |Y| extrema.
+    """Series resonance at maximum conductance, parallel at maximum resistance.
 
-    The grid extrema are refined by 3-point parabolic interpolation of
-    log|Y|.  Raises ResonanceNotBracketed when either extremum sits on a
-    grid endpoint.
+    The IEEE Std 176 pair on the grid, with no refinement: f_s is the sample
+    of largest |Re Y| and f_p the sample of largest |Re Z| above it; the
+    magnitudes keep both peaks in place on a slightly active trace.  Raises
+    ResonanceNotBracketed, naming the first unmet need, unless Im Y has one
+    sign at both trace ends, each peak clears the trace end that bounds it
+    by 3 dB, and |Y(f_s)| clears |Y(f_p)| by 3 dB.
     """
-    magnitude = np.abs(trace.y)
-    log_mag = np.log(np.maximum(magnitude, 1e-300))
-    i_s = int(np.argmax(magnitude))
-    if i_s == 0 or i_s == magnitude.size - 1:
-        raise ResonanceNotBracketed(
-            "resonance not bracketed: |Y| maximum sits at a grid endpoint"
-        )
-    i_p = i_s + 1 + int(np.argmin(magnitude[i_s + 1 :]))
-    if i_p == magnitude.size - 1:
-        raise ResonanceNotBracketed(
-            "resonance not bracketed: no interior |Y| minimum above the series peak"
-        )
-    f_s = _parabolic_refine(trace.frequencies, log_mag, i_s)
-    f_p = _parabolic_refine(trace.frequencies, log_mag, i_p)
-    return f_s, f_p
+    y = trace.y
+    conductance = np.abs(y.real)
+    i_s = int(np.argmax(conductance[:-1]))  # leaves a sample above f_s for f_p
+    above = y[i_s + 1 :]
+    # |Re Z| = |G| / |Y|^2; an open sample (Y = 0) reads NaN, which no need meets
+    with np.errstate(divide="ignore", invalid="ignore"):
+        resistance = np.abs(above.real) / (above.real**2 + above.imag**2)
+    i_p = i_s + 1 + int(np.argmax(resistance))
+    needs = {
+        "one reactance sign at both trace ends": y[0].imag * y[-1].imag > 0,
+        "a conductance peak 3 dB over the low end": conductance[i_s] > _THREE_DB * conductance[0],
+        "a resistance peak 3 dB over the high end": resistance.max() > _THREE_DB * resistance[-1],
+        "|Y| 3 dB higher at f_s than at f_p": abs(y[i_s]) > _THREE_DB * abs(y[i_p]),
+    }
+    unmet = [need for need, met in needs.items() if not met]
+    if unmet:
+        raise ResonanceNotBracketed(f"resonance not bracketed: needs {unmet[0]}")
+    return float(trace.frequencies[i_s]), float(trace.frequencies[i_p])
 
 
 def keff2(f_s: float, f_p: float) -> float:

@@ -122,7 +122,7 @@ def _elements(x: np.ndarray) -> np.ndarray:
 
 
 def _align_resonance(trace: AdmittanceTrace, init: MbvdParams) -> MbvdParams:
-    """Retune a supplied start so its series resonance sits on the |Y| peak.
+    """Retune a supplied start so its series resonance sits on the conductance peak.
 
     initial_guess needs none of this (its f_s is find_fs_fp's); supplied
     starts do (sawkit fit --init).  A high-Q model whose resonance misses
@@ -281,7 +281,7 @@ def fit_mbvd(
 ) -> FitResult:
     """Refine mBVD elements against measured admittance.
 
-    The initial point is first retuned onto the measured |Y| peak (see
+    The initial point is first retuned onto the measured conductance peak (see
     _align_resonance).  Damped Gauss-Newton then descends on every k-th
     sample (k from _coarse_stride; none when k = 1) and polishes on all of
     them, from whichever of the start and the coarse result fits the whole

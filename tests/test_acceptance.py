@@ -4,13 +4,14 @@ Each test pins one published-device or numeric contract of the library:
 published figure-of-merit closure, dispersion-table ordering, wavelength
 scaling inverses, the synthesize-extract-fit round trip, the lossless
 coupling identity, Q-extraction guards and invariances, source-impedance
-invariance, and the file-format round trip.
+invariance, the file-format round trip, and the closure of the fixture
+devices' extracted table on the published rows and on the dispersion table.
 """
 
 import numpy as np
 import pytest
 
-from sawkit import mbvd
+from sawkit import cli, mbvd
 from sawkit.design import (
     DeviceGeometry,
     builtin_dispersion_table,
@@ -39,6 +40,14 @@ ANCHOR_RATIOS = [1.75, 1.94, 2.16, 2.36, 2.92]
 ANCHOR_VELOCITIES = [3736.0, 3690.0, 3528.0, 3484.0, 3209.0]
 
 PARAM_FIELDS = ("r_s", "r_0", "r_m", "l_m", "c_m", "c_0")
+
+# closure bounds: FoM as test_published_fom_closure; keff2 in percentage
+# points against the published row and against the dispersion-table
+# prediction, whose f_s is held to a relative bound
+CLOSURE_FOM_TOL = 0.5
+CLOSURE_KEFF2_PT = 0.02
+PREDICTION_KEFF2_PT = 0.05
+PREDICTION_FS_REL = 1e-3
 
 
 def test_published_fom_closure():
@@ -170,3 +179,34 @@ def test_file_format_round_trip():
                 cases += 1
     assert cases == 108
     print(f"PASS 8: parse-write identity within 1e-9 on {cases} random traces")
+
+
+def test_fixture_table_closes_on_published_rows_and_dispersion_table(tmp_path):
+    # make-fixtures -> extract -> report, as a user runs them
+    fixtures = tmp_path / "fixtures"
+    assert cli.main(["make-fixtures", "-o", str(fixtures)]) == 0
+    reports = []
+    for device, (lambda_nm, *_) in cli.FIXTURE_DEVICES.items():
+        report = str(tmp_path / f"device{device}.json")
+        args = ["extract", str(fixtures / f"device{device}.s1p"), "-o", report]
+        assert cli.main(args + ["--device", device, "--lambda-nm", str(lambda_nm)]) == 0
+        reports.append(report)
+    table_path = tmp_path / "table.csv"
+    assert cli.main(["report", *reports, "-o", str(table_path)]) == 0
+    header, *rows = table_path.read_text().splitlines()
+    assert header == "device,lambda_nm,f_s_GHz,keff2_pct,q_max,fom"
+    assert [row.split(",")[0] for row in rows] == list(cli.FIXTURE_DEVICES)
+
+    table = builtin_dispersion_table()
+    for row, (coupling, _, published) in zip(rows, PUBLISHED_ROWS):
+        device, lambda_nm, f_s_ghz, keff2_pct, _, fom_value = row.split(",")
+        assert abs(float(fom_value) - published) <= CLOSURE_FOM_TOL, row
+        assert abs(float(keff2_pct) - 100 * coupling) <= CLOSURE_KEFF2_PT, row
+        # the design half of the toolkit: the 0.7 um film with 40 nm electrodes
+        geometry = DeviceGeometry(
+            float(lambda_nm) * 1e-9, 0.7e-6, 40e-9, 0.7 if device == "A" else 0.5
+        )
+        f_s_predicted, keff2_predicted, _ = predict(geometry, table)
+        assert abs(float(f_s_ghz) * 1e9 / f_s_predicted - 1) <= PREDICTION_FS_REL, row
+        assert abs(float(keff2_pct) - 100 * keff2_predicted) <= PREDICTION_KEFF2_PT, row
+    print("PASS 9: fixture table closes on the published rows and on the dispersion table")

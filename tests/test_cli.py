@@ -65,12 +65,12 @@ def test_extract_summary_row(fixture_dir, tmp_path):
     assert rc == 0
     header, row = csv_path.read_text().splitlines()
     assert header == "device,lambda_nm,f_s_GHz,keff2_pct,q_max,fom"
-    assert row == "deviceA,400,9.04906,15.0545,210.542,31.696"
+    assert row == "deviceA,400,9.05018,14.9917,210.542,31.5637"
     obj = json.loads(json_path.read_text())
     assert obj["schema_version"] == 2
     assert obj["device"] == "deviceA"
     assert obj["lambda_nm"] == 400.0
-    np.testing.assert_allclose(obj["f_s_hz"], 9.04906e9, rtol=1e-5)
+    np.testing.assert_allclose(obj["f_s_hz"], 9.05018e9, rtol=1e-5)
 
 
 def test_extract_q_trace_rows_are_percent_formatted(active_s1p, tmp_path):

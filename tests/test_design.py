@@ -549,6 +549,25 @@ def test_sweep_refuses_an_invalid_value_for_the_whole_sweep(table):
 
 
 @pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda t: sweep(_geometry(400.0), "lambda", [10**400], t), "wavelength must be"),
+        (lambda t: sweep(_geometry(400.0), "duty", [10**400], t), r"duty must lie in \(0, 1\)"),
+        (lambda t: sweep(_geometry(400.0), "lambda", [], t), "no sweep values given"),
+        (lambda t: scale_to_frequency(10**400, H_LN, t), "target_fs must be positive and finite"),
+        (lambda t: scale_to_frequency(math.inf, H_LN, t), "target_fs must be positive and finite"),
+    ],
+    ids=["lambda-huge-integer", "duty-huge-integer", "no-values", "target-huge-integer",
+         "target-inf"],
+)
+def test_design_refuses_values_beyond_the_float_range_and_empty_sweeps(table, call, message):
+    # an int too large for a float used to end in OverflowError, and no
+    # values in numpy's zero-size reduction error
+    with pytest.raises(ValueError, match=message):
+        call(table)
+
+
+@pytest.mark.parametrize(
     "axis, ratio", [("h_ln", "h_ln_over_lambda"), ("h_elec", "h_elec_over_lambda")]
 )
 def test_sweep_refuses_a_thickness_ratio_beyond_the_float_range(table, axis, ratio):

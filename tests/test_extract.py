@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from sawkit import mbvd
+from sawkit import cli, mbvd
 from sawkit.errors import (
     DomainError,
     EmptyBand,
@@ -54,9 +54,9 @@ def test_find_fs_fp_on_synthetic(device_trace, device_fp):
     f_s, f_p = find_fs_fp(s_to_y(device_trace))
     np.testing.assert_allclose(f_s, F_S, rtol=5e-4)
     np.testing.assert_allclose(f_p, device_fp, rtol=1e-3)
-    # parabolic refinement beats the raw 0.5 MHz grid pitch by a lot
-    np.testing.assert_allclose(f_s, 9049060411.2, rtol=1e-6)
-    np.testing.assert_allclose(f_p, 9585287284.8, rtol=1e-6)
+    # the conductance and resistance peaks, on the 0.5 MHz grid
+    np.testing.assert_allclose(f_s, 9050000000.0, rtol=1e-6)
+    np.testing.assert_allclose(f_p, 9584500000.0, rtol=1e-6)
 
 
 def test_find_fs_fp_needs_bracketed_peak():
@@ -73,6 +73,69 @@ def test_find_fs_fp_needs_interior_valley(device_params):
     trace = s_to_y(mbvd.synthesize_s11(device_params, grid, z0=50.0))
     with pytest.raises(ResonanceNotBracketed):
         find_fs_fp(trace)
+
+
+def test_find_fs_fp_refuses_an_open_sample_above_the_series_peak(device_trace):
+    # S11 = 1 is an open, Y = 0: |Re Z| is undefined there, and no warning escapes
+    y = s_to_y(device_trace)
+    values = y.y.copy()
+    values[3000] = 0.0
+    with pytest.raises(ResonanceNotBracketed, match="resistance peak"):
+        find_fs_fp(AdmittanceTrace(y.frequencies, values))
+
+
+# Edge matrix bounds, per motional Q: the relative error of f_s and of f_p
+# against the generating circuit's, and the keff2 error in percentage points.
+# The conductance and resistance peaks leave the motional resonances by a
+# share of the linewidth f_s/Q_m, so the bounds widen as Q_m falls.
+EDGE_BOUNDS = {
+    10.0: (5e-3, 1.0),
+    20.0: (1e-3, 0.5),
+    "fixture": (1e-3, 0.25),
+    2000.0: (5e-4, 0.1),
+    float("inf"): (5e-4, 0.1),
+}
+# window -> how far it reaches below f_s and above f_p, as a fraction; None
+# stops halfway between them, so the pair is not bracketed.  A two-sided
+# window reaching more than one linewidth past each resonance must resolve.
+EDGE_WINDOWS = {"wide": 0.1, "narrow": 0.01, "one_sided": None}
+
+
+@pytest.mark.parametrize("window", EDGE_WINDOWS)
+@pytest.mark.parametrize("scale", [1.0, 1.007], ids=["passive", "active"])
+@pytest.mark.parametrize("q_m", EDGE_BOUNDS, ids=lambda q: f"q{q}")
+@pytest.mark.parametrize("sigma", [0.0, 1e-3, 3e-3], ids=lambda s: f"sigma{s:g}")
+@pytest.mark.parametrize("device", ["A", "E"])
+def test_resonance_edge_matrix(device, sigma, q_m, scale, window):
+    # every cell ends in the generating circuit's resonances within bounds,
+    # or in ResonanceNotBracketed (exit 3); q_max is not asserted here
+    _, f_s, coupling, q_fixture = cli.FIXTURE_DEVICES[device]
+    params = mbvd.params_from_metrics(
+        f_s, coupling, q_fixture if q_m == "fixture" else q_m, cli.FIXTURE_C_0,
+        r_s=cli.FIXTURE_R_S, r_0=cli.FIXTURE_R_0,
+    )
+    f_s, f_p = mbvd.derived_fs(params), mbvd.derived_fp(params)
+    reach = EDGE_WINDOWS[window]
+    if reach is None:
+        grid = np.linspace(0.9 * f_s, 0.5 * (f_s + f_p), 4001)
+    else:
+        grid = np.linspace((1 - reach) * f_s, (1 + reach) * f_p, 4001)
+    s11 = scale * mbvd.synthesize_s11(params, grid, z0=50.0).s11
+    rng = np.random.default_rng(7)
+    s11 = s11 + sigma * (rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size))
+    trace = OnePortTrace(grid, s11, 50.0)
+    f_tol, keff2_pt = EDGE_BOUNDS[q_m]
+    linewidth = 1.0 / (q_fixture if q_m == "fixture" else q_m)
+    try:
+        rep = full_extraction(trace)
+    except ResonanceNotBracketed as exc:
+        assert exc.exit_code == 3
+        assert reach is None or reach <= linewidth, "a bracketed pair was refused"
+        return
+    assert reach is not None, "a one-sided window returned a pair"
+    assert abs(rep.f_s / f_s - 1) <= f_tol
+    assert abs(rep.f_p / f_p - 1) <= f_tol
+    assert abs(rep.keff2 - coupling) * 100 <= keff2_pt
 
 
 def test_admittance_ratio_plain_numbers():
@@ -202,13 +265,13 @@ def test_fom_arithmetic():
 
 def test_full_extraction_regression(device_trace):
     rep = full_extraction(device_trace)
-    np.testing.assert_allclose(rep.f_s, 9.04906041e9, rtol=1e-7)
-    np.testing.assert_allclose(rep.f_p, 9.58528728e9, rtol=1e-7)
-    np.testing.assert_allclose(rep.keff2, 0.1505447, rtol=1e-5)
+    np.testing.assert_allclose(rep.f_s, 9.05e9, rtol=1e-7)
+    np.testing.assert_allclose(rep.f_p, 9.5845e9, rtol=1e-7)
+    np.testing.assert_allclose(rep.keff2, 0.1500300, rtol=1e-5)
     np.testing.assert_allclose(rep.q_max, 210.5419, rtol=1e-5)
-    np.testing.assert_allclose(rep.z0_star, 166.185, atol=0.2)
+    np.testing.assert_allclose(rep.z0_star, 166.311, atol=0.2)
     np.testing.assert_allclose(rep.fom, rep.keff2 * rep.q_max, rtol=1e-12)
-    np.testing.assert_allclose(rep.y_ratio_db, 54.329, atol=5e-3)
+    np.testing.assert_allclose(rep.y_ratio_db, 54.317, atol=5e-3)
     # the Q maximum sits strictly inside the search band, not on an edge
     lo, hi = 0.9 * rep.f_s, 1.1 * rep.f_p
     sel = (rep.q_bode.frequencies >= lo) & (rep.q_bode.frequencies <= hi)
@@ -300,7 +363,7 @@ def test_diagnostics_record_the_extraction(device_trace, device_fp):
         value = getattr(d, field.name)
         # plain Python values: no numpy scalars, so the record dumps as it is
         assert type(value) in (str, int, float, tuple, type(None)), field.name
-    assert d.resonance_definition == "abs_y_extrema"
+    assert d.resonance_definition == "max_conductance_max_resistance"
     f = device_trace.frequencies
     lo, hi = d.tune_band_hz
     np.testing.assert_allclose((lo, hi), (0.98 * rep.f_s, 1.02 * rep.f_p), rtol=1e-15)
@@ -332,7 +395,7 @@ def test_diagnostics_count_active_and_flagged_samples(device_trace):
 def test_report_csv_row(device_trace):
     rep = full_extraction(device_trace)
     row = report_csv_row(rep, device="deviceA", lambda_nm=400)
-    assert row == "deviceA,400,9.04906,15.0545,210.542,31.696"
+    assert row == "deviceA,400,9.05,15.003,210.542,31.5876"
     assert CSV_HEADER == "device,lambda_nm,f_s_GHz,keff2_pct,q_max,fom"
 
 
