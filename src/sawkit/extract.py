@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -170,15 +170,36 @@ def keff2(f_s: float, f_p: float) -> float:
     return float(_COUPLING_FACTOR * (f_p**2 - f_s**2) / f_s**2)
 
 
+def _nearest(freqs: np.ndarray, x: float) -> int:
+    """argmin |freqs - x| over a strictly increasing grid spanning x, by bisection.
+
+    The nearest sample is one of the two around x, the lower one on a tie,
+    as argmin takes the first.  Far below x the differences x - f can round
+    to one value, so the lower sample steps down while its difference ties.
+    """
+    i = int(np.searchsorted(freqs, x))
+    if i == 0:
+        return 0
+    gap = x - freqs[i - 1]
+    if freqs[i] - x < gap:
+        return i
+    while i > 1 and x - freqs[i - 2] == gap:
+        i -= 1
+    return i - 1
+
+
 def admittance_ratio(trace: AdmittanceTrace, f_s: float, f_p: float) -> AdmittanceRatio:
-    """|Y(f_s)| / |Y(f_p)| at the nearest grid samples, linear and in dB."""
+    """|Y(f_s)| / |Y(f_p)| at the nearest grid samples, linear and in dB.
+
+    Each sample is found by np.searchsorted and one comparison of the two
+    samples around the frequency: the sample and tie-break of
+    argmin |f - x|, without a pass over the grid.
+    """
     freqs = trace.frequencies
     for value, name in ((f_s, "f_s"), (f_p, "f_p")):
         if not freqs[0] <= value <= freqs[-1]:
             raise DomainError(f"{name} = {value:g} Hz lies outside the trace span")
-    i_s = int(np.argmin(np.abs(freqs - f_s)))
-    i_p = int(np.argmin(np.abs(freqs - f_p)))
-    ratio = float(np.abs(trace.y[i_s]) / np.abs(trace.y[i_p]))
+    ratio = float(np.abs(trace.y[_nearest(freqs, f_s)]) / np.abs(trace.y[_nearest(freqs, f_p)]))
     return AdmittanceRatio(linear=ratio, db=float(20.0 * np.log10(ratio)))
 
 
@@ -223,9 +244,12 @@ def _check_smooth_window(window) -> None:
 def bode_q(trace: OnePortTrace, smooth_window: int | None = None) -> QTrace:
     """Reflection-derived Q(w) = w |dS11/dw| / (1 - |S11|^2).
 
-    Central differences on the (possibly non-uniform) angular-frequency
-    grid, one-sided at the endpoints.  Samples too close to |S11| = 1 are
-    returned in .flagged instead of producing huge values.  Optional
+    dS11/dw is np.gradient's: the second-order central difference on the
+    (possibly non-uniform) angular-frequency grid, weighting the two
+    neighbours by the spacings on either side, and one-sided first-order
+    differences at the endpoints.  Samples too close to |S11| = 1 are
+    returned in .flagged instead of producing huge values; when none is,
+    Q is evaluated on the whole arrays, with no gather.  Optional
     smoothing runs the in-house cubic Savitzky-Golay filter _savgol_cubic
     on S11 (near-uniform spacing assumed); its edge samples take the cubic
     fitted to the first or last full window, like scipy's mode="interp".
@@ -242,6 +266,8 @@ def bode_q(trace: OnePortTrace, smooth_window: int | None = None) -> QTrace:
     denominator = 1.0 - np.abs(s) ** 2
     derivative = np.gradient(s, omega)
     ok = denominator >= Q_FLAG_EPS
+    if ok.all():
+        return QTrace(trace.frequencies, omega * np.abs(derivative) / denominator, ())
     q = omega[ok] * np.abs(derivative[ok]) / denominator[ok]
     return QTrace(trace.frequencies[ok], q, trace.frequencies[~ok])
 
@@ -344,7 +370,7 @@ def report_to_json(
     check_lambda_nm(lambda_nm)
     diagnostics = {
         key: list(value) if isinstance(value, tuple) else value
-        for key, value in asdict(report.diagnostics).items()
+        for key, value in vars(report.diagnostics).items()
     }
     return {
         "schema_version": REPORT_SCHEMA_VERSION,

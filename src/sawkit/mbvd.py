@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .network import AdmittanceTrace, y_to_s
-from .touchstone import OnePortTrace
+from .touchstone import OnePortTrace, _as_frequency_grid, _trusted
 
 # pi^2/8 prefactor relating fractional frequency spread to coupling, for
 # extract.keff2 as for the element formulas here
@@ -179,12 +179,15 @@ def params_from_metrics(
 
 
 def synthesize_s11(params: MbvdParams, frequencies, z0: float = 50.0) -> OnePortTrace:
-    """Model S11 on a frequency grid, referenced to z0."""
-    grid = np.asarray(frequencies, dtype=float)
-    y = AdmittanceTrace(grid, element_admittance(
+    """Model S11 on a frequency grid, referenced to z0.
+
+    The grid passes the trace grid rule once, before the model runs on it.
+    """
+    grid = _as_frequency_grid(frequencies)
+    y = element_admittance(
         params.r_s, params.r_0, params.r_m, params.l_m, params.c_m, params.c_0, grid
-    ))
-    return y_to_s(y, z0)
+    )
+    return y_to_s(_trusted(AdmittanceTrace, frequencies=grid, y=y), z0)
 
 
 def params_to_json(params: MbvdParams) -> dict:

@@ -10,18 +10,23 @@ quadratics, found without a search or a linear-algebra call.  The tuning
 takes the caller's admittance and hands back that circle and whether
 z0* sits on a search bound, and passivity_violations counts the samples of
 negative conductance; neither is printed here, so a caller records them.
+
+An AdmittanceTrace's constructor checks its grid by touchstone's grid rule.
+A transform keeps the grid of the checked trace it takes (touchstone._trusted)
+and checks only what it computes: s_to_y that S11 stays off -1, y_to_s that
+z0 is valid before any arithmetic and that the S11 it computes is finite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateLocus, SingularReflection, TooFewPoints
-from .touchstone import OnePortTrace, _as_frequency_grid, _valid_z0
+from .touchstone import OnePortTrace, _as_frequency_grid, _trusted, _valid_z0
 
 # Re(Y) below -1e-6 S counts as a passivity violation
 _PASSIVITY_EPS = 1e-6
@@ -76,7 +81,7 @@ def s_to_y(trace: OnePortTrace) -> AdmittanceTrace:
     if np.any(np.abs(denom) < _SINGULAR_EPS):
         raise SingularReflection("S11 = -1 encountered; admittance is undefined there")
     y = (1.0 - trace.s11) / (trace.z0 * denom)
-    return AdmittanceTrace(trace.frequencies, y)
+    return _trusted(AdmittanceTrace, frequencies=trace.frequencies, y=y)
 
 
 def passivity_violations(trace: AdmittanceTrace) -> tuple[int, float]:
@@ -93,7 +98,9 @@ def y_to_s(trace: AdmittanceTrace, z0: float) -> OnePortTrace:
     """S11 = (1 - z0 Y) / (1 + z0 Y) referenced to the given z0.
 
     z0 must pass OnePortTrace's rule, positive and finite, before any
-    arithmetic: an infinite z0 would map every sample to S11 = -1.
+    arithmetic: an infinite z0 would map every sample to S11 = -1.  The
+    result keeps the admittance's checked grid and must be finite, else
+    ValueError("s11 must be finite").
     """
     if not _valid_z0(z0):
         raise ValueError("z0 must be positive and finite")
@@ -105,7 +112,9 @@ def y_to_s(trace: AdmittanceTrace, z0: float) -> OnePortTrace:
     infinite = np.isinf(zy.real) | np.isinf(zy.imag)
     if np.any(infinite):
         s = np.where(infinite, -1.0 + 0.0j, s)
-    return OnePortTrace(trace.frequencies, s, z0=z0)
+    if not np.all(np.isfinite(s)):
+        raise ValueError("s11 must be finite")
+    return _trusted(OnePortTrace, frequencies=trace.frequencies, s11=s, z0=float(z0), comments=())
 
 
 def renormalize(trace: OnePortTrace, z0_new: float) -> OnePortTrace:
@@ -115,7 +124,10 @@ def renormalize(trace: OnePortTrace, z0_new: float) -> OnePortTrace:
     """
     if z0_new == trace.z0:
         return trace
-    return replace(y_to_s(s_to_y(trace), z0_new), comments=trace.comments)
+    new = y_to_s(s_to_y(trace), z0_new)
+    return _trusted(
+        OnePortTrace, frequencies=new.frequencies, s11=new.s11, z0=new.z0, comments=trace.comments
+    )
 
 
 def _kasa_circle(points: np.ndarray) -> tuple[complex, float, float]:

@@ -15,6 +15,17 @@ The reader walks the header and converts the whole body in one np.loadtxt
 call; only a bad body is walked, to name its offending line.  Both walks
 read lines through one classifier, _line_kind.
 
+A trace's rules each have one home, and no value is checked twice.  The
+grid rule (1-D, at least 2 finite, positive, strictly increasing
+frequencies) is _as_frequency_grid, and the reference-impedance rule is
+_valid_z0.  A trace a caller builds is checked by its constructor: grid,
+S11 shape and finiteness, z0 and comments.  parse_touchstone checks the
+same from the file, where each failure names the file's fault, and builds
+the trace through _trusted without checking again.  A trace derived from a
+checked grid (network's s_to_y, y_to_s and renormalize; mbvd's synthesis,
+after it checks its caller's grid) reuses that grid through _trusted and
+checks only what it computes.
+
 The writer prints every value as '%.12e' would, byte for byte, but with
 numpy instead of Python's formatter: the decimal exponent and a 13-digit
 integer mantissa come from one product with a correctly rounded power of
@@ -101,6 +112,8 @@ def _tables() -> tuple[np.ndarray, ...]:
 
 
 def _as_frequency_grid(values) -> np.ndarray:
+    """The one grid rule: a 1-D float array of at least 2 finite, positive,
+    strictly increasing frequencies, else ValueError naming what fails."""
     freqs = np.asarray(values, dtype=float)
     if freqs.ndim != 1:
         raise ValueError("frequency grid must be one-dimensional")
@@ -109,6 +122,16 @@ def _as_frequency_grid(values) -> np.ndarray:
     if not (np.all(np.isfinite(freqs)) and freqs[0] > 0.0 and np.all(np.diff(freqs) > 0.0)):
         raise ValueError("frequencies must be positive and strictly increasing")
     return freqs
+
+
+def _trusted(cls, **fields):
+    """A frozen trace of class cls from all its fields, which the caller has
+    already held to cls's rules and types: __post_init__ does not run again.
+    """
+    trace = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(trace, name, value)
+    return trace
 
 
 @dataclass(frozen=True)
@@ -313,7 +336,10 @@ def parse_touchstone(text: str) -> tuple[OnePortTrace, TouchstoneFormat]:
     lines = text.splitlines()
     comments, fmt, z0, start = _read_header(lines)
     body = lines[start:]
-    if "!" in "".join(body):
+    # each header line ends in one or two characters, so the body starts at
+    # or after this offset; a '!' found in the header instead only costs the walk
+    body_at = sum(map(len, lines[:start])) + start
+    if text.find("!", body_at) >= 0:
         marked = (_line_kind(raw) for raw in body if "!" in raw)
         comments += [note for kind, note in marked if kind == "!"]
     data = np.empty((0, 3))
@@ -327,15 +353,17 @@ def parse_touchstone(text: str) -> tuple[OnePortTrace, TouchstoneFormat]:
             raise _body_error(lines, start)
     if len(data) < 2:
         raise EmptyData(f"need at least 2 data rows, got {len(data)}")
-    freqs = data[:, 0] * _UNIT_SCALE[fmt.frequency_unit]
-    if not (np.all(np.isfinite(freqs)) and freqs[0] > 0.0 and np.all(np.diff(freqs) > 0.0)):
-        raise NonMonotonicFrequency("frequencies must be positive and strictly increasing")
+    try:
+        freqs = _as_frequency_grid(data[:, 0] * _UNIT_SCALE[fmt.frequency_unit])
+    except ValueError as exc:
+        raise NonMonotonicFrequency(str(exc)) from None
     with np.errstate(over="ignore", invalid="ignore"):
         s11 = _to_complex(fmt.value_format, data[:, 1], data[:, 2])
     bad = np.flatnonzero(~np.isfinite(s11))
     if bad.size:
         raise _body_error(lines, start, int(bad[0]))
-    trace = OnePortTrace(freqs, s11, z0=z0, comments=tuple(comments))
+    # z0 passed _valid_z0 as a float, and each comment is one stripped '!' line
+    trace = _trusted(OnePortTrace, frequencies=freqs, s11=s11, z0=z0, comments=tuple(comments))
     return trace, fmt
 
 

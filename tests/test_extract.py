@@ -1,10 +1,11 @@
+import copy
 import json
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from sawkit import cli, mbvd
+from sawkit import cli, extract, mbvd
 from sawkit.errors import (
     DomainError,
     EmptyBand,
@@ -26,7 +27,13 @@ from sawkit.extract import (
     report_to_json,
     summary_fields,
 )
-from sawkit.network import AdmittanceTrace, OnePortTrace, passivity_violations, s_to_y
+from sawkit.network import (
+    AdmittanceTrace,
+    OnePortTrace,
+    passivity_violations,
+    renormalize,
+    s_to_y,
+)
 
 from conftest import C_0, F_S, KEFF2, Q_M
 
@@ -91,6 +98,9 @@ def test_find_fs_fp_refuses_an_open_sample_above_the_series_peak(device_trace):
 EDGE_BOUNDS = {
     10.0: (5e-3, 1.0),
     20.0: (1e-3, 0.5),
+    # a narrow window reaching less than one linewidth still resolves here,
+    # with its edge pulling the peaks (1.43e-3 and 0.41 pt at worst)
+    40.0: (2e-3, 0.5),
     "fixture": (1e-3, 0.25),
     2000.0: (5e-4, 0.1),
     float("inf"): (5e-4, 0.1),
@@ -154,6 +164,27 @@ def test_admittance_ratio_outside_span():
     )
     with pytest.raises(DomainError):
         admittance_ratio(trace, 0.5e9, 2e9)
+
+
+def test_admittance_ratio_takes_the_samples_argmin_takes():
+    # the bisection's samples and tie-break are argmin |f - x|'s: the lower
+    # sample on an exact tie, and the first of several differences that
+    # round to one value far below x
+    rng = np.random.default_rng(5)
+    random_grid = np.sort(rng.uniform(1e9, 2e9, 50))
+    grids = [
+        np.array([1e9, 2e9, 3e9, 5e9]),
+        np.array([1.0, 1.0 + 2.0**-52, 1e4]),
+        random_grid,
+    ]
+    for grid in grids:
+        x = np.concatenate((grid, 0.5 * (grid[1:] + grid[:-1]), rng.uniform(grid[0], grid[-1], 50)))
+        for value in x:
+            assert extract._nearest(grid, value) == np.argmin(np.abs(grid - value)), (grid, value)
+    assert extract._nearest(grids[1], 1e3) == 0
+    # the ratio reads the two nearest samples' |Y|
+    trace = AdmittanceTrace(grids[0], 2.0 ** np.arange(4) + 0j)
+    assert admittance_ratio(trace, 2.5e9, 4.1e9).linear == 2.0 / 8.0
 
 
 def test_higher_q_device_has_deeper_contrast(device_trace):
@@ -231,6 +262,25 @@ def test_bode_q_frequency_scaling_invariance(device_trace):
     q_scaled = bode_q(doubled)
     np.testing.assert_allclose(q_scaled.q, q_ref.q, rtol=1e-10)
     np.testing.assert_allclose(q_scaled.frequencies, 2.0 * q_ref.frequencies)
+
+
+def test_bode_q_is_unchanged_by_a_real_rereference():
+    # a real change of reference impedance is an automorphism of the unit
+    # disk, which leaves w |dS11/dw| / (1 - |S11|^2) unchanged; on the clean
+    # fixtures only the finite differences move it (at most 1.0e-5 in q_max
+    # and 2.3e-4 pointwise when measured)
+    for device, (_, f_s, _, _) in cli.FIXTURE_DEVICES.items():
+        params = cli.fixture_params(device)
+        grid = np.linspace(0.9 * f_s, 1.1 * mbvd.derived_fp(params), 4001)
+        trace = mbvd.synthesize_s11(params, grid, z0=50.0)
+        z0_star = full_extraction(trace).z0_star
+        reference = bode_q(trace)
+        for z0 in (25.0, 100.0, 300.0, z0_star):
+            moved = bode_q(renormalize(trace, z0))
+            np.testing.assert_array_equal(moved.flagged, reference.flagged)
+            np.testing.assert_array_equal(moved.frequencies, reference.frequencies)
+            np.testing.assert_allclose(moved.q.max(), reference.q.max(), rtol=3e-5)
+            np.testing.assert_allclose(moved.q, reference.q, rtol=5e-4)
 
 
 def test_q_max_band_selection(device_trace):
@@ -424,7 +474,7 @@ def test_report_json_refuses_an_integer_wavelength_too_large_for_a_float(device_
 def test_extraction_work_counts(monkeypatch, device_trace, device_fp):
     # operation counts, not timings: one circle fit per tune and one
     # admittance conversion per extraction
-    from sawkit import extract, network
+    from sawkit import extract, network, touchstone
 
     calls = {"circle_fit": 0, "s_to_y": 0}
 
@@ -462,6 +512,40 @@ def test_extraction_work_counts(monkeypatch, device_trace, device_fp):
     assert [calls[name] for name in (*linalg, "roots")] == [0] * 5
     np.roots([1.0, 0.0, -1.0])
     assert calls["roots"] == 1
+
+    # one request, text to report: the parse runs the grid rule and every
+    # derived trace keeps that grid; admittance_ratio bisects where argmin
+    # would scan, and report_to_json reads the diagnostics without a copy
+    text = touchstone.write_touchstone(device_trace, touchstone.TouchstoneFormat())
+    grid_rule = counted("grid_rule", touchstone._as_frequency_grid)
+    for module in (touchstone, network, mbvd):
+        monkeypatch.setattr(module, "_as_frequency_grid", grid_rule)
+    in_ratio = []
+
+    def ratio(*args):
+        in_ratio.append(True)
+        try:
+            return admittance_ratio(*args)
+        finally:
+            in_ratio.pop()
+
+    argmin = np.argmin
+
+    def argmin_in_ratio(*args, **kwargs):
+        calls["argmin_in_ratio"] += bool(in_ratio)
+        return argmin(*args, **kwargs)
+
+    monkeypatch.setattr(extract, "admittance_ratio", ratio)
+    monkeypatch.setattr(np, "argmin", argmin_in_ratio)
+    monkeypatch.setattr(copy, "deepcopy", counted("deepcopy", copy.deepcopy))
+    calls.update(grid_rule=0, argmin_in_ratio=0, deepcopy=0)
+    report = extract.full_extraction(touchstone.parse_touchstone(text)[0])
+    extract.report_to_json(report)
+    assert (calls["grid_rule"], calls["argmin_in_ratio"], calls["deepcopy"]) == (1, 0, 0)
+    # synthesis checks its caller's grid once
+    calls["grid_rule"] = 0
+    mbvd.synthesize_s11(mbvd.params_from_metrics(F_S, KEFF2, Q_M, C_0), device_trace.frequencies)
+    assert calls["grid_rule"] == 1
 
 
 def test_full_extraction_converts_s11_to_y_once(monkeypatch, device_trace):

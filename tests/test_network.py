@@ -82,6 +82,20 @@ def test_new_reference_impedance_must_be_positive_and_finite(z0):
             convert()
 
 
+def test_derived_traces_keep_every_public_refusal(device_params):
+    # transforms build their traces from a grid already checked, without
+    # the constructors' checks, so each still refuses what they refused
+    nan_sample = AdmittanceTrace(np.array([1e9, 2e9, 3e9]), np.array([0.01, np.nan, 0.02]))
+    with pytest.raises(ValueError, match="s11 must be finite"):
+        y_to_s(nan_sample, 50.0)
+    with pytest.raises(ValueError, match="positive and strictly increasing"):
+        mbvd.synthesize_s11(device_params, [3e9, 2e9, 1e9])
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        mbvd.synthesize_s11(device_params, [1e9])
+    with pytest.raises(ValueError, match="z0 must be positive and finite"):
+        renormalize(_trace([0.2, 0.3 + 0.1j]), np.inf)
+
+
 def test_renormalize_matched_to_double_impedance():
     out = renormalize(_trace([0.0, 0.0]), 100.0)
     np.testing.assert_allclose(out.s11, -1.0 / 3.0, rtol=1e-14)

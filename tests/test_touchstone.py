@@ -438,6 +438,17 @@ def test_body_comments_follow_the_header_in_file_order():
     np.testing.assert_array_equal(trace.frequencies, [1e9, 2e9])
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_body_comments_are_found_whatever_the_line_ends(end):
+    # the search for body '!' lines starts at the earliest offset the body
+    # can have: a header '!' it reaches costs a walk, never a lost comment
+    header = end.join(["! h1", "! h2!", "#", ""])
+    with_note = header + end.join(["!b", "1 0 0", "2 0 0", ""])
+    without = header + end.join(["1 0 0", "2 0 0", ""])
+    assert parse_touchstone(with_note)[0].comments == ("! h1", "! h2!", "!b")
+    assert parse_touchstone(without)[0].comments == ("! h1", "! h2!")
+
+
 def test_trace_rejects_comments_that_break_the_file():
     grid = [1e9, 2e9]
     # a comment without '!' would be read back as a data row before the option line
