@@ -272,11 +272,6 @@ def bode_q(trace: OnePortTrace, smooth_window: int | None = None) -> QTrace:
     return QTrace(trace.frequencies[ok], q, trace.frequencies[~ok])
 
 
-def _tune_band(f_s: float, f_p: float) -> tuple[float, float]:
-    """Default source-tuning band [0.98 f_s, 1.02 f_p]; fit.initial_guess seeds from its circle."""
-    return (0.98 * f_s, 1.02 * f_p)
-
-
 def q_max(q_trace: QTrace, band: tuple[float, float]) -> float:
     """Highest unflagged Bode-Q inside the band."""
     lo, hi = band
@@ -298,19 +293,19 @@ def full_extraction(
 ) -> ExtractionReport:
     """Run the whole metric pipeline on a measured or synthesized trace.
 
-    Defaults: source-impedance tuning over [0.98 f_s, 1.02 f_p], Q search
-    over [0.9 f_s, 1.1 f_p].  The report's diagnostics record those bands,
-    the tuning's circle and bound, and the flagged and non-passive samples.
+    Defaults, read by no other layer: tuning over [0.98 f_s, 1.02 f_p], Q
+    search over [0.9 f_s, 1.1 f_p].  The report's diagnostics record those
+    bands, the tuning's circle and bound, and the flagged and non-passive samples.
     """
     opts = options or ExtractOptions()
     y = s_to_y(trace)
     f_s, f_p = find_fs_fp(y)
     coupling = keff2(f_s, f_p)
     ratio = admittance_ratio(y, f_s, f_p)
-    tune_band = opts.tune_band or _tune_band(f_s, f_p)
+    tune_band = opts.tune_band or (0.98 * f_s, 1.02 * f_p)
+    search_band = opts.qmax_band or (0.9 * f_s, 1.1 * f_p)
     tuning = tune_source_impedance(y, tune_band)
     q_trace = bode_q(tuning.trace, opts.smooth_window)
-    search_band = opts.qmax_band or (0.9 * f_s, 1.1 * f_p)
     best_q = q_max(q_trace, search_band)
     violations, worst_conductance = passivity_violations(y)
     tune_samples = np.count_nonzero(_in_band(y.frequencies, tune_band))

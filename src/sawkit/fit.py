@@ -33,10 +33,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NegativeStaticCapacitance, NonFiniteResidual, ResonanceNotBracketed
-from .extract import SCHEMA_VERSION, _tune_band, find_fs_fp
+from .extract import SCHEMA_VERSION, AdmittanceTrace, find_fs_fp
 from .mbvd import MbvdParams, _jacobian, _terms, derived_fs, params_to_json
-from .network import AdmittanceTrace, _band_mask, _kasa_circle
 
+# initial_guess reads c_0 on samples farther than this from f_s, relative to f_s
+_OFF_RESONANCE = 0.01
 # same sanity cap MbvdParams enforces (c_m < 8 c_0), in log space
 _LOG_CM_C0_CAP = np.log(8.0)
 # stop when the relative cost improvement of an accepted step drops below this
@@ -85,27 +86,31 @@ class FitResult:
 
 
 def initial_guess(trace: AdmittanceTrace) -> MbvdParams:
-    """Closed-form start from the resonance pair and the in-band admittance circle.
+    """Closed-form start from the resonance pair and the off-resonance susceptance.
 
-    Near f_s the motional branch traces a Y-plane circle of diameter 1/r_m
-    whose centre has susceptance omega_s c_0 (Larson et al. 2000, IEEE
-    Ultrason. Symp.).  It is the Kasa circle source tuning fits on
-    [0.98 f_s, 1.02 f_p], so any grid that brackets the resonance yields a
-    start; c_m follows from the resonance spread.  Raises TooFewPoints (< 5
-    band samples), DegenerateLocus, or NegativeStaticCapacitance (inductive).
+    With x = f/f_s, Im Y/omega_s ~ c_0 x + c_m x/(1 - x^2) away from f_s
+    (Larson et al. 2000, IEEE Ultrason. Symp.).  c_0 solves that least
+    squares on the samples with |x - 1| > 1 %, by Cramer's rule on its 2x2
+    normal equations; find_fs_fp's pair gives c_m = c_0 (f_p^2 - f_s^2)/f_s^2
+    and l_m = 1/(omega_s^2 c_m).  r_s = 0.5, r_0 = 0.1 and r_m = 1/max|Re Y|
+    - r_s, at least half of 1/max|Re Y|.  Raises ResonanceNotBracketed, or
+    NegativeStaticCapacitance for c_0 <= 0 (nan: under two samples off resonance).
     """
     f_s, f_p = find_fs_fp(trace)
-    mask = _band_mask(trace.frequencies, _tune_band(f_s, f_p))
-    center, radius, _ = _kasa_circle(trace.y[mask])
     omega_s = 2.0 * np.pi * f_s
-    c_0 = center.imag / omega_s
-    if c_0 <= 0:
-        raise NegativeStaticCapacitance(
-            f"static-capacitance estimate is {c_0:.3e} F; the admittance circle is inductive"
-        )
+    x = trace.frequencies / f_s
+    off = np.abs(x - 1.0) > _OFF_RESONANCE
+    a, c = x[off], trace.y.imag[off] / omega_s
+    b = a / (1.0 - a * a)
+    ab, bb = a @ b, b @ b
+    det = (a @ a) * bb - ab * ab  # > 0 from two samples on: a, b never proportional
+    c_0 = float(bb * (a @ c) - ab * (b @ c)) / float(det) if det > 0 else np.nan
+    if not c_0 > 0:
+        raise NegativeStaticCapacitance(f"static-capacitance estimate {c_0:.3e} F is not positive")
     c_m = c_0 * (f_p**2 - f_s**2) / f_s**2
-    l_m = 1.0 / (omega_s**2 * c_m)
-    return MbvdParams(r_s=0.5, r_0=0.1, r_m=1.0 / (2.0 * radius), l_m=l_m, c_m=c_m, c_0=c_0)
+    resistance = 1.0 / float(np.abs(trace.y.real).max())
+    r_m = max(resistance - 0.5, 0.5 * resistance)
+    return MbvdParams(r_s=0.5, r_0=0.1, r_m=r_m, l_m=1.0 / (omega_s**2 * c_m), c_m=c_m, c_0=c_0)
 
 
 def _log_vector(params: MbvdParams) -> np.ndarray:

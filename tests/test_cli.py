@@ -350,8 +350,8 @@ def _fitted_element_errors(fit_json, params_json):
 
 
 def test_fit_without_init_converges_on_every_fixture_device(fixture_dir, tmp_path):
-    # the fixture grid spans exactly [0.9 f_s, 1.1 f_p]; the circle seed needs
-    # only the samples in the tuning band [0.98 f_s, 1.02 f_p]
+    # the fixture grid spans exactly [0.9 f_s, 1.1 f_p]; the start reads c_0
+    # from every sample farther than 1 % from f_s
     for device in cli.FIXTURE_DEVICES:
         out = tmp_path / f"{device}.fit.json"
         assert cli.main(["fit", str(fixture_dir / f"device{device}.s1p"), "-o", str(out)]) == 0
@@ -518,7 +518,7 @@ def test_usage_error_exit_code():
 @pytest.fixture(scope="module")
 def bad_inputs(fixture_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("bad")
-    # device A with S11 conjugated: the admittance circle turns inductive
+    # device A with S11 conjugated: the susceptance turns inductive
     trace, fmt = parse_touchstone((fixture_dir / "deviceA.s1p").read_text())
     (out / "conjugate.s1p").write_text(
         write_touchstone(OnePortTrace(trace.frequencies, np.conj(trace.s11), 50.0), fmt)
