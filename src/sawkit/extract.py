@@ -4,7 +4,7 @@ Locates the series/parallel resonance pair at the conductance and
 resistance peaks (IEEE Std 176), computes the effective coupling from the
 frequency spread, the series-to-parallel admittance ratio, and a
 reflection-derived quality factor Q(w) = w |dS11/dw| / (1 - |S11|^2)
-evaluated after centering the Smith locus with a tuned source impedance.
+on the trace as measured, which no real z0 change moves (Schwarz-Pick).
 
 The report records how it was computed in a Diagnostics record: bands and
 their sample counts, the admittance circle the tuning fitted, whether z0*
@@ -253,6 +253,7 @@ def bode_q(trace: OnePortTrace, smooth_window: int | None = None) -> QTrace:
     smoothing runs the in-house cubic Savitzky-Golay filter _savgol_cubic
     on S11 (near-uniform spacing assumed); its edge samples take the cubic
     fitted to the first or last full window, like scipy's mode="interp".
+    A real re-reference maps the unit disk onto itself and leaves Q as is (Schwarz-Pick).
     """
     if trace.frequencies.size < 3:
         raise TooFewPoints("need at least 3 samples to differentiate S11")
@@ -305,15 +306,14 @@ def full_extraction(
     tune_band = opts.tune_band or (0.98 * f_s, 1.02 * f_p)
     search_band = opts.qmax_band or (0.9 * f_s, 1.1 * f_p)
     tuning = tune_source_impedance(y, tune_band)
-    q_trace = bode_q(tuning.trace, opts.smooth_window)
+    q_trace = bode_q(trace, opts.smooth_window)
     best_q = q_max(q_trace, search_band)
     violations, worst_conductance = passivity_violations(y)
-    tune_samples = np.count_nonzero(_in_band(y.frequencies, tune_band))
     q_samples = np.count_nonzero(_in_band(q_trace.frequencies, search_band))
     diagnostics = Diagnostics(
         resonance_definition=RESONANCE_DEFINITION,
         tune_band_hz=tune_band,
-        tune_band_samples=int(tune_samples),
+        tune_band_samples=tuning.band_samples,
         q_band_hz=search_band,
         q_band_unflagged_samples=int(q_samples),
         y_circle_radius_s=tuning.circle.radius,

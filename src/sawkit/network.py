@@ -7,9 +7,9 @@ A change of reference impedance is a Moebius map of the admittance, so one
 circle fit in the admittance plane gives the reflection circle for every
 z0 in closed form, and that impedance is a bound or a root of one of two
 quadratics, found without a search or a linear-algebra call.  The tuning
-takes the caller's admittance and hands back that circle and whether
-z0* sits on a search bound, and passivity_violations counts the samples of
-negative conductance; neither is printed here, so a caller records them.
+takes the caller's admittance and hands back that circle, its sample count
+and whether z0* sits on a search bound; passivity_violations counts the
+samples of negative conductance.  None is printed here: a caller records them.
 
 An AdmittanceTrace's constructor checks its grid by touchstone's grid rule.
 A transform keeps the grid of the checked trace it takes (touchstone._trusted)
@@ -64,15 +64,15 @@ class SmithCircle:
 class Tuning(NamedTuple):
     """tune_source_impedance's result.
 
-    circle is the Kasa circle of the in-band admittance (siemens), and
-    on_bound names the search bound z0_star sits on ("z0_min" or
-    "z0_max"), or is None for an interior optimum.
+    circle is the Kasa circle of the in-band admittance (siemens) and
+    band_samples its sample count; on_bound names the search bound z0_star
+    sits on ("z0_min" or "z0_max"), or is None for an interior optimum.
     """
 
     z0_star: float
-    trace: OnePortTrace
     circle: SmithCircle
     on_bound: str | None
+    band_samples: int
 
 
 def s_to_y(trace: OnePortTrace) -> AdmittanceTrace:
@@ -203,11 +203,11 @@ def tune_source_impedance(y: AdmittanceTrace, band: tuple[float, float]) -> Tuni
     (K z0^2 - 1) (g K z0^2 + 2 (g^2 - r^2) z0 + g) = 0, so the minimizer over
     [1, 5000] ohm is a bound or a real root of one of the two factors.
     Takes the admittance the caller holds, so S11 is converted once per
-    extraction.  Returns a Tuning: z0_star, y_to_s(y, z0_star), the in-band
-    admittance circle and the bound z0_star sits on, if any.
+    extraction.  Returns a Tuning: z0_star, the in-band admittance circle,
+    the bound z0_star sits on, if any, and the in-band sample count.
     """
-    mask = _band_mask(y.frequencies, band)
-    center, radius, rms = _kasa_circle(y.y[mask])
+    points = y.y[_band_mask(y.frequencies, band)]
+    center, radius, rms = _kasa_circle(points)
     # in x = z0 * scale every coefficient below is at most 1 in magnitude
     scale = math.hypot(abs(center), radius)
     g, b, r = center.real / scale, center.imag / scale, radius / scale
@@ -221,4 +221,4 @@ def tune_source_impedance(y: AdmittanceTrace, band: tuple[float, float]) -> Tuni
     offset = np.abs((1.0 - k * x * x - 2j * b * x) / (1.0 + 2.0 * g * x + k * x * x))
     z_star = float(z[np.argmin(offset)])
     on_bound = "z0_min" if z_star == _Z0_MIN else "z0_max" if z_star == _Z0_MAX else None
-    return Tuning(z_star, y_to_s(y, z_star), SmithCircle(center, radius, rms), on_bound)
+    return Tuning(z_star, SmithCircle(center, radius, rms), on_bound, points.size)

@@ -65,7 +65,7 @@ def test_extract_summary_row(fixture_dir, tmp_path):
     assert rc == 0
     header, row = csv_path.read_text().splitlines()
     assert header == "device,lambda_nm,f_s_GHz,keff2_pct,q_max,fom"
-    assert row == "deviceA,400,9.05018,14.9917,210.542,31.5637"
+    assert row == "deviceA,400,9.05018,14.9917,210.542,31.5638"
     obj = json.loads(json_path.read_text())
     assert obj["schema_version"] == 2
     assert obj["device"] == "deviceA"

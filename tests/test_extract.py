@@ -35,7 +35,7 @@ from sawkit.network import (
     s_to_y,
 )
 
-from conftest import C_0, F_S, KEFF2, Q_M
+from conftest import C_0, F_S, KEFF2, Q_M, R_0, R_S
 
 
 def test_keff2_formula():
@@ -335,13 +335,14 @@ def test_full_extraction_is_source_impedance_agnostic(device_params):
     reference = None
     for z0 in (25.0, 50.0, 75.0, 200.0):
         rep = full_extraction(mbvd.synthesize_s11(device_params, grid, z0=z0))
-        values = np.array(
-            [rep.f_s, rep.f_p, rep.keff2, rep.q_max, rep.y_ratio, rep.z0_star]
-        )
+        values = np.array([rep.f_s, rep.f_p, rep.keff2, rep.y_ratio, rep.z0_star])
         if reference is None:
-            reference = values
+            reference, q_reference = values, rep.q_max
         else:
             np.testing.assert_allclose(values, reference, rtol=1e-6)
+            # Bode-Q is taken on the trace as given, so only the finite
+            # differences move it: test_bode_q_is_unchanged_by_a_real_rereference's bound
+            np.testing.assert_allclose(rep.q_max, q_reference, rtol=3e-5)
 
 
 def test_full_extraction_band_overrides(device_trace):
@@ -445,7 +446,7 @@ def test_diagnostics_count_active_and_flagged_samples(device_trace):
 def test_report_csv_row(device_trace):
     rep = full_extraction(device_trace)
     row = report_csv_row(rep, device="deviceA", lambda_nm=400)
-    assert row == "deviceA,400,9.05,15.003,210.542,31.5876"
+    assert row == "deviceA,400,9.05,15.003,210.542,31.5877"
     assert CSV_HEADER == "device,lambda_nm,f_s_GHz,keff2_pct,q_max,fom"
 
 
@@ -546,6 +547,47 @@ def test_extraction_work_counts(monkeypatch, device_trace, device_fp):
     calls["grid_rule"] = 0
     mbvd.synthesize_s11(mbvd.params_from_metrics(F_S, KEFF2, Q_M, C_0), device_trace.frequencies)
     assert calls["grid_rule"] == 1
+
+
+def test_extraction_builds_no_tuned_trace_and_three_band_masks(monkeypatch, device_trace):
+    # Bode-Q reads the trace as given, so no S11 is re-referenced; the tune
+    # band is masked once, by the tuning, and the Q band twice: by q_max and
+    # for its sample count
+    from sawkit import extract, network
+
+    calls = {"y_to_s": 0, "in_band": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(network, "y_to_s", counted("y_to_s", network.y_to_s))
+    in_band = counted("in_band", network._in_band)
+    monkeypatch.setattr(network, "_in_band", in_band)
+    monkeypatch.setattr(extract, "_in_band", in_band)
+    for options in (ExtractOptions(smooth_window=31), None):
+        calls.update(y_to_s=0, in_band=0)
+        extract.full_extraction(device_trace, options)
+        assert calls == {"y_to_s": 0, "in_band": 3}
+
+
+@pytest.mark.parametrize(
+    "factor, bound, z0_star", [(100.0 / 3.0, "z0_max", 5000.0), (1.0 / 500.0, "z0_min", 1.0)]
+)
+def test_z0_on_bound_is_a_diagnostic_that_moves_no_metric(factor, bound, z0_star):
+    # the conftest device with every impedance times factor, as in
+    # test_tune_returns_the_bound_it_hits: z0* (~166 ohm at factor 1) leaves
+    # [1, 5000] ohm, and the report says which bound it sits on
+    params = mbvd.params_from_metrics(
+        F_S, KEFF2, Q_M, C_0 / factor, r_s=R_S * factor, r_0=R_0 * factor
+    )
+    trace = mbvd.synthesize_s11(params, np.linspace(8.5e9, 10.5e9, 4001), z0=50.0)
+    report = full_extraction(trace)
+    assert (report.diagnostics.z0_on_bound, report.z0_star) == (bound, z0_star)
+    assert report.q_max == q_max(bode_q(trace), report.diagnostics.q_band_hz)
 
 
 def test_full_extraction_converts_s11_to_y_once(monkeypatch, device_trace):
