@@ -11,9 +11,28 @@ in degrees) and DB (20*log10 magnitude / angle in degrees).  Frequencies
 are converted to Hz on read.  Touchstone v2 keywords, parameter kinds
 other than S and multi-port row shapes are rejected.
 
-The reader walks the header and converts the whole body in one np.loadtxt
-call; only a bad body is walked, to name its offending line.  Both walks
-read lines through one classifier, _line_kind.
+The reader finds the option line in the text's first 4096 characters and
+converts a body in the writer's own layout in numpy (see _writer_rows):
+rows of three '-?d.dddddddddddde[+-]dd' tokens, one space between them and
+'\\n' after each row.  Every file sawkit writes is in it unless some
+value's exponent takes three digits; a file from another writer, such as
+a VNA export, need not be.  Each token's 13 mantissa digits form an
+integer m < 10**13 < 2**53 and its value is m * 10**-k, k = 12 - e; for
+|k| <= 22, 10**|k| is exact in a double, so one multiplication or division
+gives the correctly rounded value, bit for bit what np.loadtxt gives
+(Clinger's fast path).  Tokens outside that window go to float().  The
+body is read in blocks of whole rows of at most 64 KiB: the same
+conversion over the whole body at once ran slower than np.loadtxt in a
+parse-and-extract loop, and faster once glibc's malloc thresholds were
+raised, so the likely cost is the allocator returning those buffers and
+faulting them in again.
+
+Any other body, and any text that is not ASCII or whose option line is not
+in that prefix, is split into lines and converted in one np.loadtxt call;
+a body whose first row or last byte leaves the layout gets there after
+checking that one row.  Only a bad body is walked, to name its offending
+line.  The header walks and that body walk read lines through one
+classifier, _line_kind.
 
 A trace's rules each have one home, and no value is checked twice.  The
 grid rule (1-D, at least 2 finite, positive, strictly increasing
@@ -76,6 +95,14 @@ _CHUNK_ROWS = 2048
 # lowest k in the table of 10**k, and lowest exponent in the exponent table
 _POW10_LOW = -270
 _EXP_LOW = -282
+
+# Body reader (see _writer_rows).  Characters of the prefix searched for the
+# option line, and most characters converted at once, so that every
+# temporary of a block stays below glibc's default mmap threshold (128 KiB).
+_PROBE_CHARS = 4096
+_BLOCK_CHARS = 65536
+# the three separators of a writer row: ' ', ' ', '\n'
+_ROW_SEPARATORS = np.array([32, 32, 10], dtype=np.uint8)
 
 
 @functools.cache
@@ -317,15 +344,139 @@ def _body_error(lines: list[str], start: int, nonfinite_row: int | None = None) 
     return WrongColumnCount(f"line {lineno}: non-numeric value in data row")
 
 
+@functools.cache
+def _reader_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The body reader's scale factors mul and div, built on the first read.
+
+    A token with mantissa sign s, exponent sign t and exponent digits a, so
+    e = a or -a, is at j = a + 100 * t + 200 * s.  With k = 12 - e, mul is
+    the token's sign and div is 10**k for k in [0, 22]; for k in [-22, 0),
+    mul is the signed 10**-k and div is 1.  Every factor is exact, so
+    m * mul / div rounds once.  Any other k has mul nan, which sends the
+    token to float().
+    """
+    pow10 = np.array([float("1e%d" % k) for k in range(23)])
+    k = 12 - np.concatenate([np.arange(100), -np.arange(100)])
+    div = np.where((k >= 0) & (k <= 22), pow10[np.clip(k, 0, 22)], 1.0)
+    mul = np.where(k < 0, pow10[np.clip(-k, 0, 22)], 1.0)
+    mul[np.abs(k) > 22] = np.nan
+    return np.concatenate([mul, -mul]), np.concatenate([div, div])
+
+
+def _all_digits(words: np.ndarray) -> np.ndarray:
+    """Whether every byte of each little-endian word is an ASCII digit."""
+    high = words & 0xF0F0F0F0F0F0F0F0
+    return (high | ((words + 0x0606060606060606) & 0xF0F0F0F0F0F0F0F0) >> 4) == 0x3333333333333333
+
+
+def _digit_values(words: np.ndarray) -> np.ndarray:
+    """The number the eight ASCII digits of each little-endian word spell,
+    its first byte the most significant, by three pairwise SWAR merges."""
+    words = (words & 0x0F0F0F0F0F0F0F0F) * 2561 >> 8
+    words = (words & 0x00FF00FF00FF00FF) * 6553601 >> 16
+    return (words & 0x0000FFFF0000FFFF) * 42949672960001 >> 32
+
+
+def _block_values(raw: bytes) -> np.ndarray | None:
+    """The values of a block of writer rows in file order, or None if any
+    byte departs from the layout (see _writer_rows).  The block must end in
+    '\\n', as _writer_rows's blocks do: bytes after the last one are not read."""
+    # two bytes before and three after, so every token's window lies inside
+    buf = b"\0\0" + raw + b"\0\0\0"
+    codes = np.frombuffer(buf, np.uint8, len(raw), 2)
+    sep = np.flatnonzero(codes <= 32)
+    if sep.size % 3 or not np.all(codes[sep].reshape(-1, 3) == _ROW_SEPARATORS):
+        return None
+    start = np.empty_like(sep)
+    start[0] = 0
+    start[1:] = sep[:-1] + 1
+    negative = codes[start] == ord("-")
+    if not np.array_equal(sep - start, negative + 18):
+        return None
+    # from 2 bytes before each unsigned token, 24 bytes read as three words:
+    # [?, ?, d, '.', d, d, d, d], [d] * 8 and ['e', sign, d, d, ?, ?, ?, ?]
+    windows = np.ndarray((len(buf) - 23,), "V24", buf, 0, (1,))
+    words = windows[start + negative].view("<u8").reshape(-1, 3)
+    head, tail = words[:, 0], words[:, 2]
+    # '.' in the head; 'e' then '+' (0x2B65) or '-' (0x2D65) in the tail
+    marks = ((head & 0xFF000000) == 0x2E000000) & ((((tail & 0xFFFF) - 0x2B65) | 0x200) == 0x200)
+    # j of _reader_tables, less the exponent digits: of '+' and '-', only '-' sets 0x04
+    index = ((tail >> 10) & 1).view(np.int64) * 100 + negative * 200
+    # the 5 leading mantissa digits and the 2 exponent digits, '0'-padded
+    words[:, 0] = ((head & 0xFF0000) << 8) | (head & 0xFFFFFFFF00000000) | 0x303030
+    words[:, 2] = ((tail & 0xFFFF0000) << 32) | 0x303030303030
+    if not (marks.all() and _all_digits(words).all()):
+        return None
+    digits = _digit_values(words)
+    mantissa = (digits[:, 0] * 10**8 + digits[:, 1]).astype(float)
+    index += digits[:, 2].view(np.int64)
+    mul, div = _reader_tables()
+    values = mantissa * mul[index] / div[index]
+    for i in np.flatnonzero(np.isnan(values)):
+        values[i] = float(raw[start[i] : sep[i]])
+    return values
+
+
+def _writer_rows(text: str, at: int) -> np.ndarray | None:
+    """The (n, 3) values of the body text[at:] if it is in the writer's
+    layout, else None.
+
+    That layout is what write_touchstone prints: rows of three tokens
+    -?d.dddddddddddde[+-]dd, one space between them and '\\n' after each
+    row, nothing else.  A body that leaves it in its first row or lacks the
+    final '\\n', as files from other writers do (CRLF, tabs, other
+    precisions), is turned away before any block is converted.  Else the
+    body is taken in blocks of whole rows of at most _BLOCK_CHARS
+    characters, each encoded on its own.
+    """
+    if not text.endswith("\n"):
+        return None
+    tokens = text[at : text.find("\n", at)].split(" ")
+    if len(tokens) != 3 or any(len(t) - (t[:1] == "-") != 18 for t in tokens):
+        return None
+    blocks = []
+    while at < len(text):
+        if len(text) - at <= _BLOCK_CHARS:
+            stop = len(text)
+        else:
+            stop = text.rfind("\n", at, at + _BLOCK_CHARS) + 1
+            if stop <= at:
+                return None
+        values = _block_values(text[at:stop].encode("ascii"))
+        if values is None:
+            return None
+        blocks.append(values)
+        at = stop
+    return np.concatenate([np.empty(0), *blocks]).reshape(-1, 3)
+
+
+def _header_lines(text: str) -> list[str] | None:
+    """The lines of an ASCII text up to its option line, ends kept, when
+    its first _PROBE_CHARS characters hold that line whole; else None."""
+    if not text.isascii():
+        return None
+    # the prefix's last line may be cut
+    lines = text[:_PROBE_CHARS].splitlines(keepends=True)[:-1]
+    for lineno, raw in enumerate(lines, start=1):
+        if _line_kind(raw)[0] == "#":
+            return lines[:lineno]
+    return None
+
+
 def parse_touchstone(text: str) -> tuple[OnePortTrace, TouchstoneFormat]:
     """Parse one-port Touchstone text into a trace and its declared format.
 
     The option line's R (50 if absent) becomes the trace's z0; the format
     holds its unit and value encoding.  The header is walked line by line
-    up to the option line; the body goes to one np.loadtxt call, and its
-    '!' lines follow the header's on the trace, verbatim and in file order.
-    Only a bad body is walked, to name the offending line.  Errors, first
-    match wins:
+    up to the option line, within the first 4096 characters if it ends
+    there.  A body in write_touchstone's layout ('%.12e %.12e %.12e\\n'
+    rows, exponents of two digits) is converted exactly in numpy, 64 KiB of
+    whole rows at a time: a token's 13-digit mantissa m < 2**53 is scaled
+    once by an exact 10**|k|, |k| <= 22, and any token beyond that by
+    float().  Any other body goes to one np.loadtxt call, and its '!' lines
+    follow the header's on the trace, verbatim and in file order.  Both
+    give the same values, bit for bit.  Only a bad body is walked, to name
+    the offending line.  Errors, first match wins:
 
     1. MalformedOptionLine: a bad header, or a '#' or '[' line in the body;
     2. WrongColumnCount: the first row without 3 numeric columns;
@@ -333,24 +484,31 @@ def parse_touchstone(text: str) -> tuple[OnePortTrace, TouchstoneFormat]:
     4. NonMonotonicFrequency: frequencies not finite, positive, increasing;
     5. WrongColumnCount: the first row whose S11 is not finite.
     """
-    lines = text.splitlines()
-    comments, fmt, z0, start = _read_header(lines)
-    body = lines[start:]
-    # each header line ends in one or two characters, so the body starts at
-    # or after this offset; a '!' found in the header instead only costs the walk
-    body_at = sum(map(len, lines[:start])) + start
-    if text.find("!", body_at) >= 0:
-        marked = (_line_kind(raw) for raw in body if "!" in raw)
-        comments += [note for kind, note in marked if kind == "!"]
-    data = np.empty((0, 3))
-    # numpy warns on input without rows, so a body of comments never gets there
-    if any(_line_kind(raw)[0] not in ("", "!") for raw in body):
-        try:
-            data = _table(body)
-        except ValueError:
-            raise _body_error(lines, start) from None
-        if data.shape[1] != 3:
-            raise _body_error(lines, start)
+    header = _header_lines(text)
+    data = None
+    if header is not None:
+        comments, fmt, z0, start = _read_header(header)
+        data = _writer_rows(text, sum(map(len, header)))
+    if data is None:
+        lines = text.splitlines()
+        if header is None:
+            comments, fmt, z0, start = _read_header(lines)
+        body = lines[start:]
+        # each header line ends in one or two characters, so the body starts at
+        # or after this offset; a '!' found in the header instead only costs the walk
+        body_at = sum(map(len, lines[:start])) + start
+        if text.find("!", body_at) >= 0:
+            marked = (_line_kind(raw) for raw in body if "!" in raw)
+            comments += [note for kind, note in marked if kind == "!"]
+        data = np.empty((0, 3))
+        # numpy warns on input without rows, so a body of comments never gets there
+        if any(_line_kind(raw)[0] not in ("", "!") for raw in body):
+            try:
+                data = _table(body)
+            except ValueError:
+                raise _body_error(lines, start) from None
+            if data.shape[1] != 3:
+                raise _body_error(lines, start)
     if len(data) < 2:
         raise EmptyData(f"need at least 2 data rows, got {len(data)}")
     try:
@@ -361,7 +519,7 @@ def parse_touchstone(text: str) -> tuple[OnePortTrace, TouchstoneFormat]:
         s11 = _to_complex(fmt.value_format, data[:, 1], data[:, 2])
     bad = np.flatnonzero(~np.isfinite(s11))
     if bad.size:
-        raise _body_error(lines, start, int(bad[0]))
+        raise _body_error(text.splitlines(), start, int(bad[0]))
     # z0 passed _valid_z0 as a float, and each comment is one stripped '!' line
     trace = _trusted(OnePortTrace, frequencies=freqs, s11=s11, z0=z0, comments=tuple(comments))
     return trace, fmt

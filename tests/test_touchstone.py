@@ -545,3 +545,232 @@ def test_write_fallback_runs_and_stays_exact(monkeypatch):
     fmt = TouchstoneFormat("GHZ", "RI")
     assert write_touchstone(trace, fmt) == _write_rows_reference(trace, fmt)
     assert sent == [5]
+
+
+# --- the writer-layout body reader against the np.loadtxt path ----------
+
+
+def _writer_text(n, value_format, unit="GHZ"):
+    """write_touchstone text of n seeded rows.  S11 values of both signs
+    span e-12..e+12 and frequencies 1e6..1e15 Hz, so exact-window tokens and
+    float() tokens both occur, and the first row carries -0.0.  One row is
+    a two-row text cut short."""
+    rng = np.random.default_rng(n)
+    freqs = np.geomspace(1e6, 1e15, max(n, 2))
+    sign = np.where(rng.random(freqs.size) < 0.5, -1.0, 1.0)
+    angle = sign * 10.0 ** rng.uniform(-12.0, 2.2, freqs.size)
+    s11 = 10.0 ** rng.uniform(-12.0, 12.0, freqs.size) * np.exp(1j * np.deg2rad(angle))
+    s11[0] = complex(-0.0, -0.0) if value_format == "RI" else complex(0.0, -0.0)
+    trace = OnePortTrace(freqs, s11, 50.0, comments=("! seeded",))
+    text = write_touchstone(trace, TouchstoneFormat(unit, value_format))
+    return text if n > 1 else text[: text.rindex("\n", 0, -1) + 1]
+
+
+def _spy_table(monkeypatch):
+    """Record the np.loadtxt conversions, one entry per call."""
+    calls = []
+    table = touchstone._table
+
+    def spied(lines):
+        calls.append(len(lines))
+        return table(lines)
+
+    monkeypatch.setattr(touchstone, "_table", spied)
+    return calls
+
+
+def _parsed(text):
+    """(trace, format) or the error, so that both paths compare alike."""
+    try:
+        return parse_touchstone(text)
+    except (EmptyData, MalformedOptionLine, NonMonotonicFrequency, WrongColumnCount) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_parse(got, want):
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    _assert_same_trace(got[0], want[0])
+    assert got[0].comments == want[0].comments
+    assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4001, 16001])
+@pytest.mark.parametrize("value_format", ["RI", "MA", "DB"])
+@pytest.mark.parametrize("unit", ["HZ", "GHZ"])
+def test_writer_layout_matches_the_loadtxt_path(n, value_format, unit, monkeypatch):
+    text = _writer_text(n, value_format, unit)
+    tables = _spy_table(monkeypatch)
+    got = _parsed(text)
+    assert tables == []
+    # a CRLF copy is the same file for np.loadtxt, and leaves the writer's layout
+    want = _parsed(text.replace("\n", "\r\n"))
+    assert len(tables) == 1
+    _assert_same_parse(got, want)
+    # the values themselves, where -0.0 and 0.0 differ
+    body = text.split("\n", 2)[2]
+    rows = touchstone._writer_rows(text, len(text) - len(body))
+    assert rows.tobytes() == touchstone._table(body.splitlines()).tobytes()
+    assert "-0.000000000000e+00" in body
+    if n > 2:
+        exponents = {int(token[-3:]) for token in body.split()}
+        # below e-10 the scale leaves the exact window and float() converts;
+        # above e+12 it multiplies, and below it divides
+        assert min(exponents) <= -11
+        assert max(exponents) >= (13 if unit == "HZ" else 2)
+
+
+def _near_miss_rows():
+    rows = np.array([[9.0, 0.125, -0.5], [9.01, -0.25, 0.375], [9.02, 0.625, 0.75], [9.03, -0.875, 1e-3]])
+    return rows, _percent_rows(rows.ravel())
+
+
+_NEAR_MISS_HEADER = "! device A\n# GHZ S RI R 50\n"
+
+
+def _near_miss(name):
+    rows, body = _near_miss_rows()
+    header = _NEAR_MISS_HEADER
+    if name == "crlf":
+        body = body.replace("\n", "\r\n")
+    elif name == "tabs":
+        body = body.replace(" ", "\t")
+    elif name == "double spaces":
+        body = body.replace(" ", "  ")
+    elif name == "leading blank line":
+        body = "\n" + body
+    elif name == "no final newline":
+        body = body[:-1]
+    elif name == "%.11e":
+        body = ("%.11e %.11e %.11e\n" * len(rows)) % tuple(rows.ravel().tolist())
+    elif name == "uppercase E":
+        body = body.replace("e", "E")
+    elif name == "three-digit exponent":
+        body = body.replace("1.000000000000e-03", "1.000000000000e-100")
+    elif name == "plus mantissa sign":
+        body = "+" + body
+    elif name == "comment line":
+        first, rest = body.split("\n", 1)
+        body = first + "\n! between rows\n" + rest
+    elif name == "non-ascii header comment":
+        header = "! device µ\n" + header
+    elif name == "option line cut by the probe":
+        header = "!%s\n" % ("x" * 4071) + header  # the probe ends after "# GHZ S RI R"
+    else:
+        assert name == "header longer than the probe"
+        header = "! %s\n" % ("x" * 77) * 60 + header
+    return header + body
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "crlf",
+        "tabs",
+        "double spaces",
+        "leading blank line",
+        "no final newline",
+        "%.11e",
+        "uppercase E",
+        "three-digit exponent",
+        "plus mantissa sign",
+        "comment line",
+        "non-ascii header comment",
+        "option line cut by the probe",
+        "header longer than the probe",
+    ],
+)
+def test_near_miss_bodies_take_the_loadtxt_path(name, monkeypatch):
+    text = _near_miss(name)
+    assert touchstone._writer_rows(_NEAR_MISS_HEADER + _near_miss_rows()[1], len(_NEAR_MISS_HEADER)) is not None
+    tables = _spy_table(monkeypatch)
+    got = parse_touchstone(text)
+    assert tables == [4 + (name == "comment line") + (name == "leading blank line")]
+    # without the header probe, parse_touchstone is the splitlines/np.loadtxt path alone
+    monkeypatch.setattr(touchstone, "_header_lines", lambda text: None)
+    _assert_same_parse(got, parse_touchstone(text))
+
+
+def _edit_row(text, row, edit):
+    lines = text.split("\n")
+    lines[row + 2] = edit(lines[row + 2])  # a comment line and the option line come first
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda row: "x" + row[1:], "line 3003: non-numeric value in data row"),
+        (lambda row: row + " 0.0", "line 3003: one-port data needs 3 columns, got 4"),
+        (lambda row: "# GHZ S DB R 50\n" + row, "line 3003: duplicate option line"),
+        (lambda row: row.replace(row.split()[1], "nan"), "line 3003: non-finite value in data row"),
+        # a layout token whose dB value overflows: converted in numpy, then walked
+        (
+            lambda row: row.replace(row.split()[1], "1.000000000000e+34"),
+            "line 3003: non-finite value in data row",
+        ),
+    ],
+    ids=["non-numeric", "four-columns", "option-line", "nan", "db-overflow"],
+)
+def test_bad_row_in_a_writer_file_keeps_its_message(edit, message):
+    text = _edit_row(_writer_text(4001, "DB"), 3000, edit)
+    with pytest.raises((MalformedOptionLine, WrongColumnCount)) as info:
+        parse_touchstone(text)
+    assert str(info.value) == message
+
+
+def test_writer_text_skips_loadtxt_and_the_line_walk(monkeypatch):
+    text = write_touchstone(_random_trace(np.random.default_rng(4001), n=4001), TouchstoneFormat())
+    tables = _spy_table(monkeypatch)
+    walks = _spy_line_walk(monkeypatch)
+    parse_touchstone(text)
+    assert tables == [] and walks == []
+    parse_touchstone(text.replace("\n", "\r\n"))
+    assert tables == [4001] and walks == []
+
+
+def _other_writer(text, name):
+    """The rows of a writer text as another writer might lay them out."""
+    if name == "crlf":
+        return text.replace("\n", "\r\n")
+    if name == "no final newline":
+        return text[:-1]
+    header, body = text.split("# GHZ S RI R 50\n")
+    rows = np.array(body.split(), dtype=float)
+    return header + "# GHZ S RI R 50\n" + ("%+.9E\t%+.9E\t%+.9E\n" * (rows.size // 3)) % tuple(rows.tolist())
+
+
+@pytest.mark.parametrize("name", ["crlf", "no final newline", "tabs and %+.9E"])
+def test_other_writers_layouts_skip_the_block_conversion(name, monkeypatch):
+    text = write_touchstone(_random_trace(np.random.default_rng(4001), n=4001), TouchstoneFormat())
+    blocks = []
+    convert = touchstone._block_values
+    monkeypatch.setattr(touchstone, "_block_values", lambda raw: blocks.append(raw) or convert(raw))
+    parse_touchstone(text)
+    assert len(blocks) > 1
+    blocks.clear()
+    tables = _spy_table(monkeypatch)
+    parse_touchstone(_other_writer(text, name))
+    assert blocks == [] and tables == [4001]
+
+
+@pytest.mark.parametrize("byte", ["/", ":", "x"])  # either side of '0'..'9', and a letter
+@pytest.mark.parametrize("token, column", [(0, c) for c in range(18)] + [(1, c) for c in range(19)])
+def test_every_byte_of_a_writer_token_is_checked(token, column, byte):
+    # row 2 reads 9.01 -0.25 0.375: a positive token of 18 bytes, a negative one of 19
+    _, body = _near_miss_rows()
+    lines = body.split("\n")
+    tokens = lines[1].split()
+    tokens[token] = tokens[token][:column] + byte + tokens[token][column + 1 :]
+    lines[1] = " ".join(tokens)
+    with pytest.raises(WrongColumnCount) as info:
+        parse_touchstone(_NEAR_MISS_HEADER + "\n".join(lines))
+    assert str(info.value) == "line 4: non-numeric value in data row"
+
+
+def test_text_after_the_last_line_end_is_not_dropped():
+    text = _writer_text(4001, "DB") + "9.0"  # rows on lines 3..4003
+    with pytest.raises(WrongColumnCount) as info:
+        parse_touchstone(text)
+    assert str(info.value) == "line 4004: one-port data needs 3 columns, got 1"
