@@ -20,12 +20,10 @@ from .design import (
     sweep,
 )
 from .extract import (
-    AdmittanceRatio,
     Diagnostics,
     ExtractOptions,
     ExtractionReport,
     QTrace,
-    admittance_ratio,
     bode_q,
     find_fs_fp,
     fom,
@@ -61,7 +59,6 @@ from .network import (
 from .touchstone import OnePortTrace, TouchstoneFormat, parse_touchstone, write_touchstone
 
 __all__ = [
-    "AdmittanceRatio",
     "AdmittanceTrace",
     "DeviceGeometry",
     "Diagnostics",
@@ -78,7 +75,6 @@ __all__ = [
     "TouchstoneFormat",
     "Tuning",
     "admittance",
-    "admittance_ratio",
     "bode_q",
     "builtin_dispersion_table",
     "derived_fp",

@@ -3,10 +3,11 @@
 Subcommands: convert, extract, fit, synth, sweep, report, plus a hidden
 make-fixtures generator for self-contained test data.  Exit codes: 0 ok,
 2 unparseable input or invalid option value, 3 extraction/domain failure,
-4 file I/O, 5 fit did not converge.  Commands raise; `main` alone maps an
-escaping exception to its exit code.  Diagnostics go to stderr; stdout
-carries data only when an output path of '-' is chosen.  A trace with
-negative conductance gets one 'warning:' line from extract and fit.
+4 file I/O, 5 fit did not converge.  Commands raise on failure, and `main`
+alone maps an escaping exception to its exit code; `fit` returns 5 itself,
+after writing its JSON.  Diagnostics go to stderr; stdout carries data
+only when an output path of '-' is chosen.  A trace with negative
+conductance gets one 'warning:' line from extract and fit.
 """
 
 from __future__ import annotations

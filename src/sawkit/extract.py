@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,11 +40,6 @@ REPORT_SCHEMA_VERSION = 2
 RESONANCE_DEFINITION = "max_conductance_max_resistance"
 # each resonance peak must clear what bounds it by 3 dB, this amplitude ratio
 _THREE_DB = 10.0 ** (3.0 / 20.0)
-
-
-class AdmittanceRatio(NamedTuple):
-    linear: float
-    db: float
 
 
 @dataclass(frozen=True)
@@ -170,39 +164,6 @@ def keff2(f_s: float, f_p: float) -> float:
     return float(_COUPLING_FACTOR * (f_p**2 - f_s**2) / f_s**2)
 
 
-def _nearest(freqs: np.ndarray, x: float) -> int:
-    """argmin |freqs - x| over a strictly increasing grid spanning x, by bisection.
-
-    The nearest sample is one of the two around x, the lower one on a tie,
-    as argmin takes the first.  Far below x the differences x - f can round
-    to one value, so the lower sample steps down while its difference ties.
-    """
-    i = int(np.searchsorted(freqs, x))
-    if i == 0:
-        return 0
-    gap = x - freqs[i - 1]
-    if freqs[i] - x < gap:
-        return i
-    while i > 1 and x - freqs[i - 2] == gap:
-        i -= 1
-    return i - 1
-
-
-def admittance_ratio(trace: AdmittanceTrace, f_s: float, f_p: float) -> AdmittanceRatio:
-    """|Y(f_s)| / |Y(f_p)| at the nearest grid samples, linear and in dB.
-
-    Each sample is found by np.searchsorted and one comparison of the two
-    samples around the frequency: the sample and tie-break of
-    argmin |f - x|, without a pass over the grid.
-    """
-    freqs = trace.frequencies
-    for value, name in ((f_s, "f_s"), (f_p, "f_p")):
-        if not freqs[0] <= value <= freqs[-1]:
-            raise DomainError(f"{name} = {value:g} Hz lies outside the trace span")
-    ratio = float(np.abs(trace.y[_nearest(freqs, f_s)]) / np.abs(trace.y[_nearest(freqs, f_p)]))
-    return AdmittanceRatio(linear=ratio, db=float(20.0 * np.log10(ratio)))
-
-
 @functools.lru_cache(maxsize=16)
 def _savgol_basis(window: int) -> tuple[np.ndarray, np.ndarray]:
     """(Vandermonde matrix, its pseudo-inverse) of the cubic on one window, read-only."""
@@ -302,7 +263,9 @@ def full_extraction(
     y = s_to_y(trace)
     f_s, f_p = find_fs_fp(y)
     coupling = keff2(f_s, f_p)
-    ratio = admittance_ratio(y, f_s, f_p)
+    # f_s and f_p are grid values, so searchsorted finds their own samples
+    i_s, i_p = np.searchsorted(y.frequencies, (f_s, f_p))
+    y_ratio = float(np.abs(y.y[i_s]) / np.abs(y.y[i_p]))
     tune_band = opts.tune_band or (0.98 * f_s, 1.02 * f_p)
     search_band = opts.qmax_band or (0.9 * f_s, 1.1 * f_p)
     tuning = tune_source_impedance(y, tune_band)
@@ -327,8 +290,8 @@ def full_extraction(
         f_s=f_s,
         f_p=f_p,
         keff2=coupling,
-        y_ratio=ratio.linear,
-        y_ratio_db=ratio.db,
+        y_ratio=y_ratio,
+        y_ratio_db=float(20.0 * np.log10(y_ratio)),
         q_bode=q_trace,
         q_max=best_q,
         fom=fom(coupling, best_q),

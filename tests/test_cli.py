@@ -73,6 +73,38 @@ def test_extract_summary_row(fixture_dir, tmp_path):
     np.testing.assert_allclose(obj["f_s_hz"], 9.05018e9, rtol=1e-5)
 
 
+def test_extract_to_stdout_writes_the_report_alone(fixture_dir, tmp_path, capsys):
+    # '-o -' puts the report JSON on stdout, the same bytes as '-o PATH',
+    # and the summary line stays on stderr
+    device_a = str(fixture_dir / "deviceA.s1p")
+    assert cli.main(["extract", device_a, "-o", str(tmp_path / "a.json")]) == 0
+    capsys.readouterr()
+    assert cli.main(["extract", device_a, "-o", "-"]) == 0
+    out, err = capsys.readouterr()
+    assert out == (tmp_path / "a.json").read_text()
+    assert json.loads(out)["y_ratio_db"] > 3.0
+    assert err.startswith("deviceA: f_s ") and err.count("\n") == 1
+
+
+def test_sweep_and_report_write_to_stdout_by_default(tmp_path, capsys):
+    geometry = {"lambda_m": 400e-9, "h_ln_m": 0.7e-6, "h_elec_m": 40e-9, "duty": 0.5}
+    gpath = tmp_path / "geometry.json"
+    gpath.write_text(json.dumps(geometry))
+    _write_report(tmp_path / "a.json", "deviceA", 400.0, 9.05e9, 0.15, 213.0)
+    # a header and one row per sweep value or report
+    for command, rows in (
+        (["sweep", str(gpath), "--axis", "lambda", "--values", "400e-9,240e-9"], 2),
+        (["report", str(tmp_path / "a.json")], 1),
+    ):
+        out_path = tmp_path / f"{command[0]}.csv"
+        assert cli.main([*command, "-o", str(out_path)]) == 0
+        capsys.readouterr()
+        assert cli.main(command) == 0
+        out, err = capsys.readouterr()
+        assert out == out_path.read_text() and err == ""
+        assert len(out.splitlines()) == 1 + rows
+
+
 def test_extract_q_trace_rows_are_percent_formatted(active_s1p, tmp_path):
     csv_path = tmp_path / "q.csv"
     assert cli.main(["extract", str(active_s1p), "-o", str(tmp_path / "r.json"),
@@ -442,21 +474,26 @@ def _write_report(path, device, lambda_nm, fs_hz, keff2, qmax):
     path.write_text(json.dumps(obj))
 
 
-def test_report_merges_and_sorts(tmp_path):
+def test_report_merges_and_sorts(fixture_dir, tmp_path):
     _write_report(tmp_path / "e.json", "deviceE", 240.0, 13.37e9, 0.07, 58.0)
     _write_report(tmp_path / "a.json", "deviceA", 400.0, 9.05e9, 0.15, 213.0)
+    # sawkit extract without --lambda-nm writes "lambda_nm": null
+    null_path = tmp_path / "b.json"
+    assert cli.main(["extract", str(fixture_dir / "deviceB.s1p"), "-o", str(null_path)]) == 0
+    assert json.loads(null_path.read_text())["lambda_nm"] is None
     out = tmp_path / "table.csv"
     rc = cli.main(
         [
-            "report", str(tmp_path / "e.json"), str(tmp_path / "a.json"),
+            "report", str(tmp_path / "e.json"), str(null_path), str(tmp_path / "a.json"),
             "--sort-lambda", "-o", str(out),
         ]
     )
     assert rc == 0
     lines = out.read_text().splitlines()
     assert lines[0].startswith("device,")
-    assert lines[1].startswith("deviceA,400")  # longest wavelength first
-    assert lines[2].startswith("deviceE,240")
+    assert lines[1].startswith("deviceA,400,")  # longest wavelength first
+    assert lines[2].startswith("deviceE,240,")
+    assert lines[3].startswith("b,,")  # no wavelength: an empty field, sorted last
 
 
 def test_report_disambiguates_duplicate_names(tmp_path, capsys):
@@ -537,6 +574,7 @@ def bad_inputs(fixture_dir, tmp_path_factory):
     (out / "list.json").write_text("[1, 2]")
     (out / "no_params.json").write_text(json.dumps({"schema_version": 1}))
     (out / "bad_table.csv").write_text("not,a,dispersion,header\n")
+    (out / "empty_table.csv").write_text("")
     metrics = {"f_s_hz": 9.05e9, "keff2": 0.15, "q_max": 213.0, "fom": 32.0}
     for name, extra in (
         ("device_number", {"device": 5}),
@@ -784,6 +822,11 @@ EXIT_CODE_CASES = {
         "sweep {bad}/geometry.json --axis lambda --values 4e-7 --table {bad}/bad_table.csv",
         2,
         "header",
+    ),
+    "sweep-empty-table": (
+        "sweep {bad}/geometry.json --axis lambda --values 4e-7 --table {bad}/empty_table.csv",
+        2,
+        "empty dispersion CSV",
     ),
     "sweep-bad-values": ("sweep {bad}/geometry.json --axis lambda --values 4e-7,x", 2, "sweep values"),
     "sweep-geometry-nan-h-elec": (

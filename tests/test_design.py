@@ -246,6 +246,22 @@ def test_csv_loader_rejects_bad_input():
     ):
         with pytest.raises(ValueError, match="finite"):
             load_dispersion_csv(f"{header}\n{row}\n")
+    for text, message in (
+        ("", "^empty dispersion CSV$"),
+        (header + "\n", "^dispersion table needs at least one anchor$"),
+        (header + "\n1.75,0.1,0.5,3736,0.16, ,x\n", "family must be non-empty"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            load_dispersion_csv(text)
+
+
+def test_csv_loader_skips_blank_rows():
+    header = "h_ln_over_lambda,h_elec_over_lambda,duty,v_p_mps,keff2,family,provenance"
+    rows = ["1.75,0.1,0.5,3736,0.16,measured,a", "2.0,0.1,0.5,3600,0.15,measured,b"]
+    plain = load_dispersion_csv("\n".join([header, *rows]) + "\n")
+    spaced = load_dispersion_csv("\n".join([header, "", rows[0], ",,, ,,,", "", rows[1], ""]) + "\n")
+    assert spaced.anchors == plain.anchors
+    assert len(plain.anchors) == 2
 
 
 def test_measured_velocity_must_decrease_with_film_ratio():

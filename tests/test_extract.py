@@ -16,7 +16,6 @@ from sawkit.extract import (
     CSV_HEADER,
     Diagnostics,
     ExtractOptions,
-    admittance_ratio,
     bode_q,
     find_fs_fp,
     fom,
@@ -146,45 +145,12 @@ def test_resonance_edge_matrix(device, sigma, q_m, scale, window):
     assert abs(rep.f_s / f_s - 1) <= f_tol
     assert abs(rep.f_p / f_p - 1) <= f_tol
     assert abs(rep.keff2 - coupling) * 100 <= keff2_pt
-
-
-def test_admittance_ratio_plain_numbers():
-    trace = AdmittanceTrace(
-        frequencies=np.array([1e9, 2e9, 3e9]),
-        y=np.array([0.2 + 0j, 2e-4 + 0j, 1e-3 + 0j]),
-    )
-    ratio = admittance_ratio(trace, 1e9, 2e9)
-    np.testing.assert_allclose(ratio.linear, 1000.0, rtol=1e-12)
-    np.testing.assert_allclose(ratio.db, 60.0, rtol=1e-12)
-
-
-def test_admittance_ratio_outside_span():
-    trace = AdmittanceTrace(
-        frequencies=np.array([1e9, 2e9, 3e9]), y=np.ones(3, complex)
-    )
-    with pytest.raises(DomainError):
-        admittance_ratio(trace, 0.5e9, 2e9)
-
-
-def test_admittance_ratio_takes_the_samples_argmin_takes():
-    # the bisection's samples and tie-break are argmin |f - x|'s: the lower
-    # sample on an exact tie, and the first of several differences that
-    # round to one value far below x
-    rng = np.random.default_rng(5)
-    random_grid = np.sort(rng.uniform(1e9, 2e9, 50))
-    grids = [
-        np.array([1e9, 2e9, 3e9, 5e9]),
-        np.array([1.0, 1.0 + 2.0**-52, 1e4]),
-        random_grid,
-    ]
-    for grid in grids:
-        x = np.concatenate((grid, 0.5 * (grid[1:] + grid[:-1]), rng.uniform(grid[0], grid[-1], 50)))
-        for value in x:
-            assert extract._nearest(grid, value) == np.argmin(np.abs(grid - value)), (grid, value)
-    assert extract._nearest(grids[1], 1e3) == 0
-    # the ratio reads the two nearest samples' |Y|
-    trace = AdmittanceTrace(grids[0], 2.0 ** np.arange(4) + 0j)
-    assert admittance_ratio(trace, 2.5e9, 4.1e9).linear == 2.0 / 8.0
+    # the Y-ratio is |Y| at find_fs_fp's own two samples, which clear each other by 3 dB
+    y = s_to_y(trace)
+    pair = np.isin(grid, find_fs_fp(y))
+    y_s, y_p = np.abs(y.y[pair])
+    assert rep.y_ratio == y_s / y_p
+    assert rep.y_ratio_db > 20.0 * np.log10(extract._THREE_DB)
 
 
 def test_higher_q_device_has_deeper_contrast(device_trace):
@@ -515,34 +481,17 @@ def test_extraction_work_counts(monkeypatch, device_trace, device_fp):
     assert calls["roots"] == 1
 
     # one request, text to report: the parse runs the grid rule and every
-    # derived trace keeps that grid; admittance_ratio bisects where argmin
-    # would scan, and report_to_json reads the diagnostics without a copy
+    # derived trace keeps that grid, and report_to_json reads the diagnostics
+    # without a copy
     text = touchstone.write_touchstone(device_trace, touchstone.TouchstoneFormat())
     grid_rule = counted("grid_rule", touchstone._as_frequency_grid)
     for module in (touchstone, network, mbvd):
         monkeypatch.setattr(module, "_as_frequency_grid", grid_rule)
-    in_ratio = []
-
-    def ratio(*args):
-        in_ratio.append(True)
-        try:
-            return admittance_ratio(*args)
-        finally:
-            in_ratio.pop()
-
-    argmin = np.argmin
-
-    def argmin_in_ratio(*args, **kwargs):
-        calls["argmin_in_ratio"] += bool(in_ratio)
-        return argmin(*args, **kwargs)
-
-    monkeypatch.setattr(extract, "admittance_ratio", ratio)
-    monkeypatch.setattr(np, "argmin", argmin_in_ratio)
     monkeypatch.setattr(copy, "deepcopy", counted("deepcopy", copy.deepcopy))
-    calls.update(grid_rule=0, argmin_in_ratio=0, deepcopy=0)
+    calls.update(grid_rule=0, deepcopy=0)
     report = extract.full_extraction(touchstone.parse_touchstone(text)[0])
     extract.report_to_json(report)
-    assert (calls["grid_rule"], calls["argmin_in_ratio"], calls["deepcopy"]) == (1, 0, 0)
+    assert (calls["grid_rule"], calls["deepcopy"]) == (1, 0)
     # synthesis checks its caller's grid once
     calls["grid_rule"] = 0
     mbvd.synthesize_s11(mbvd.params_from_metrics(F_S, KEFF2, Q_M, C_0), device_trace.frequencies)

@@ -755,6 +755,26 @@ def test_other_writers_layouts_skip_the_block_conversion(name, monkeypatch):
     assert blocks == [] and tables == [4001]
 
 
+def test_a_row_longer_than_a_block_takes_the_loadtxt_path(monkeypatch):
+    # a writer text whose middle row carries an inline comment longer than a
+    # block: the rows before it convert, then a block's stretch holds no
+    # '\n' and the whole body goes to np.loadtxt once
+    text = write_touchstone(_random_trace(np.random.default_rng(4001), n=4001), TouchstoneFormat())
+    lines = text.split("\n")
+    lines[2000] += " ! " + "x" * (touchstone._BLOCK_CHARS + 1)
+    text = "\n".join(lines)
+    blocks = []
+    convert = touchstone._block_values
+    monkeypatch.setattr(touchstone, "_block_values", lambda raw: blocks.append(raw) or convert(raw))
+    tables = _spy_table(monkeypatch)
+    got = parse_touchstone(text)
+    assert tables == [4001]
+    assert blocks and not any(b"!" in raw for raw in blocks)
+    want = parse_touchstone(text.replace("\n", "\r\n"))
+    assert tables == [4001, 4001]
+    _assert_same_parse(got, want)
+
+
 @pytest.mark.parametrize("byte", ["/", ":", "x"])  # either side of '0'..'9', and a letter
 @pytest.mark.parametrize("token, column", [(0, c) for c in range(18)] + [(1, c) for c in range(19)])
 def test_every_byte_of_a_writer_token_is_checked(token, column, byte):
