@@ -11,12 +11,17 @@ the whole axis: one division for h_ln/lambda, one group choice, one
 np.searchsorted per group and one interpolation of v_p, keff2 and
 h_elec/lambda together, in the scalar formula's order of operations, so
 every value has the bits that formula gives.  Strings are formatted only for
-rows that warn or fail.  predict is the one-row sweep over a geometry's own
-wavelength.  What depends on the table alone (each family's groups in
-fallback order, each group's segments, invertibility, reach and anchor
-products) is computed once when the table is built.  A duty without anchors
-falls back to the nearest duty whose group can serve the request, and three
-calls share this one chooser: sweep, predict and scale_to_frequency.
+rows that warn or fail, by mapping a %-template over their numbers, and a
+duty's fallback note is one tuple shared by the rows it covers; the rows are
+built by tuple.__new__, with no Python frame each.  predict is the one-row
+sweep over a geometry's own wavelength.  What depends on the table alone
+(each family's groups in fallback order, each group's segments,
+invertibility, reach and anchor products) is computed once when the table is
+built.  A duty without anchors falls back to the nearest duty whose group
+can serve the request, and three calls share this one chooser: sweep,
+predict and scale_to_frequency.  The chooser stops scanning at the first
+group once every request has the group of its own duty, so a duty with the
+best-populated group asks serves once.
 
 A DeviceGeometry holds only what the model reads: wavelength, h_ln, h_elec
 and duty.  Its geometry JSON has one key for each and may carry others,
@@ -31,7 +36,7 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from typing import NamedTuple
 
@@ -141,6 +146,17 @@ class SweepRow(NamedTuple):
     error: str | None = None
 
 
+# SweepRow from one (value, f_s, keff2, warnings, error) tuple, as _make
+# builds it but without a Python call per row
+_ROW = partial(tuple.__new__, SweepRow)
+_MISMATCH = "h_elec/lambda = %g differs from the anchor value %g; electrode loading is not modeled"
+
+
+def _has_segments(group: _Group) -> bool:
+    """Whether scale_to_frequency can invert group: it has two anchors or more."""
+    return len(group.ratios) > 1
+
+
 def _is_invertible(ratios: tuple[float, ...], v_p: tuple[float, ...]) -> bool:
     """d(v*r)/dr = v + r dv/dr stays positive at both ends of every segment."""
     for i in range(len(ratios) - 1):
@@ -223,9 +239,13 @@ class DispersionTable:
         serves(group) the request; when none does, the nearest duty of all
         is taken and its evaluation raises as usual.  Duties within
         _DUTY_MATCH_ATOL of each other tie, and a tie goes to the
-        better-populated group.  Written with &, |, ^ and products of bools
-        only, so the same lines take a float duty with bool serves and a
-        sweep's arrays, returning an int and a bool or arrays of them.
+        better-populated group.  Written with &, |, ^ and products of bools,
+        so the same lines take a float duty with bool serves and a sweep's
+        arrays, returning an int and a bool or arrays of them (the choice
+        stays the int 0 when no later group is taken).  The scan stops once
+        no request is open, which is at the first group for a duty that has
+        its own best-populated group: serves then runs once.  A float duty's
+        open_ is a bool, tested by identity, so only arrays pay for any().
         """
         members = self._members(family)
         choice = 0
@@ -233,6 +253,8 @@ class DispersionTable:
         best_gap = abs(members[0][0] - duty)
         open_ = (best_gap <= _DUTY_MATCH_ATOL) ^ True  # no group at this duty yet
         for k in range(1, len(members)):
+            if open_ is False or (open_ is not True and not open_.any()):
+                break
             d, group = members[k]
             gap = abs(d - duty)
             exact = gap <= _DUTY_MATCH_ATOL
@@ -273,16 +295,17 @@ class DispersionTable:
         values = np.empty((3, n))
         warnings_: list[tuple[str, ...]] = [()] * n
         errors: dict[int, str] = {}
-        duties, choices = duty.tolist(), choice.tolist()
-        notes: dict[tuple[float, int], str] = {}  # one per duty and group
-        for i in np.flatnonzero(fell_back).tolist():
-            key = (duties[i], choices[i])
-            if key not in notes:
-                notes[key] = (
-                    f"duty {key[0]:g} has no anchors in family {family!r}; "
-                    f"using duty {members[key[1]][0]:g} anchors"
-                )
-            warnings_[i] = (notes[key],)
+        rows = np.flatnonzero(fell_back)
+        keys = list(zip(duty[rows].tolist(), choice[rows].tolist()))
+        notes = {  # one warnings tuple per duty and group, shared by its rows
+            key: (f"duty {key[0]:g} has no anchors in family {family!r}; "
+                  f"using duty {members[key[1]][0]:g} anchors",)
+            for key in set(keys)
+        }
+        for i, note in zip(rows.tolist(), map(notes.__getitem__, keys)):
+            warnings_[i] = note
+        # the family as templates quote it, its % escaped: a CSV names it
+        quoted = repr(family).replace("%", "%%")
         for k, (_, group) in enumerate(members):
             rows = np.flatnonzero(choice == k)
             if rows.size == 0:
@@ -297,22 +320,22 @@ class DispersionTable:
                 t = (clipped - group.starts[i]) / group.spans[i]
                 point = group.columns[:, i] + t * group.steps[:, i]
             values[:, rows] = point
-            missed = np.flatnonzero(~in_reach).tolist()
-            if not missed:
+            missed = ~in_reach
+            if not missed.any():
                 continue
             hull = f"[{lo:g}, {hi:g}]"
-            rows, r, (v_p, keff2, _) = rows.tolist(), r.tolist(), point.tolist()
-            extrapolated = extrapolated.tolist()
-            for j in missed:
-                row, x, v, k2 = rows[j], r[j], v_p[j], keff2[j]
-                if len(group.ratios) == 1:
-                    errors[row] = (
-                        f"family {family!r} at duty {duties[row]:g} has a single anchor at "
-                        f"h_ln/lambda = {lo:g}; cannot interpolate to {x:g}"
-                    )
-                elif not extrapolated[j]:
-                    errors[row] = f"h_ln/lambda = {x:g} outside table hull {hull} for family {family!r}"
-                elif unmet := _unmet("v_p", v):
+            rows, r = rows[missed].tolist(), r[missed].tolist()
+            if len(group.ratios) == 1:
+                template = (f"family {quoted} at duty %g has a single anchor at "
+                            f"h_ln/lambda = {lo:g}; cannot interpolate to %g")
+                errors.update(zip(rows, map(template.__mod__, zip(duty[rows].tolist(), r))))
+                continue
+            if not extrapolate:
+                template = f"h_ln/lambda = %g outside table hull {hull} for family {quoted}"
+                errors.update(zip(rows, map(template.__mod__, r)))
+                continue
+            for row, x, v, k2 in zip(rows, r, *point[:2, missed].tolist()):
+                if unmet := _unmet("v_p", v):
                     errors[row] = f"h_ln/lambda = {x:g} extrapolates to v_p = {v:g} m/s ({unmet})"
                 elif unmet := _unmet("keff2", k2):
                     errors[row] = f"h_ln/lambda = {x:g} extrapolates to keff2 = {k2:g} ({unmet})"
@@ -405,7 +428,7 @@ def scale_to_frequency(
         raise ValueError("rel_tol must be > 0")
     if not 0.0 < target_fs <= sys.float_info.max or _unmet("h_ln", h_ln):
         raise ValueError("target_fs must be positive and finite and h_ln positive and finite")
-    k, _ = table._choose(family, duty, lambda group: len(group.ratios) > 1)
+    k, _ = table._choose(family, duty, _has_segments)
     group = table._members(family)[k][1]
     ratios, v_p, products = group.ratios, group.v_p, group.products
     if len(ratios) < 2:
@@ -475,20 +498,18 @@ def sweep(
     with np.errstate(all="ignore"):  # an anchor h_elec/lambda may be 0
         f_s = point[0] / wavelength
         mismatch = np.abs(h_elec_ratio - anchor) / anchor
-    mismatched = np.flatnonzero((anchor > 0) & (mismatch > _H_ELEC_WARN_RTOL)).tolist()
-    if mismatched:
-        h_elec_ratio, anchor = h_elec_ratio.tolist(), anchor.tolist()
-        for i in (i for i in mismatched if i not in errors):
-            warnings_[i] += (
-                f"h_elec/lambda = {h_elec_ratio[i]:g} differs from the anchor value "
-                f"{anchor[i]:g}; electrode loading is not modeled",
-            )
+    mismatched = (anchor > 0) & (mismatch > _H_ELEC_WARN_RTOL)
+    mismatched[list(errors)] = False
+    rows = np.flatnonzero(mismatched)
+    texts = map(_MISMATCH.__mod__, zip(h_elec_ratio[rows].tolist(), anchor[rows].tolist()))
+    for i, text in zip(rows.tolist(), texts):
+        warnings_[i] += (text,)
     f_s, keff2 = f_s.tolist(), point[1].tolist()
     errors_ = [None] * column.size
     for i, error in errors.items():
         f_s[i] = keff2[i] = None
         warnings_[i], errors_[i] = (), error
-    return list(map(SweepRow._make, zip(column.tolist(), f_s, keff2, warnings_, errors_)))
+    return list(map(_ROW, zip(column.tolist(), f_s, keff2, warnings_, errors_)))
 
 
 _GEOMETRY_JSON_KEYS = {

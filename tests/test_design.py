@@ -9,6 +9,7 @@ from sawkit.design import (
     DeviceGeometry,
     DispersionAnchor,
     DispersionTable,
+    SweepRow,
     builtin_dispersion_table,
     geometry_from_json,
     load_dispersion_csv,
@@ -195,6 +196,12 @@ def test_sweep_records_misses_per_row(table):
     assert rows[0].error is None
     assert rows[1].f_s is None
     assert "outside table hull" in rows[1].error
+    # rows built by tuple.__new__ are SweepRows like _make's
+    for row in rows:
+        assert type(row) is SweepRow
+        assert (row.value, row.f_s, row.keff2, row.warnings, row.error) == row == tuple(row)
+        assert row._replace(error="x") == (*row[:4], "x")
+        assert type(row._replace(error="x")) is SweepRow
 
 
 def test_sweep_unknown_axis(table):
@@ -626,3 +633,110 @@ def test_an_inner_anchor_is_read_from_the_segment_that_ends_at_it():
         for r, k in ((1.0, 0.1), (2.0, 0.45), (3.0, 0.2))
     )
     assert _at_ratio(steps, 2.0, "steps")[1] == 0.1 + (0.45 - 0.1) != 0.45
+
+
+@pytest.mark.parametrize("family", ["plain", "m%d{0}", "100%"])
+def test_every_message_kind_renders_its_text(family):
+    # the texts written as the f-strings that formatted them row by row; a
+    # family is read from a CSV, so a % or a brace in its name is plain text
+    table = load_dispersion_csv(
+        "h_ln_over_lambda,h_elec_over_lambda,duty,v_p_mps,keff2,family,provenance\n"
+        f"1.0,0.1,0.5,4000,0.1,{family},a\n"
+        f"2.0,0.1,0.5,3000,0.05,{family},b\n"
+        f"1.5,0.1,0.7,3500,0.08,{family},c\n"
+    )
+    hull = f"[{1.0:g}, {2.0:g}]"
+
+    def rows(axis, values, duty=0.5, extrapolate=False):
+        # on a 1 m pitch h_ln is the thickness ratio
+        base = DeviceGeometry(1.0, 1.5, 0.1, duty)
+        return sweep(base, axis, values, table, family, extrapolate)
+
+    plain, outside = rows("h_ln", [1.5, 3.0])
+    assert plain[1:] == (3500.0, 0.1 + 0.5 * (0.05 - 0.1), (), None)
+    assert outside.error == f"h_ln/lambda = {3.0:g} outside table hull {hull} for family {family!r}"
+    mismatch = rows("h_elec", [0.1, 0.15])[1]
+    assert mismatch.warnings == (
+        f"h_elec/lambda = {0.15:g} differs from the anchor value {0.1:g}; "
+        f"electrode loading is not modeled",
+    )
+    exact, single = rows("h_ln", [1.5, 1.8], duty=0.7)
+    assert exact == (1.5, 3500.0, 0.08, (), None)
+    assert single.error == (
+        f"family {family!r} at duty {0.7:g} has a single anchor at "
+        f"h_ln/lambda = {1.5:g}; cannot interpolate to {1.8:g}"
+    )
+    # one note per duty and group, its tuple shared by the rows it covers
+    fell_back = rows("h_ln", [1.2, 1.8], duty=0.6)
+    note = f"duty {0.6:g} has no anchors in family {family!r}; using duty {0.5:g} anchors"
+    assert [row.warnings for row in fell_back] == [(note,), (note,)]
+    assert fell_back[0].warnings is fell_back[1].warnings
+    # v_p = 4000 - 1000 (r - 1) and keff2 = 0.1 - 0.05 (r - 1) past both ends
+    below, above, no_keff2, no_v_p = rows("h_ln", [0.5, 2.5, 4.0, 6.0], extrapolate=True)
+    assert below.warnings == (f"h_ln/lambda = {0.5:g} extrapolated beyond {hull}",)
+    assert above.warnings == (f"h_ln/lambda = {2.5:g} extrapolated beyond {hull}",)
+    k2 = 0.1 + (4.0 - 1.0) / (2.0 - 1.0) * (0.05 - 0.1)
+    assert no_keff2.error == (
+        f"h_ln/lambda = {4.0:g} extrapolates to keff2 = {k2:g} (must lie in [0, 1))"
+    )
+    v = 4000.0 + (6.0 - 1.0) / (2.0 - 1.0) * (3000.0 - 4000.0)
+    assert no_v_p.error == (
+        f"h_ln/lambda = {6.0:g} extrapolates to v_p = {v:g} m/s (must be positive and finite)"
+    )
+
+
+def test_the_chooser_stops_at_the_group_of_its_duty(table, monkeypatch):
+    # serves runs once per sweep where the duty's own group comes first (the
+    # better populated), and once per group where the scan must go on
+    counts = []
+    choose = DispersionTable._choose
+
+    def counted(self, family, duty, serves):
+        counts.append(0)
+
+        def counting(group):
+            counts[-1] += 1
+            return serves(group)
+
+        return choose(self, family, duty, counting)
+
+    monkeypatch.setattr(DispersionTable, "_choose", counted)
+    groups = len(table._members("measured"))
+    assert groups == 2
+    for duty, runs in ((0.5, 1), (0.6, groups), (0.7, groups)):
+        counts.clear()
+        sweep(_geometry(400.0, duty), "lambda", _GOLDEN_VALUES["lambda"], table)
+        assert counts == [runs], duty
+    for duty, runs in ((0.5, 1), (0.6, groups)):
+        counts.clear()
+        scale_to_frequency(11e9, H_LN, table, duty=duty)
+        assert counts == [runs], duty
+    # one sweep whose rows take their own group (0.5, 0.7) or fall back (0.6)
+    counts.clear()
+    rows = sweep(_geometry(400.0), "duty", [0.5, 0.6, 0.7], table)
+    assert counts == [groups]
+    note = "duty 0.6 has no anchors in family 'measured'; using duty 0.5 anchors"
+    assert [row.warnings for row in rows] == [(), (note,), ()]
+    fifty, seventy = predict(_geometry(400.0), table)[0], predict(_geometry(400.0, 0.7), table)[0]
+    assert [row.f_s for row in rows] == [fifty, fifty, seventy] and fifty != seventy
+
+
+@pytest.mark.parametrize("family", ["measured", "simulated"])
+def test_scalar_and_array_choices_agree(table, family):
+    duties = _GOLDEN_VALUES["duty"]
+    ratios = [1.0, 1.75, 2.05, 3.0]
+    duty, ratio = np.repeat(duties, len(ratios)), np.tile(ratios, len(duties))
+
+    def reach(x):
+        return lambda group: (group.reach[0] <= x) & (x <= group.reach[1])
+
+    def segments(x):
+        return lambda group: len(group.ratios) > 1
+
+    for serves in (reach, segments):
+        choice, fell_back = table._choose(family, duty, serves(ratio))
+        choice = np.broadcast_to(choice, duty.shape)
+        for i, (d, x) in enumerate(zip(duty.tolist(), ratio.tolist())):
+            k, open_ = table._choose(family, d, serves(x))
+            assert type(k) is int and type(open_) is bool
+            assert (k, open_) == (choice[i], fell_back[i]), (serves.__name__, d, x)
