@@ -16,16 +16,21 @@ converts a body in the writer's own layout in numpy (see _writer_rows):
 rows of three '-?d.dddddddddddde[+-]dd' tokens, one space between them and
 '\\n' after each row.  Every file sawkit writes is in it unless some
 value's exponent takes three digits; a file from another writer, such as
-a VNA export, need not be.  Each token's 13 mantissa digits form an
-integer m < 10**13 < 2**53 and its value is m * 10**-k, k = 12 - e; for
-|k| <= 22, 10**|k| is exact in a double, so one multiplication or division
-gives the correctly rounded value, bit for bit what np.loadtxt gives
-(Clinger's fast path).  Tokens outside that window go to float().  The
-body is read in blocks of whole rows of at most 64 KiB: the same
-conversion over the whole body at once ran slower than np.loadtxt in a
-parse-and-extract loop, and faster once glibc's malloc thresholds were
-raised, so the likely cost is the allocator returning those buffers and
-faulting them in again.
+a VNA export, need not be.  A block's tokens are gathered into one
+(n, 18) byte matrix, and one subtract-and-compare against per-column
+ranges checks every byte.  One float64 product of those bytes, less each
+range's lowest, with an (18, 2) weight matrix gives each token's 13-digit
+mantissa m and the sign and digits of its exponent e: each term is a
+digit times 10**k, k <= 12, and each partial sum an integer below
+10**13 < 2**53, so the product is exact in whatever order the sum is
+taken.  The value is m * 10**-k, k = 12 - e; for |k| <= 22, 10**|k| is
+exact in a double, so one multiplication or division gives the correctly
+rounded value, bit for bit what np.loadtxt gives (Clinger's fast path).
+Tokens outside that window go to float().  The body is read in blocks of
+whole rows of at most 64 KiB: the same conversion over the whole body at
+once ran slower than np.loadtxt in a parse-and-extract loop, and faster
+once glibc's malloc thresholds were raised, so the likely cost is the
+allocator returning those buffers and faulting them in again.
 
 Any other body, and any text that is not ASCII or whose option line is not
 in that prefix, is split into lines and converted in one np.loadtxt call;
@@ -97,12 +102,13 @@ _POW10_LOW = -270
 _EXP_LOW = -282
 
 # Body reader (see _writer_rows).  Characters of the prefix searched for the
-# option line, and most characters converted at once, so that every
-# temporary of a block stays below glibc's default mmap threshold (128 KiB).
+# option line, and most characters converted at once: a block's largest
+# temporary is its (n, 18) float64 token matrix, about 0.5 MB, where a whole
+# body at once ran slower (see the module docstring).
 _PROBE_CHARS = 4096
 _BLOCK_CHARS = 65536
-# the three separators of a writer row: ' ', ' ', '\n'
-_ROW_SEPARATORS = np.array([32, 32, 10], dtype=np.uint8)
+# most rows a block holds: a writer row takes at least 3 * 18 + 3 characters
+_BLOCK_ROWS = _BLOCK_CHARS // 57
 
 
 @functools.cache
@@ -345,8 +351,17 @@ def _body_error(lines: list[str], start: int, nonfinite_row: int | None = None) 
 
 
 @functools.cache
-def _reader_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The body reader's scale factors mul and div, built on the first read.
+def _reader_tables() -> tuple[np.ndarray, ...]:
+    """The body reader's tables, built on the first read.
+
+    separators is ' ', ' ', '\\n' for every row a block can hold.  low and
+    span give each byte of a token its range, low <= byte <= low + span,
+    column by column and tiled for as many tokens: d '.' d*12 'e' '+'..'-'
+    d d.  A token's bytes less low, times weights, are (m, a + 100 * t): m
+    its 13-digit mantissa, a its exponent digits and t 1 for '-', 0 for
+    '+'.  Each product is a digit times 10**k, k <= 12, and each partial sum
+    an integer below 10**13 < 2**53, so the float64 product is exact in any
+    order of summation.
 
     A token with mantissa sign s, exponent sign t and exponent digits a, so
     e = a or -a, is at j = a + 100 * t + 200 * s.  With k = 12 - e, mul is
@@ -355,62 +370,51 @@ def _reader_tables() -> tuple[np.ndarray, np.ndarray]:
     m * mul / div rounds once.  Any other k has mul nan, which sends the
     token to float().
     """
+    low = np.frombuffer(b"0.000000000000e+00", np.uint8)
+    high = np.frombuffer(b"9.999999999999e-99", np.uint8)
     pow10 = np.array([float("1e%d" % k) for k in range(23)])
+    weights = np.zeros((18, 2))
+    weights[[0, *range(2, 14)], 0] = pow10[12::-1]
+    # the exponent sign less '+' is 0, or 2 for '-'
+    weights[15:, 1] = 50.0, 10.0, 1.0
     k = 12 - np.concatenate([np.arange(100), -np.arange(100)])
     div = np.where((k >= 0) & (k <= 22), pow10[np.clip(k, 0, 22)], 1.0)
     mul = np.where(k < 0, pow10[np.clip(-k, 0, 22)], 1.0)
     mul[np.abs(k) > 22] = np.nan
-    return np.concatenate([mul, -mul]), np.concatenate([div, div])
-
-
-def _all_digits(words: np.ndarray) -> np.ndarray:
-    """Whether every byte of each little-endian word is an ASCII digit."""
-    high = words & 0xF0F0F0F0F0F0F0F0
-    return (high | ((words + 0x0606060606060606) & 0xF0F0F0F0F0F0F0F0) >> 4) == 0x3333333333333333
-
-
-def _digit_values(words: np.ndarray) -> np.ndarray:
-    """The number the eight ASCII digits of each little-endian word spell,
-    its first byte the most significant, by three pairwise SWAR merges."""
-    words = (words & 0x0F0F0F0F0F0F0F0F) * 2561 >> 8
-    words = (words & 0x00FF00FF00FF00FF) * 6553601 >> 16
-    return (words & 0x0000FFFF0000FFFF) * 42949672960001 >> 32
+    return (
+        np.tile(np.array([32, 32, 10], np.uint8), _BLOCK_ROWS),
+        np.tile(low, 3 * _BLOCK_ROWS),
+        np.tile(high - low, 3 * _BLOCK_ROWS),
+        weights,
+        np.concatenate([mul, -mul]),
+        np.concatenate([div, div]),
+    )
 
 
 def _block_values(raw: bytes) -> np.ndarray | None:
     """The values of a block of writer rows in file order, or None if any
     byte departs from the layout (see _writer_rows).  The block must end in
     '\\n', as _writer_rows's blocks do: bytes after the last one are not read."""
-    # two bytes before and three after, so every token's window lies inside
-    buf = b"\0\0" + raw + b"\0\0\0"
-    codes = np.frombuffer(buf, np.uint8, len(raw), 2)
+    separators, low, span, weights, mul, div = _reader_tables()
+    codes = np.frombuffer(raw, np.uint8)
     sep = np.flatnonzero(codes <= 32)
-    if sep.size % 3 or not np.all(codes[sep].reshape(-1, 3) == _ROW_SEPARATORS):
+    # more separators than a block's rows can hold leave the layout too
+    if sep.size % 3 or sep.size > separators.size or not (codes[sep] == separators[: sep.size]).all():
         return None
     start = np.empty_like(sep)
     start[0] = 0
     start[1:] = sep[:-1] + 1
     negative = codes[start] == ord("-")
-    if not np.array_equal(sep - start, negative + 18):
+    first = start + negative
+    if not (sep - first == 18).all():
         return None
-    # from 2 bytes before each unsigned token, 24 bytes read as three words:
-    # [?, ?, d, '.', d, d, d, d], [d] * 8 and ['e', sign, d, d, ?, ?, ?, ?]
-    windows = np.ndarray((len(buf) - 23,), "V24", buf, 0, (1,))
-    words = windows[start + negative].view("<u8").reshape(-1, 3)
-    head, tail = words[:, 0], words[:, 2]
-    # '.' in the head; 'e' then '+' (0x2B65) or '-' (0x2D65) in the tail
-    marks = ((head & 0xFF000000) == 0x2E000000) & ((((tail & 0xFFFF) - 0x2B65) | 0x200) == 0x200)
-    # j of _reader_tables, less the exponent digits: of '+' and '-', only '-' sets 0x04
-    index = ((tail >> 10) & 1).view(np.int64) * 100 + negative * 200
-    # the 5 leading mantissa digits and the 2 exponent digits, '0'-padded
-    words[:, 0] = ((head & 0xFF0000) << 8) | (head & 0xFFFFFFFF00000000) | 0x303030
-    words[:, 2] = ((tail & 0xFFFF0000) << 32) | 0x303030303030
-    if not (marks.all() and _all_digits(words).all()):
+    tokens = np.ndarray((codes.size - 17,), "V18", raw, 0, (1,))[first].view(np.uint8)
+    # a byte below its range wraps above it; between '+' and '-' lies ',' at 1
+    tokens -= low[: tokens.size]
+    if not ((tokens <= span[: tokens.size]).all() and (tokens[15::18] != 1).all()):
         return None
-    digits = _digit_values(words)
-    mantissa = (digits[:, 0] * 10**8 + digits[:, 1]).astype(float)
-    index += digits[:, 2].view(np.int64)
-    mul, div = _reader_tables()
+    mantissa, exponent = (tokens.reshape(-1, 18).astype(float) @ weights).T
+    index = exponent.astype(np.intp) + negative * 200
     values = mantissa * mul[index] / div[index]
     for i in np.flatnonzero(np.isnan(values)):
         values[i] = float(raw[start[i] : sep[i]])
@@ -471,12 +475,15 @@ def parse_touchstone(text: str) -> tuple[OnePortTrace, TouchstoneFormat]:
     up to the option line, within the first 4096 characters if it ends
     there.  A body in write_touchstone's layout ('%.12e %.12e %.12e\\n'
     rows, exponents of two digits) is converted exactly in numpy, 64 KiB of
-    whole rows at a time: a token's 13-digit mantissa m < 2**53 is scaled
-    once by an exact 10**|k|, |k| <= 22, and any token beyond that by
-    float().  Any other body goes to one np.loadtxt call, and its '!' lines
-    follow the header's on the trace, verbatim and in file order.  Both
-    give the same values, bit for bit.  Only a bad body is walked, to name
-    the offending line.  Errors, first match wins:
+    whole rows at a time: every byte of a block is range-checked column by
+    column; one float64 matrix product, exact because every partial sum is
+    an integer below 2**53, gives each token's 13-digit mantissa m and its
+    exponent; m is scaled once by an exact 10**|k|, |k| <= 22, and any
+    token beyond that goes to float().  Any other body goes to one
+    np.loadtxt call, and its '!' lines follow the header's on the trace,
+    verbatim and in file order.  Both give the same values, bit for bit.
+    Only a bad body is walked, to name the offending line.  Errors, first
+    match wins:
 
     1. MalformedOptionLine: a bad header, or a '#' or '[' line in the body;
     2. WrongColumnCount: the first row without 3 numeric columns;

@@ -775,7 +775,44 @@ def test_a_row_longer_than_a_block_takes_the_loadtxt_path(monkeypatch):
     _assert_same_parse(got, want)
 
 
-@pytest.mark.parametrize("byte", ["/", ":", "x"])  # either side of '0'..'9', and a letter
+def test_a_whitespace_heavy_block_takes_the_loadtxt_path(monkeypatch):
+    # a writer text whose row 2000 carries 60 000 trailing spaces, a multiple
+    # of 3: its block holds more separators than a block's rows can, and the
+    # whole body goes to np.loadtxt once
+    text = write_touchstone(_random_trace(np.random.default_rng(4001), n=4001), TouchstoneFormat())
+    lines = text.split("\n")
+    lines[2000] += " " * 60_000
+    text = "\n".join(lines)
+    blocks = []
+    convert = touchstone._block_values
+    monkeypatch.setattr(touchstone, "_block_values", lambda raw: blocks.append(raw) or convert(raw))
+    tables = _spy_table(monkeypatch)
+    got = parse_touchstone(text)
+    assert tables == [4001]
+    assert b" " * 60_000 in blocks[-1]
+    want = parse_touchstone(text.replace("\n", "\r\n"))
+    assert tables == [4001, 4001]
+    _assert_same_parse(got, want)
+
+
+def test_writer_tokens_at_the_edges_of_the_exact_product():
+    # the largest and smallest digit sums of both signs under every exponent
+    # of two digits: every scale-table entry, and the tokens float() takes
+    tokens = [
+        f"{sign}{mantissa}e{exponent_sign}{a:02d}"
+        for mantissa in ("9.999999999999", "1.000000000000")
+        for sign in ("", "-")
+        for exponent_sign in "+-"
+        for a in range(100)
+    ]
+    tokens.append("0.000000000000e+00")  # 801 tokens fill 267 rows
+    body = "".join(" ".join(tokens[i : i + 3]) + "\n" for i in range(0, len(tokens), 3))
+    rows = touchstone._writer_rows(body, 0)
+    assert rows.tobytes() == touchstone._table(body.splitlines()).tobytes()
+
+
+# either side of '0'..'9', a letter, and the byte between '+' and '-'
+@pytest.mark.parametrize("byte", ["/", ":", "x", ","])
 @pytest.mark.parametrize("token, column", [(0, c) for c in range(18)] + [(1, c) for c in range(19)])
 def test_every_byte_of_a_writer_token_is_checked(token, column, byte):
     # row 2 reads 9.01 -0.25 0.375: a positive token of 18 bytes, a negative one of 19
