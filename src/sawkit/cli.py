@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import design, extract, fit, mbvd, network, touchstone
-from .errors import SawkitError
+from .errors import FINITE_NONNEGATIVE, SawkitError, is_json_number, require
 from .extract import SCHEMA_VERSION, format_number as _fmt
 
 EXIT_OK = 0
@@ -201,8 +200,7 @@ def cmd_synth(args) -> int:
     params = mbvd.params_from_json(_read_json(args.params))
     if args.points < 2:
         raise ValueError("grid needs at least 2 points")
-    if not 0.0 <= args.noise < math.inf:
-        raise ValueError("noise must be finite and >= 0")
+    require("noise", args.noise, FINITE_NONNEGATIVE)
     if not args.f_lo > 0 or not args.f_hi > args.f_lo:
         raise ValueError("need 0 < f-lo < f-hi")
     if not np.isfinite(2.0 * np.pi * args.f_hi):  # the model works in angular frequency
@@ -267,20 +265,17 @@ def _check_number(path: str, obj: dict, key: str, nullable: bool = False) -> Non
     if nullable and value is None:
         return
     or_null = " or null" if nullable else ""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not is_json_number(value):
         raise ValueError(f"{path}: report key '{key}' must be a number{or_null}")
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        finite = False
-    if not finite:
+    in_range, _ = FINITE_NONNEGATIVE  # |value| is out of it if value is not finite
+    if not in_range(abs(value)):
         raise ValueError(f"{path}: report key '{key}' must be a finite number{or_null}")
 
 
 def cmd_report(args) -> int:
     """Summary table of report JSON files, schema 1 or 2: both hold the same scalars."""
     rows = []
-    seen: dict[str, int] = {}
+    taken: set[str] = set()
     for path in args.reports:
         obj = _read_json(path)
         missing = [k for k in _REPORT_KEYS if k not in obj]
@@ -297,11 +292,15 @@ def cmd_report(args) -> int:
             fields = extract.summary_fields(name, lambda_nm, *(obj[k] for k in _REPORT_KEYS))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        count = seen.get(name, 0) + 1
-        seen[name] = count
-        if count > 1:
-            _diag(f"warning: duplicate device name {name!r}; renaming to {name}-{count}")
-            fields[0] = f"{name}-{count}"  # the device column
+        # a repeated name takes the first free <name>-<k>, k = 2, 3, ...
+        unique, count = name, 1
+        while unique in taken:
+            count += 1
+            unique = f"{name}-{count}"
+        taken.add(unique)
+        if unique != name:
+            _diag(f"warning: duplicate device name {name!r}; renaming to {unique}")
+            fields[0] = unique  # the device column
         rows.append((lambda_nm, fields))
     if args.sort_lambda:
         rows.sort(key=lambda item: (item[0] is None, -(item[0] or 0.0)))

@@ -33,7 +33,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -42,7 +41,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OutOfTableRange, TargetOutOfRange
+from .errors import (
+    FINITE_NONNEGATIVE,
+    POSITIVE_FINITE,
+    OutOfTableRange,
+    TargetOutOfRange,
+    is_json_number,
+    require,
+)
 
 _CSV_HEADER = [
     "h_ln_over_lambda",
@@ -58,21 +64,16 @@ _H_ELEC_WARN_RTOL = 0.02
 _DUTY_MATCH_ATOL = 1e-9
 _RATIO_MATCH_RTOL = 1e-12
 
-# the bound is the largest float, not inf: an int too large for a float
-# still compares below inf
-_POSITIVE_FINITE = (lambda x: (0.0 < x) & (x <= sys.float_info.max), "must be positive and finite")
-_FINITE_NONNEGATIVE = (lambda x: (0.0 <= x) & (x <= sys.float_info.max), "must be finite and >= 0")
-# field -> (in range, requirement): the one range of each DeviceGeometry and
-# DispersionAnchor field, which sweep, _evaluate and scale_to_frequency read
-# too; written with & so that one rule checks a float and a sweep's column
+# field -> rule, as errors.require takes one: the one range of each DeviceGeometry
+# and DispersionAnchor field, which sweep, _evaluate and scale_to_frequency read too
 _RULES = {
-    "wavelength": _POSITIVE_FINITE,
-    "h_ln": _POSITIVE_FINITE,
-    "h_elec": _FINITE_NONNEGATIVE,
+    "wavelength": POSITIVE_FINITE,
+    "h_ln": POSITIVE_FINITE,
+    "h_elec": FINITE_NONNEGATIVE,
     "duty": (lambda x: (0.0 < x) & (x < 1.0), "must lie in (0, 1)"),
-    "h_ln_over_lambda": _POSITIVE_FINITE,
-    "h_elec_over_lambda": _FINITE_NONNEGATIVE,
-    "v_p": _POSITIVE_FINITE,
+    "h_ln_over_lambda": POSITIVE_FINITE,
+    "h_elec_over_lambda": FINITE_NONNEGATIVE,
+    "v_p": POSITIVE_FINITE,
     "keff2": (lambda x: (0.0 <= x) & (x < 1.0), "must lie in [0, 1)"),
 }
 
@@ -94,8 +95,7 @@ class DeviceGeometry:
 
     def __post_init__(self):
         for name in ("wavelength", "h_ln", "h_elec", "duty"):
-            if unmet := _unmet(name, getattr(self, name)):
-                raise ValueError(f"{name} {unmet}")
+            require(name, getattr(self, name), _RULES[name])
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,7 @@ class DispersionAnchor:
 
     def __post_init__(self):
         for name in ("h_ln_over_lambda", "h_elec_over_lambda", "duty", "v_p", "keff2"):
-            if unmet := _unmet(name, getattr(self, name)):
-                raise ValueError(f"{name} {unmet}")
+            require(name, getattr(self, name), _RULES[name])
         if not self.family:
             raise ValueError("family must be non-empty")
 
@@ -422,11 +421,11 @@ def scale_to_frequency(
     the nearest duty that has one, silently: the result is a bare float and
     carries no warning.
     """
-    if unmet := _unmet("duty", duty):
-        raise ValueError(f"duty {unmet}")
+    require("duty", duty, _RULES["duty"])
     if not rel_tol > 0:
         raise ValueError("rel_tol must be > 0")
-    if not 0.0 < target_fs <= sys.float_info.max or _unmet("h_ln", h_ln):
+    in_range, _ = POSITIVE_FINITE
+    if not (in_range(target_fs) and in_range(h_ln)):
         raise ValueError("target_fs must be positive and finite and h_ln positive and finite")
     k, _ = table._choose(family, duty, _has_segments)
     group = table._members(family)[k][1]
@@ -491,8 +490,7 @@ def sweep(
     with np.errstate(over="ignore"):
         ratio, h_elec_ratio = h_ln / wavelength, h_elec / wavelength
     for name, ratios in (("h_ln_over_lambda", ratio), ("h_elec_over_lambda", h_elec_ratio)):
-        if unmet := _unmet(name, ratios.max()):
-            raise ValueError(f"{name} {unmet}")
+        require(name, ratios.max(), _RULES[name])
     point, warnings_, errors = table._evaluate(ratio, family, duty, allow_extrapolation)
     anchor = point[2]
     with np.errstate(all="ignore"):  # an anchor h_elec/lambda may be 0
@@ -528,7 +526,7 @@ def geometry_from_json(obj: dict) -> DeviceGeometry:
     kwargs = {}
     for key, field in _GEOMETRY_JSON_KEYS.items():
         value = obj[key]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not is_json_number(value):
             raise ValueError(f"geometry JSON key {key!r} must be a number")
         try:
             kwargs[field] = float(value)

@@ -1,8 +1,10 @@
-"""Exception types shared across the toolkit.
+"""Exception types and number rules shared across the toolkit.
 
 Each class carries the exit code the command-line front end returns when
 it escapes a command: 2 for unparseable input, 3 for every other failure.
 """
+
+import sys
 
 
 class SawkitError(Exception):
@@ -88,3 +90,23 @@ class OutOfTableRange(SawkitError):
 
 class TargetOutOfRange(SawkitError):
     """Target frequency is not achievable within the table hull."""
+
+
+# Number rules
+
+# (in range, requirement), written with & to check a float or an array; the
+# bound is the largest float, as an int too large for one is below inf
+POSITIVE_FINITE = (lambda x: (0.0 < x) & (x <= sys.float_info.max), "must be positive and finite")
+FINITE_NONNEGATIVE = (lambda x: (0.0 <= x) & (x <= sys.float_info.max), "must be finite and >= 0")
+
+
+def require(name: str, value, rule=POSITIVE_FINITE) -> None:
+    """Raise ValueError("<name> <requirement>") unless value is in rule's range."""
+    in_range, requirement = rule
+    if not in_range(value):
+        raise ValueError(f"{name} {requirement}")
+
+
+def is_json_number(value) -> bool:
+    """Whether a json.loads value is a number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)

@@ -16,12 +16,11 @@ stays in memory on ExtractionReport.q_bode.
 from __future__ import annotations
 
 import functools
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptyBand, ResonanceNotBracketed, TooFewPoints
+from .errors import DomainError, EmptyBand, ResonanceNotBracketed, TooFewPoints, require
 from .mbvd import _COUPLING_FACTOR
 from .network import AdmittanceTrace, _in_band, passivity_violations, s_to_y, tune_source_impedance
 from .touchstone import OnePortTrace
@@ -306,13 +305,9 @@ def format_number(x: float) -> str:
 
 
 def check_lambda_nm(lambda_nm: float | None) -> None:
-    """Raise ValueError unless the summary wavelength is None or positive and finite.
-
-    The bound is the largest float, not inf: an int too large for a float
-    still compares below inf.
-    """
-    if lambda_nm is not None and not 0.0 < lambda_nm <= sys.float_info.max:
-        raise ValueError("lambda_nm must be positive and finite")
+    """Raise ValueError unless the summary wavelength is None or positive and finite."""
+    if lambda_nm is not None:
+        require("lambda_nm", lambda_nm)
 
 
 def report_to_json(

@@ -9,11 +9,11 @@ functions, synthesis and the fit all run through it.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
+from .errors import FINITE_NONNEGATIVE, POSITIVE_FINITE, is_json_number, require
 from .network import AdmittanceTrace, y_to_s
 from .touchstone import OnePortTrace, _as_frequency_grid, _trusted
 
@@ -36,14 +36,11 @@ class MbvdParams:
     c_0: float
 
     def __post_init__(self):
-        # an infinite element evaluates to S11 = -1 or a non-finite model; the
-        # bound is the largest float, as an int too large for one is below inf
+        # an infinite element evaluates to S11 = -1 or a non-finite model
         for name in ("r_s", "r_0", "r_m"):
-            if not 0.0 <= getattr(self, name) <= sys.float_info.max:
-                raise ValueError(f"{name} must be finite and >= 0")
+            require(name, getattr(self, name), FINITE_NONNEGATIVE)
         for name in ("l_m", "c_m", "c_0"):
-            if not 0.0 < getattr(self, name) <= sys.float_info.max:
-                raise ValueError(f"{name} must be positive and finite")
+            require(name, getattr(self, name))
         # c_m approaching 8*c_0 would put the coupling factor past 100%
         if not self.c_m < 8.0 * self.c_0:
             raise ValueError("c_m must be smaller than 8 * c_0")
@@ -164,12 +161,12 @@ def params_from_metrics(
     q_m = inf is the lossless resonator (r_m = 0); every other value must be
     positive and finite, else ValueError naming it.
     """
-    for name, value in (("f_s", f_s), ("c_0", c_0)):
-        if not 0.0 < value <= sys.float_info.max:
-            raise ValueError(f"{name} must be positive and finite")
+    require("f_s", f_s)
+    require("c_0", c_0)
     if not 0 < keff2 < 1:
         raise ValueError("keff2 must be a fraction in (0, 1)")
-    if not (0.0 < q_m <= sys.float_info.max or q_m == np.inf):
+    in_range, _ = POSITIVE_FINITE
+    if not (in_range(q_m) or q_m == np.inf):
         raise ValueError("q_m must be positive, and finite or inf")
     c_m = c_0 * keff2 / _COUPLING_FACTOR
     w_s = 2.0 * np.pi * f_s
@@ -201,7 +198,7 @@ def params_from_json(obj: dict) -> MbvdParams:
     if missing:
         raise ValueError(f"params JSON missing keys: {', '.join(missing)}")
     values = [obj[k] for k in _JSON_KEYS]
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+    if not all(map(is_json_number, values)):
         raise ValueError("params JSON values must be numbers")
     try:
         return MbvdParams(*(float(v) for v in values))

@@ -25,8 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateLocus, SingularReflection, TooFewPoints
-from .touchstone import OnePortTrace, _as_frequency_grid, _trusted, _valid_z0
+from .errors import DegenerateLocus, SingularReflection, TooFewPoints, require
+from .touchstone import OnePortTrace, _as_frequency_grid, _trusted
 
 # Re(Y) below -1e-6 S counts as a passivity violation
 _PASSIVITY_EPS = 1e-6
@@ -102,8 +102,7 @@ def y_to_s(trace: AdmittanceTrace, z0: float) -> OnePortTrace:
     result keeps the admittance's checked grid and must be finite, else
     ValueError("s11 must be finite").
     """
-    if not _valid_z0(z0):
-        raise ValueError("z0 must be positive and finite")
+    require("z0", z0)
     with np.errstate(invalid="ignore"):
         zy = z0 * trace.y
         s = (1.0 - zy) / (1.0 + zy)

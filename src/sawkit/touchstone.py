@@ -41,14 +41,14 @@ classifier, _line_kind.
 
 A trace's rules each have one home, and no value is checked twice.  The
 grid rule (1-D, at least 2 finite, positive, strictly increasing
-frequencies) is _as_frequency_grid, and the reference-impedance rule is
-_valid_z0.  A trace a caller builds is checked by its constructor: grid,
-S11 shape and finiteness, z0 and comments.  parse_touchstone checks the
-same from the file, where each failure names the file's fault, and builds
-the trace through _trusted without checking again.  A trace derived from a
-checked grid (network's s_to_y, y_to_s and renormalize; mbvd's synthesis,
-after it checks its caller's grid) reuses that grid through _trusted and
-checks only what it computes.
+frequencies) is _as_frequency_grid, and the reference impedance is held
+to errors.POSITIVE_FINITE.  A trace a caller builds is checked by its
+constructor: grid, S11 shape and finiteness, z0 and comments.
+parse_touchstone checks the same from the file, where each failure names
+the file's fault, and builds the trace through _trusted without checking
+again.  A trace derived from a checked grid (network's s_to_y, y_to_s and
+renormalize; mbvd's synthesis, after it checks its caller's grid) reuses
+that grid through _trusted and checks only what it computes.
 
 The writer prints every value as '%.12e' would, byte for byte, but with
 numpy instead of Python's formatter: the decimal exponent and a 13-digit
@@ -64,7 +64,6 @@ the whole body.
 from __future__ import annotations
 
 import functools
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +72,9 @@ from .errors import (
     EmptyData,
     MalformedOptionLine,
     NonMonotonicFrequency,
+    POSITIVE_FINITE,
     WrongColumnCount,
+    require,
 )
 
 _UNIT_SCALE = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}
@@ -188,12 +189,6 @@ class TouchstoneFormat:
         object.__setattr__(self, "value_format", fmt)
 
 
-def _valid_z0(z0) -> bool:
-    """The one reference-impedance rule, positive and finite; an int too large
-    for a float still compares below inf, so the bound is the largest float."""
-    return 0.0 < z0 <= sys.float_info.max
-
-
 @dataclass(frozen=True)
 class OnePortTrace:
     """Sampled one-port reflection: frequency grid in Hz, complex S11, z0."""
@@ -210,8 +205,7 @@ class OnePortTrace:
             raise ValueError("frequencies and s11 must have the same length")
         if not np.all(np.isfinite(s11)):
             raise ValueError("s11 must be finite")
-        if not _valid_z0(self.z0):
-            raise ValueError("z0 must be positive and finite")
+        require("z0", self.z0)
         comments = tuple(self.comments)
         for comment in comments:
             # written verbatim above the option line, so anything else breaks the file
@@ -251,10 +245,9 @@ def _parse_option_line(line: str, lineno: int) -> tuple[TouchstoneFormat, float]
                 raise MalformedOptionLine(
                     f"line {lineno}: reference resistance {tokens[i]!r} is not a number"
                 ) from None
-            if not _valid_z0(resistance):
-                raise MalformedOptionLine(
-                    f"line {lineno}: reference resistance must be positive and finite"
-                )
+            in_range, requirement = POSITIVE_FINITE
+            if not in_range(resistance):
+                raise MalformedOptionLine(f"line {lineno}: reference resistance {requirement}")
         i += 1
     fmt = TouchstoneFormat(found.get("frequency unit", "GHZ"), found.get("value format", "MA"))
     return fmt, resistance
@@ -281,15 +274,16 @@ def _from_complex(value_format: str, s: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _line_kind(raw: str) -> tuple[str, str]:
-    """A line's kind and stripped text; a data row's text loses any inline comment.
+    """A line's kind and stripped text; an option line's or data row's text
+    loses any inline comment.
 
     The kinds: "" blank, "!" comment, "#" option line, "[" v2 keyword, "row".
     """
     line = raw.strip()
     kind = line[:1]
-    if kind in ("", "!", "#", "["):
+    if kind in ("", "!", "["):
         return kind, line
-    return "row", line.split("!", 1)[0].rstrip()
+    return kind if kind == "#" else "row", line.split("!", 1)[0].rstrip()
 
 
 def _misplaced(kind: str, text: str, lineno: int) -> MalformedOptionLine:
@@ -527,7 +521,7 @@ def parse_touchstone(text: str) -> tuple[OnePortTrace, TouchstoneFormat]:
     bad = np.flatnonzero(~np.isfinite(s11))
     if bad.size:
         raise _body_error(text.splitlines(), start, int(bad[0]))
-    # z0 passed _valid_z0 as a float, and each comment is one stripped '!' line
+    # z0 passed POSITIVE_FINITE as a float, and each comment is one stripped '!' line
     trace = _trusted(OnePortTrace, frequencies=freqs, s11=s11, z0=z0, comments=tuple(comments))
     return trace, fmt
 
@@ -535,15 +529,21 @@ def parse_touchstone(text: str) -> tuple[OnePortTrace, TouchstoneFormat]:
 def write_touchstone(trace: OnePortTrace, fmt: TouchstoneFormat) -> str:
     """Serialize a trace in the requested format; inverse of parse_touchstone.
 
-    The option line's R token is the trace's z0; renormalize the trace to
-    write another reference impedance.  Each row is exactly what
+    The option line's R token is the trace's z0, in text that reads back to
+    the same float; renormalize the trace to write another reference
+    impedance.  Each row is exactly what
     '%.12e %.12e %.12e' prints: a numpy formatter (see _format_rows)
     writes the body 2048 rows at a time, and hands the few
     values it cannot round with certainty (within 4e-3 of a .5 tie after
     scaling, whose error is at most 2.3e-3) and zeros, subnormals and
     magnitudes beyond 1e280 to Python's '%'.
     """
-    header = [*trace.comments, f"# {fmt.frequency_unit} S {fmt.value_format} R {trace.z0:.12g}"]
+    # R as '%.12g' wherever that reads back to z0 ('R 50', 'R 37.5'), else as repr, the
+    # shortest text that does
+    r = f"{trace.z0:.12g}"
+    if float(r) != trace.z0:
+        r = repr(trace.z0)
+    header = [*trace.comments, f"# {fmt.frequency_unit} S {fmt.value_format} R {r}"]
     freqs = trace.frequencies / _UNIT_SCALE[fmt.frequency_unit]
     col_a, col_b = _from_complex(fmt.value_format, trace.s11)
     rows = np.column_stack((freqs, col_a, col_b))

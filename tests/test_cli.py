@@ -508,6 +508,25 @@ def test_report_disambiguates_duplicate_names(tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
+def test_report_names_every_device_once(tmp_path, capsys):
+    # a renamed duplicate skips a name another report already has
+    paths = []
+    for i, device in enumerate(("a", "a", "a-2", "a", "a-2")):
+        paths.append(str(tmp_path / f"r{i}.json"))
+        _write_report(tmp_path / f"r{i}.json", device, 400.0, 9.05e9, 0.15, 213.0)
+    out = tmp_path / "table.csv"
+    capsys.readouterr()
+    assert cli.main(["report", *paths, "-o", str(out)]) == 0
+    names = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+    assert names == ["a", "a-2", "a-2-2", "a-3", "a-2-3"]
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: duplicate device name 'a'; renaming to a-2",
+        "warning: duplicate device name 'a-2'; renaming to a-2-2",
+        "warning: duplicate device name 'a'; renaming to a-3",
+        "warning: duplicate device name 'a-2'; renaming to a-2-3",
+    ]
+
+
 def test_report_markdown(tmp_path):
     _write_report(tmp_path / "r1.json", "deviceA", 400.0, 9.05e9, 0.15, 213.0)
     out = tmp_path / "table.md"

@@ -55,7 +55,8 @@ def test_option_line_defaults():
 
 
 def test_option_line_case_and_order_insensitive():
-    for header in ("# mhz s ri r 75", "# S RI MHZ R 75", "# r 75 ri s mhz"):
+    headers = ("# mhz s ri r 75", "# S RI MHZ R 75", "# r 75 ri s mhz", "# MHZ S RI R 75 ! inline")
+    for header in headers:
         trace, fmt = parse_touchstone(header + "\n1 0 0\n2 0 0\n")
         assert fmt.frequency_unit == "MHZ"
         assert trace.z0 == 75.0
@@ -239,6 +240,21 @@ def test_comments_roundtrip():
     text = write_touchstone(trace, TouchstoneFormat("GHZ", "RI"))
     back, _ = parse_touchstone(text)
     assert back.comments == trace.comments
+
+
+def test_option_line_r_reads_back_to_the_same_z0():
+    base = OnePortTrace(np.array([1e9, 2e9]), np.array([0.1, 0.2 + 0.1j]), 50.0)
+    values = (50.0, 75.0, 37.5, 47.01234567890123, 1 / 3, 0.1, 1e-300, 1.7976931348623157e308)
+    for z0 in values:
+        trace = OnePortTrace(base.frequencies, base.s11, z0)
+        text = write_touchstone(trace, TouchstoneFormat("GHZ", "RI"))
+        back, _ = parse_touchstone(text)
+        assert back.z0 == z0, (z0, text.splitlines()[0])
+    # R keeps its 12-digit text where that reads back, else takes the shortest that does
+    lines = {50.0: "50", 75.0: "75", 37.5: "37.5", 47.01234567890123: "47.01234567890123"}
+    for z0, r in lines.items():
+        text = write_touchstone(OnePortTrace(base.frequencies, base.s11, z0), TouchstoneFormat())
+        assert text.splitlines()[0] == f"# GHZ S RI R {r}"
 
 
 def _write_rows_reference(trace, fmt):
