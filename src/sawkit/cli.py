@@ -308,9 +308,10 @@ def cmd_report(args) -> int:
     if args.markdown:
         header = extract.CSV_HEADER.split(",")
         lines = ["| " + " | ".join(header) + " |", "|" + "|".join([" --- "] * len(header)) + "|"]
-        lines += ["| " + " | ".join(r) + " |" for r in table_rows]
+        # a '|' in a cell would end it
+        lines += ["| " + " | ".join(f.replace("|", "\\|") for f in r) + " |" for r in table_rows]
     else:
-        lines = [extract.CSV_HEADER] + [",".join(r) for r in table_rows]
+        lines = [extract.CSV_HEADER] + [extract.csv_line(r) for r in table_rows]
     _write_text(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -15,7 +15,9 @@ stays in memory on ExtractionReport.q_bode.
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -350,6 +352,16 @@ def summary_fields(
     return [device, lambda_field, *map(format_number, (f_s / 1e9, keff2 * 100, q_max, fom))]
 
 
+def csv_line(fields: list[str]) -> str:
+    """fields as one CSV line, without its line end.  Only a field holding a
+    comma, a quote or a line break is quoted (csv.QUOTE_MINIMAL), so any
+    other field is written as it is."""
+    out = io.StringIO()
+    # the writer quotes a field holding any character of its line end
+    csv.writer(out, lineterminator="\r\n").writerow(fields)
+    return out.getvalue()[:-2]
+
+
 def report_csv_row(
     report: ExtractionReport,
     device: str = "",
@@ -357,4 +369,4 @@ def report_csv_row(
 ) -> str:
     """One CSV row matching CSV_HEADER; GHz and percent, 6 significant digits."""
     fields = summary_fields(device, lambda_nm, report.f_s, report.keff2, report.q_max, report.fom)
-    return ",".join(fields)
+    return csv_line(fields)

@@ -51,14 +51,17 @@ renormalize; mbvd's synthesis, after it checks its caller's grid) reuses
 that grid through _trusted and checks only what it computes.
 
 The writer prints every value as '%.12e' would, byte for byte, but with
-numpy instead of Python's formatter: the decimal exponent and a 13-digit
-integer mantissa come from one product with a correctly rounded power of
-ten, whose error (at most 2u * 1e13, about 2.3e-3) cannot change the
-rounding unless the scaled value lies within 4e-3 of a .5 tie.  Those
-values, zeros and magnitudes outside [1e-280, 1e280] go to Python's own
-'%' in one call.  The digits are assembled from ASCII tables in rows of
-2048 at a time, so the temporaries stay below those of one '%' call over
-the whole body.
+numpy instead of Python's formatter (see _format_pass).  For magnitudes
+from 1e-10 to just below 1e13 the 13-digit mantissa is the rint of one
+product with an exact power of ten, 10**(12 - e), whose one rounding (at
+most 2**-10) cannot change the rounding unless the scaled value lies
+within 1e-3 of a .5 tie.  Those values, and zeros, nan, inf and every
+other magnitude, go to Python's own '%' in one call per pass.  Each other
+value becomes one 20-byte record of table words (its sign or the
+separator before it, the 18 bytes of 'd.dddddddddddde+dd', its
+separator), and one fancy assignment writes a pass's records at their
+running offsets.  A pass is 4096 rows; its two (n, 5) scratch arrays,
+about 0.7 MB, are allocated once per call, and the text is decoded once.
 """
 
 from __future__ import annotations
@@ -91,16 +94,14 @@ _OPTION_SLOTS = {
 # floor keeps the dB column of a true zero finite (parses back to ~0)
 _DB_MAG_FLOOR = 1e-300
 
-# Body formatter (see _format_rows).  Magnitudes the vectorised path takes;
-# outside them 10**(12 - e) would leave the normal range of the table.
-_FAST_MIN, _FAST_MAX = 1e-280, 1e280
-# 2u * 1e13 bounds the scaling error; a wider margin leaves no doubt
-_TIE_MARGIN = 4e-3
-# rows per formatting pass, so temporaries stay small on long traces
-_CHUNK_ROWS = 2048
-# lowest k in the table of 10**k, and lowest exponent in the exponent table
-_POW10_LOW = -270
-_EXP_LOW = -282
+# Body formatter (see _format_rows).  Magnitudes it converts in numpy: their
+# exponent e lies in [-10, 12], where 10**(12 - e) is exact in a double
+_FAST_MIN, _FAST_MAX = 1e-10, 9.999999999999e12
+# just above 2**-10, the most the product's one rounding moves a value below 2**44
+_TIE_MARGIN = 1e-3
+# rows per formatting pass: in a parse-fit-write loop over 16001-row traces 2048
+# and 8192 ran no faster, and a pass's two scratch arrays stay near 0.7 MB
+_PASS_ROWS = 4096
 
 # Body reader (see _writer_rows).  Characters of the prefix searched for the
 # option line, and most characters converted at once: a block's largest
@@ -113,36 +114,45 @@ _BLOCK_ROWS = _BLOCK_CHARS // 57
 
 
 @functools.cache
-def _tables() -> tuple[np.ndarray, ...]:
-    """The formatter's tables, built on the first write.
+def _tables(columns: int, delimiter: str) -> tuple[np.ndarray, ...]:
+    """The formatter's tables for rows of `columns` values, built on first use.
 
-    The first is 10**k, correctly rounded, at [k - _POW10_LOW] for every k
-    that an exponent in [-282, 282] asks for.  The others are ASCII bytes
-    viewed as native words, so a cell assembled from them reads in byte
-    order on any endianness; a 0 byte marks a position the value does not
-    use.  Commands that never write do not pay for them.
+    pow10 is 10**k for k in [0, 23].  words holds the 4-byte words a record
+    is made of, ASCII bytes viewed as native words so that a record reads in
+    byte order on any endianness:
+    - [0, 10**4): the four digits of n;
+    - [10**4, 11000): the three digits of n, then 'e';
+    - per column c, 200 words centred on head_at: at s * h, for a value of
+      sign s whose leading two digits are h, '-' (or for s = +1 the
+      separator before column c), the first digit, '.', the second digit;
+    - per column c, 24 words centred on tail_at: at e in [-11, 12], the
+      exponent's sign, its two digits and the separator after column c.
+    head_at and tail_at give those centres for each value of a pass, and
+    after the separator after each column.
     """
-    pow10 = np.array([float("1e%d" % k) for k in range(_POW10_LOW, 295)])
-    # row n holds the four digits of n, n < 10**4
-    digits = (np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1) + ord("0")).T.copy()
-    # sign, leading digit, '.' at [lead + 10 * negative]
-    head = np.zeros((2, 10, 4), dtype=np.uint8)
-    head[1, :, 0] = ord("-")
-    head[:, :, 1] = np.arange(10) + ord("0")
+    pow10 = np.array([float("1e%d" % k) for k in range(24)])
+    quad = (np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1) + ord("0")).T
+    tri = np.column_stack((quad[:1000, 1:], np.full(1000, ord("e"), dtype=np.uint8)))
+    after = np.full(columns, ord(delimiter), dtype=np.uint8)
+    after[-1] = ord("\n")
+    h = np.abs(np.arange(-100, 100))
+    head = np.empty((columns, h.size, 4), dtype=np.uint8)
+    head[:, :100, 0] = ord("-")
+    head[:, 100:, 0] = np.roll(after, 1)[:, None]
+    head[:, :, 1] = h // 10 % 10 + ord("0")
     head[:, :, 2] = ord(".")
-    # 'e', exponent sign and two or three digits at [e - _EXP_LOW]
-    e = np.arange(_EXP_LOW, -_EXP_LOW + 1)
-    tail = np.zeros((e.size, 8), dtype=np.uint8)
-    tail[:, 0] = ord("e")
-    tail[:, 1] = np.where(e < 0, ord("-"), ord("+"))
-    tail[:, 2:5] = digits[np.abs(e), 1:]
-    tail[np.abs(e) < 100, 2] = 0
-    return (
-        pow10,
-        digits.view(np.uint32).ravel(),
-        head.view(np.uint32).ravel(),
-        tail.view(np.uint64).ravel(),
-    )
+    head[:, :, 3] = h % 10 + ord("0")
+    e = np.arange(-11, 13)
+    tail = np.empty((columns, e.size, 4), dtype=np.uint8)
+    tail[:, :, 0] = np.where(e < 0, ord("-"), ord("+"))
+    tail[:, :, 1] = np.abs(e) // 10 + ord("0")
+    tail[:, :, 2] = np.abs(e) % 10 + ord("0")
+    tail[:, :, 3] = after[:, None]
+    words = np.concatenate([quad.ravel(), tri.ravel(), head.ravel(), tail.ravel()])
+    column = np.tile(np.arange(columns, dtype=float), _PASS_ROWS)
+    head_at = len(quad) + len(tri) + 100.0 + h.size * column
+    tail_at = len(quad) + len(tri) + h.size * columns + 11.0 + e.size * column
+    return pow10, words.view(np.uint32), head_at, tail_at, after
 
 
 def _as_frequency_grid(values) -> np.ndarray:
@@ -531,12 +541,11 @@ def write_touchstone(trace: OnePortTrace, fmt: TouchstoneFormat) -> str:
 
     The option line's R token is the trace's z0, in text that reads back to
     the same float; renormalize the trace to write another reference
-    impedance.  Each row is exactly what
-    '%.12e %.12e %.12e' prints: a numpy formatter (see _format_rows)
-    writes the body 2048 rows at a time, and hands the few
-    values it cannot round with certainty (within 4e-3 of a .5 tie after
-    scaling, whose error is at most 2.3e-3) and zeros, subnormals and
-    magnitudes beyond 1e280 to Python's '%'.
+    impedance.  Each row is exactly what '%.12e %.12e %.12e' prints: a numpy
+    formatter (see _format_rows) writes the body 4096 rows at a time, and
+    hands the few values it cannot round with certainty (within 1e-3 of a
+    .5 tie after scaling, whose error is at most 2**-10) and every
+    magnitude outside [1e-10, 1e13) to Python's '%'.
     """
     # R as '%.12g' wherever that reads back to z0 ('R 50', 'R 37.5'), else as repr, the
     # shortest text that does
@@ -546,73 +555,120 @@ def write_touchstone(trace: OnePortTrace, fmt: TouchstoneFormat) -> str:
     header = [*trace.comments, f"# {fmt.frequency_unit} S {fmt.value_format} R {r}"]
     freqs = trace.frequencies / _UNIT_SCALE[fmt.frequency_unit]
     col_a, col_b = _from_complex(fmt.value_format, trace.s11)
-    rows = np.column_stack((freqs, col_a, col_b))
-    chunks = (_format_rows(rows[i : i + _CHUNK_ROWS]) for i in range(0, len(rows), _CHUNK_ROWS))
-    return "".join(["\n".join(header) + "\n", *chunks])
+    return _format_rows(np.column_stack((freqs, col_a, col_b)), head="\n".join(header) + "\n")
 
 
 def _format_exactly(values: np.ndarray) -> np.ndarray:
-    """'%.12e' of each value by Python's own formatter, as (n, 21) ASCII codes.
-
-    Every float formats to at most 20 characters; the padding is 0, which
-    _format_rows drops.
-    """
-    text = ("%-21.12e" * values.size) % tuple(values.tolist())
-    return np.frombuffer(text.replace(" ", "\0").encode("ascii"), dtype=np.uint8).reshape(-1, 21)
+    """'%.12e' of each value by Python's own formatter, as ASCII codes with
+    a 0 after each value's text."""
+    text = ("%.12e\0" * values.size) % tuple(values.tolist())
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8).copy()
 
 
-def _format_rows(rows: np.ndarray, delimiter: str = " ") -> str:
-    """'%.12e' of each value of an (n, k) array, byte for byte.
+def _format_rows(rows: np.ndarray, delimiter: str = " ", head: str = "") -> str:
+    """head, then '%.12e' of each value of an (n, k) array, byte for byte.
 
     A row's values are joined by the one-character delimiter and each row
     ends in a newline, so an (n, 3) array with the default gives the
-    Touchstone body rows '%.12e %.12e %.12e\\n'.
-
-    With e = floor(log10 |v|), corrected by one where the scaled value
-    leaves [1e12, 1e13), the mantissa is m = rint(|v| * 10**(12 - e)), and
-    m = 10**13 carries into e.  The product by a correctly rounded power of
-    ten is within 2u * 1e13 (about 2.3e-3) of the exact scaled value, so
-    rint rounds it as '%.12e' does unless its fraction lies within
-    _TIE_MARGIN of one half.  Those values, and every |v| outside
-    [_FAST_MIN, _FAST_MAX] (zeros, subnormals, huge values), are formatted
-    by _format_exactly instead.
-
-    Each value fills a 24-byte cell of table words: sign, leading digit and
-    '.'; three groups of four digits; 'e', exponent sign, two or three
-    exponent digits and the separator.  Bytes a value does not use (a
-    positive sign, a third exponent digit, padding) are 0, and one pass
-    drops every 0 byte.
+    Touchstone body rows '%.12e %.12e %.12e\\n'.  head is empty or ends in
+    a newline, the separator before a row.  The rows are formatted
+    _PASS_ROWS at a time (see _format_pass) into one buffer after head,
+    which is decoded once.
     """
-    pow10, quad, head, tail = _tables()
+    tables = _tables(rows.shape[1], delimiter)
     values = rows.ravel()
-    magnitude = np.abs(values)
-    fast = (magnitude >= _FAST_MIN) & (magnitude <= _FAST_MAX)
-    magnitude[~fast] = 1.0
-    exponent = np.floor(np.log10(magnitude)).astype(np.int64)
-    scaled = magnitude * pow10[12 - exponent - _POW10_LOW]
-    exponent += scaled >= 1e13
-    exponent -= scaled < 1e12
-    scaled = magnitude * pow10[12 - exponent - _POW10_LOW]
-    fast &= np.abs(scaled - np.floor(scaled) - 0.5) >= _TIE_MARGIN
-    mantissa = np.rint(scaled).astype(np.int64)
-    carry = mantissa == 10**13
-    mantissa[carry] = 10**12
-    exponent += carry
+    head_bytes = head.encode()
+    # a spare byte, head, at most 21 bytes a value ('-d.dddddddddddde-ddd' and
+    # its separator), and 20 bytes where the records of slow values land
+    out = np.empty(1 + len(head_bytes) + 21 * values.size + 20, dtype=np.uint8)
+    out[1 : 1 + len(head_bytes)] = np.frombuffer(head_bytes, dtype=np.uint8)
+    step = _PASS_ROWS * rows.shape[1]
+    # a pass's table indices and records, allocated once
+    index = np.empty((min(step, values.size), 5), dtype=np.intp)
+    records = np.empty(index.shape, dtype=np.uint32)
+    end = len(head_bytes)
+    for i in range(0, values.size, step):
+        end = _format_pass(values[i : i + step], tables, out, end, index, records)
+    return str(out[1 : end + 1], "utf-8")
 
-    lead, rest = np.divmod(mantissa, 10**12)
-    cells = np.empty((values.size, 3), dtype=np.uint64)
-    words = cells.view(np.uint32)
-    words[:, 0] = head[lead + 10 * (values < 0.0)]
-    words[:, 1] = quad[rest // 10**8]
-    words[:, 2] = quad[rest // 10**4 % 10**4]
-    words[:, 3] = quad[rest % 10**4]
-    cells[:, 2] = tail[exponent - _EXP_LOW]
-    # the separator after each of a row's k cells, in the tail's sixth byte
-    sep = np.zeros((rows.shape[1], 8), dtype=np.uint8)
-    sep[:, 5] = ord(delimiter)
-    sep[-1, 5] = ord("\n")
-    cells.reshape(-1, rows.shape[1], 3)[:, :, 2] |= sep.view(np.uint64).ravel()
-    slow = np.flatnonzero(~fast)
+
+def _format_pass(
+    values: np.ndarray,
+    tables: tuple[np.ndarray, ...],
+    out: np.ndarray,
+    end: int,
+    index: np.ndarray,
+    records: np.ndarray,
+) -> int:
+    """Write the text of some whole rows' values into out after its first
+    end + 1 bytes, and return end plus the text's length.
+
+    With e = floor(log10 |v|), the mantissa is m = rint(|v| * 10**(12 - e)).
+    For |v| in [_FAST_MIN, _FAST_MAX] the power is exact, so the product is
+    within half an ulp, 2**-10, of the exact scaled value, and rint rounds it
+    as '%.12e' does unless its fraction lies within _TIE_MARGIN of one half.
+    Those values, every scaled value outside [1e12, 1e13 - 0.5) (log10 missed
+    e next to a power of ten, or m carries into e) and every other |v|
+    (zeros, nan, inf, 3-digit exponents) are slow: _format_exactly prints
+    them, in one call.
+
+    Every other value is one 20-byte record of five table words: its sign,
+    or for a positive value the separator before it; the 18 bytes of
+    'd.dddddddddddde+dd'; its own separator.  The digit groups are float
+    floor(m / 10**k) splits of m < 2**53, all exact.  One fancy assignment
+    writes the records at cumsum(19 + negative) - 19 past end, so a
+    positive record's first byte lands on its predecessor's separator, the
+    same byte.  The slow values' text, of any length, is placed by one byte
+    scatter, and their records land in the 20 bytes at the end of out.
+    """
+    pow10, words, head_at, tail_at, after = tables
+    n = values.size
+    magnitude = np.abs(values)
+    scaled = np.fmax(magnitude, _FAST_MIN)
+    np.fmin(scaled, _FAST_MAX, out=scaled)
+    slow = scaled != magnitude
+    exponent = np.log10(scaled)
+    np.floor(exponent, out=exponent)
+    scaled *= pow10[np.subtract(12.0, exponent, out=np.empty(n, np.intp), casting="unsafe")]
+    mantissa = np.rint(scaled)
+    slow |= scaled < 1e12
+    slow |= scaled >= 1e13 - 0.5
+    scaled -= mantissa
+    slow |= np.abs(scaled, out=scaled) > 0.5 - _TIE_MARGIN
+
+    # each value's five word indices: sign and leading digits, four digits,
+    # four digits, three digits and 'e', exponent and separator
+    index = index[:n]
+    lead = np.floor(mantissa / 1e11, out=magnitude)
+    rest = mantissa - lead * 1e11
+    np.add(np.copysign(lead, values, out=lead), head_at[:n], out=index[:, 0], casting="unsafe")
+    group = np.floor(rest / 1e7, out=lead)
+    index[:, 1] = group
+    rest -= group * 1e7
+    np.floor(rest / 1e3, out=group)
+    index[:, 2] = group
+    rest -= group * 1e3
+    np.add(rest, 1e4, out=index[:, 3], casting="unsafe")
+    np.add(exponent, tail_at[:n], out=index[:, 4], casting="unsafe")
+    # a slow value's words are never written; wrap keeps its index in the table
+    records = np.take(words, index, mode="wrap", out=records[:n])
+
+    width = (values < 0.0) + 19
+    slow = np.flatnonzero(slow)
     if slow.size:
-        cells.view(np.uint8)[slow, :21] = _format_exactly(values[slow])
-    return cells.tobytes().translate(None, b"\0").decode("ascii")
+        text = _format_exactly(values[slow])
+        stops = np.flatnonzero(text == 0)
+        text[stops] = after[slow % after.size]
+        lengths = stops - np.concatenate(([-1], stops[:-1]))
+        width[slow] = lengths
+    width[0] += end - 19
+    starts = np.cumsum(width, out=width)
+    end = int(starts[-1]) + 19
+    if slow.size:
+        # a slow value's text ends, with its separator, where its record would
+        out[np.arange(text.size) + np.repeat(starts[slow] + 19 - stops, lengths)] = text
+        starts[slow] = out.size - 20
+    # every 20-byte window of out
+    slots = np.ndarray((out.size - 19,), dtype="V20", buffer=out, strides=(1,))
+    slots[starts] = records.view("V20").ravel()
+    return end

@@ -1,4 +1,6 @@
+import csv
 import json
+import re
 import warnings
 
 import numpy as np
@@ -536,6 +538,24 @@ def test_report_markdown(tmp_path):
     assert lines[0].startswith("| device |")
     assert lines[1].startswith("| ---")
     assert "| deviceA |" in lines[2]
+
+
+@pytest.mark.parametrize("device", ["dev,A", 'dev "A"', "a|b"])
+def test_summary_tables_keep_the_device_name_in_one_field(fixture_dir, tmp_path, device):
+    # the CSV quotes a name holding a comma or a quote, and Markdown escapes a '|'
+    json_path, csv_path = tmp_path / "r.json", tmp_path / "r.csv"
+    assert cli.main(["extract", str(fixture_dir / "deviceA.s1p"), "--device", device,
+                     "--csv", str(csv_path), "-o", str(json_path)]) == 0
+    table_path, md_path = tmp_path / "t.csv", tmp_path / "t.md"
+    assert cli.main(["report", str(json_path), "-o", str(table_path)]) == 0
+    assert cli.main(["report", str(json_path), "--markdown", "-o", str(md_path)]) == 0
+    for path in (csv_path, table_path):
+        with open(path, newline="") as f:
+            header, row = csv.reader(f)
+        assert header == extract.CSV_HEADER.split(",")
+        assert len(row) == 6 and row[0] == device
+    cells = re.split(r"(?<!\\)\|", md_path.read_text().splitlines()[2])[1:-1]
+    assert len(cells) == 6 and cells[0].strip().replace("\\|", "|") == device
 
 
 def test_report_with_no_inputs_gives_header(tmp_path):

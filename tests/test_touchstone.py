@@ -476,8 +476,9 @@ def test_trace_rejects_comments_that_break_the_file():
             OnePortTrace(grid, np.zeros(2, complex), 50.0, comments=("! ok", comment))
 
 
-def _percent_rows(values):
-    return ("%.12e %.12e %.12e\n" * (values.size // 3)) % tuple(values.tolist())
+def _percent_rows(values, columns=3, delimiter=" "):
+    row = delimiter.join(["%.12e"] * columns) + "\n"
+    return (row * (values.size // columns)) % tuple(values.tolist())
 
 
 def _ulp_neighbours(values, span):
@@ -507,9 +508,36 @@ def _value_class(name):
     if name == "9.9999999999995e+-k within 8 ulp":
         edges = [float(f"{s}9.9999999999995e{k}") for s in "+-" for k in range(-307, 309)]
         return _ulp_neighbours(edges, 8)
-    assert name == "zeros and powers of ten"
-    powers = [float(f"1e{k}") for k in (-300, -280, -100, 100, 280, 300)]
-    return np.concatenate([[0.0, -0.0], _ulp_neighbours(powers, 4), -_ulp_neighbours(powers, 4)])
+    if name == "zeros and powers of ten":
+        powers = [float(f"1e{k}") for k in (-300, -280, -100, 100, 280, 300)]
+        return np.concatenate([[0.0, -0.0], _ulp_neighbours(powers, 4), -_ulp_neighbours(powers, 4)])
+    # the --q-trace shape: frequency in Hz, then Bode-Q or nan where flagged
+    freqs = np.linspace(7.2e9, 1.4e10, n // 2)
+    if name == "q-trace: 2 columns, ','":
+        q = 10.0 ** rng.uniform(-1.0, 6.0, freqs.size)
+        q[::7] = np.nan
+        return np.column_stack((freqs, q)).ravel()
+    if name == "q-trace: a column of nan":
+        return np.column_stack((freqs, np.full(freqs.size, np.nan))).ravel()
+    if name == "+-inf and nan among values":
+        values = rng.standard_normal(n)
+        values[rng.integers(0, n, 3000)] = rng.choice([np.inf, -np.inf, np.nan], 3000)
+        return values
+    if name == "3-digit exponents":
+        # |e| >= 100 beside 2-digit ones and the edges of the range converted in numpy
+        edges = [1e-10, 9.999999999999e12, 1e13, 9.9999999999999e-11, 1e-100, 1e100]
+        return np.concatenate([sign * 10.0 ** rng.uniform(-300.0, 300.0, n), edges, np.negative(edges)])
+    assert name == "1-column rows"
+    return sign * 10.0 ** rng.uniform(-12.0, 14.0, n)
+
+
+# columns and delimiter of the rows each value class is formatted in; (3, " ") elsewhere
+_ROW_SHAPES = {
+    "q-trace: 2 columns, ','": (2, ","),
+    "q-trace: a column of nan": (2, ","),
+    "+-inf and nan among values": (2, ","),
+    "1-column rows": (1, ","),
+}
 
 
 @pytest.mark.parametrize(
@@ -521,12 +549,19 @@ def _value_class(name):
         "13-digit decimal ties",
         "9.9999999999995e+-k within 8 ulp",
         "zeros and powers of ten",
+        "q-trace: 2 columns, ','",
+        "q-trace: a column of nan",
+        "+-inf and nan among values",
+        "3-digit exponents",
+        "1-column rows",
     ],
 )
 def test_body_formatter_matches_percent(name):
     values = _value_class(name)
-    values = np.concatenate([values, np.ones(-values.size % 3)])
-    assert touchstone._format_rows(values.reshape(-1, 3)) == _percent_rows(values)
+    columns, delimiter = _ROW_SHAPES.get(name, (3, " "))
+    values = np.concatenate([values, np.ones(-values.size % columns)])
+    rows = values.reshape(-1, columns)
+    assert touchstone._format_rows(rows, delimiter) == _percent_rows(values, columns, delimiter)
 
 
 def test_body_formatter_single_row():
@@ -534,11 +569,12 @@ def test_body_formatter_single_row():
     assert touchstone._format_rows(row) == _percent_rows(row.ravel())
 
 
-@pytest.mark.parametrize("n", [2, 2049, 16001])
+@pytest.mark.parametrize("n", [2, 2049, 4097, 16001])
 @pytest.mark.parametrize("unit", ["HZ", "GHZ"])
 @pytest.mark.parametrize("value_format", ["RI", "MA", "DB"])
 def test_write_matches_per_row_reference_across_chunks(n, unit, value_format):
-    # 2049 and 16001 rows cross one and seven boundaries between formatting passes
+    # 4097 and 16001 rows cross one and three boundaries between 4096-row formatting passes
+    assert touchstone._PASS_ROWS == 4096
     trace = _random_trace(np.random.default_rng(n), n=n)
     fmt = TouchstoneFormat(unit, value_format)
     assert write_touchstone(trace, fmt) == _write_rows_reference(trace, fmt)
