@@ -125,7 +125,7 @@ def _q_trace_csv(q_trace: extract.QTrace) -> str:
     q = np.concatenate([q_trace.q, np.full(q_trace.flagged.size, np.nan)])
     order = np.argsort(freqs, kind="stable")
     rows = np.column_stack((freqs[order], q[order]))
-    return "frequency_hz,q_bode\n" + touchstone._format_rows(rows, ",")
+    return touchstone._format_rows(rows, ",", head="frequency_hz,q_bode\n")
 
 
 def cmd_extract(args) -> int:
@@ -391,7 +391,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="Q search band in Hz (default 0.9 f_s .. 1.1 f_p)")
     p.add_argument("--smooth", type=int, help="odd Savitzky-Golay window for S11 smoothing")
     p.add_argument("--q-trace", metavar="PATH",
-                   help="also write the Bode-Q curve as CSV (frequency_hz,q_bode; nan where flagged)")
+                   help="also write the Bode-Q curve as CSV (frequency_hz,q_bode; nan where flagged); "
+                        "like the report, written only when the extraction succeeds")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("fit", help="fit mBVD elements to a .s1p file")

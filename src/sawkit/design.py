@@ -414,16 +414,14 @@ def scale_to_frequency(
     products, but not the reverse: r = 1, 2 with v_p = 10, 6 give 10 < 12, yet
     d(v r)/dr = -2 at r = 2; so the invertibility check made when the table
     is built decides (raised here).  A target outside the anchor hull raises
-    TargetOutOfRange.  The result is exact to rounding, so it always meets
-    rel_tol, a relative bound on f_s that must be > 0.  duty must pass
+    TargetOutOfRange.  The result is exact to rounding, so rel_tol, a
+    relative bound on f_s, is accepted and not read.  duty must pass
     DeviceGeometry's rule (finite, 0 < duty < 1), and target_fs and h_ln
     must be positive and finite.  A duty without a multi-anchor group reads
     the nearest duty that has one, silently: the result is a bare float and
     carries no warning.
     """
     require("duty", duty, _RULES["duty"])
-    if not rel_tol > 0:
-        raise ValueError("rel_tol must be > 0")
     in_range, _ = POSITIVE_FINITE
     if not (in_range(target_fs) and in_range(h_ln)):
         raise ValueError("target_fs must be positive and finite and h_ln positive and finite")

@@ -34,12 +34,12 @@ import numpy as np
 
 from .errors import NegativeStaticCapacitance, NonFiniteResidual, ResonanceNotBracketed
 from .extract import SCHEMA_VERSION, AdmittanceTrace, find_fs_fp
-from .mbvd import MbvdParams, _jacobian, _terms, derived_fs, params_to_json
+from .mbvd import _CM_C0_CAP, MbvdParams, _jacobian, _terms, derived_fs, params_to_json
 
 # initial_guess reads c_0 on samples farther than this from f_s, relative to f_s
 _OFF_RESONANCE = 0.01
-# same sanity cap MbvdParams enforces (c_m < 8 c_0), in log space
-_LOG_CM_C0_CAP = np.log(8.0)
+# the cap MbvdParams enforces on c_m / c_0, in log space
+_LOG_CM_C0_CAP = np.log(_CM_C0_CAP)
 # stop when the relative cost improvement of an accepted step drops below this
 _RESIDUAL_TOL = 1e-10
 # or when a damped step, relative to the parameter vector, is shorter than

@@ -21,6 +21,11 @@ from .touchstone import OnePortTrace, _as_frequency_grid, _trusted
 # extract.keff2 as for the element formulas here
 _COUPLING_FACTOR = np.pi**2 / 8.0
 
+# c_m approaching this multiple of c_0 would put the coupling factor past 100%
+_CM_C0_CAP = 8.0
+# the largest frequency whose angular frequency 2 pi f is finite
+_MAX_FREQUENCY = np.finfo(float).max / (2.0 * np.pi)
+
 _JSON_KEYS = ("r_s_ohm", "r_0_ohm", "r_m_ohm", "l_m_h", "c_m_f", "c_0_f")
 
 
@@ -41,9 +46,8 @@ class MbvdParams:
             require(name, getattr(self, name), FINITE_NONNEGATIVE)
         for name in ("l_m", "c_m", "c_0"):
             require(name, getattr(self, name))
-        # c_m approaching 8*c_0 would put the coupling factor past 100%
-        if not self.c_m < 8.0 * self.c_0:
-            raise ValueError("c_m must be smaller than 8 * c_0")
+        if not self.c_m < _CM_C0_CAP * self.c_0:
+            raise ValueError(f"c_m must be smaller than {_CM_C0_CAP:g} * c_0")
 
 
 def _terms(r_s, r_0, r_m, l_m, c_m, c_0, w, inv_w):
@@ -178,9 +182,12 @@ def params_from_metrics(
 def synthesize_s11(params: MbvdParams, frequencies, z0: float = 50.0) -> OnePortTrace:
     """Model S11 on a frequency grid, referenced to z0.
 
-    The grid passes the trace grid rule once, before the model runs on it.
+    The grid passes the trace grid rule once, before the model runs on it,
+    and 2 pi f must be finite (checked without multiplying, so nothing warns).
     """
     grid = _as_frequency_grid(frequencies)
+    if grid[-1] > _MAX_FREQUENCY:
+        raise ValueError("frequencies must be small enough that 2 pi f is finite")
     y = element_admittance(
         params.r_s, params.r_0, params.r_m, params.l_m, params.c_m, params.c_0, grid
     )

@@ -11,8 +11,9 @@ in degrees) and DB (20*log10 magnitude / angle in degrees).  Frequencies
 are converted to Hz on read.  Touchstone v2 keywords, parameter kinds
 other than S and multi-port row shapes are rejected.
 
-The reader finds the option line in the text's first 4096 characters and
-converts a body in the writer's own layout in numpy (see _writer_rows):
+The reader walks the header once, to the option line and the body's exact
+offset (see _read_header).  An ASCII body in the writer's own layout
+converts in numpy (see _writer_rows):
 rows of three '-?d.dddddddddddde[+-]dd' tokens, one space between them and
 '\\n' after each row.  Every file sawkit writes is in it unless some
 value's exponent takes three digits; a file from another writer, such as
@@ -32,11 +33,11 @@ once ran slower than np.loadtxt in a parse-and-extract loop, and faster
 once glibc's malloc thresholds were raised, so the likely cost is the
 allocator returning those buffers and faulting them in again.
 
-Any other body, and any text that is not ASCII or whose option line is not
-in that prefix, is split into lines and converted in one np.loadtxt call;
-a body whose first row or last byte leaves the layout gets there after
-checking that one row.  Only a bad body is walked, to name its offending
-line.  The header walks and that body walk read lines through one
+Any other body, and the body of any text that is not ASCII, is split into
+lines and converted in one np.loadtxt call; a body whose first row or last
+byte leaves the layout gets there after checking that one row.  Only a bad
+body is walked, to name its offending line, numbered on from the option
+line.  The header walk and that body walk read lines through one
 classifier, _line_kind.
 
 A trace's rules each have one home, and no value is checked twice.  The
@@ -103,8 +104,8 @@ _TIE_MARGIN = 1e-3
 # and 8192 ran no faster, and a pass's two scratch arrays stay near 0.7 MB
 _PASS_ROWS = 4096
 
-# Body reader (see _writer_rows).  Characters of the prefix searched for the
-# option line, and most characters converted at once: a block's largest
+# Reader.  Characters split first in the search for the option line (see
+# _read_header), and most converted at once (see _writer_rows): a block's largest
 # temporary is its (n, 18) float64 token matrix, about 0.5 MB, where a whole
 # body at once ran slower (see the module docstring).
 _PROBE_CHARS = 4096
@@ -308,17 +309,26 @@ def _misplaced(kind: str, text: str, lineno: int) -> MalformedOptionLine:
     return MalformedOptionLine(f"line {lineno}: data row before the option line")
 
 
-def _read_header(lines: list[str]) -> tuple[list[str], TouchstoneFormat, float, int]:
-    """Comments, option-line format and R, and the option line's number, which ends the header."""
+def _read_header(text: str) -> tuple[list[str], TouchstoneFormat, float, int, int]:
+    """Comments, option-line format and R, the option line's number and the
+    body's offset.  The walk reads the lines of the first _PROBE_CHARS
+    characters but the last, which may be cut, and splits the rest of the
+    text only when the option line lies past them."""
     comments = []
-    for lineno, raw in enumerate(lines, start=1):
-        kind, text = _line_kind(raw)
-        if kind == "!":
-            comments.append(text)
-        elif kind == "#":
-            return comments, *_parse_option_line(text, lineno), lineno
-        elif kind:
-            raise _misplaced(kind, text, lineno)
+    lineno = at = 0
+    for lines in (text[:_PROBE_CHARS].splitlines(keepends=True)[:-1], None):
+        if lines is None:
+            lines = text[at:].splitlines(keepends=True)
+        for raw in lines:
+            lineno += 1
+            at += len(raw)
+            kind, line = _line_kind(raw)
+            if kind == "!":
+                comments.append(line)
+            elif kind == "#":
+                return comments, *_parse_option_line(line, lineno), lineno, at
+            elif kind:
+                raise _misplaced(kind, line, lineno)
     raise MalformedOptionLine("missing option line")
 
 
@@ -328,14 +338,14 @@ def _table(lines: list[str]) -> np.ndarray:
 
 
 def _body_error(lines: list[str], start: int, nonfinite_row: int | None = None) -> Exception:
-    """The error naming the bad line of the body lines[start:].
+    """The error naming the bad line of the body lines, which follow line start.
 
     That is a '#' or '[' line anywhere in it; else, if the body did not
     convert to three columns, its first row that does not on its own; else
     data row nonfinite_row, whose S11 is not finite.
     """
     rows = []
-    for lineno, raw in enumerate(lines[start:], start=start + 1):
+    for lineno, raw in enumerate(lines, start=start + 1):
         kind, text = _line_kind(raw)
         if kind in ("#", "["):
             return _misplaced(kind, text, lineno)
@@ -458,27 +468,14 @@ def _writer_rows(text: str, at: int) -> np.ndarray | None:
     return np.concatenate([np.empty(0), *blocks]).reshape(-1, 3)
 
 
-def _header_lines(text: str) -> list[str] | None:
-    """The lines of an ASCII text up to its option line, ends kept, when
-    its first _PROBE_CHARS characters hold that line whole; else None."""
-    if not text.isascii():
-        return None
-    # the prefix's last line may be cut
-    lines = text[:_PROBE_CHARS].splitlines(keepends=True)[:-1]
-    for lineno, raw in enumerate(lines, start=1):
-        if _line_kind(raw)[0] == "#":
-            return lines[:lineno]
-    return None
-
-
 def parse_touchstone(text: str) -> tuple[OnePortTrace, TouchstoneFormat]:
     """Parse one-port Touchstone text into a trace and its declared format.
 
     The option line's R (50 if absent) becomes the trace's z0; the format
-    holds its unit and value encoding.  The header is walked line by line
-    up to the option line, within the first 4096 characters if it ends
-    there.  A body in write_touchstone's layout ('%.12e %.12e %.12e\\n'
-    rows, exponents of two digits) is converted exactly in numpy, 64 KiB of
+    holds its unit and value encoding.  The header is walked once, line by
+    line up to the option line, which gives the body's offset.  An ASCII
+    body in write_touchstone's layout ('%.12e %.12e %.12e\\n' rows,
+    exponents of two digits) is converted exactly in numpy, 64 KiB of
     whole rows at a time: every byte of a block is range-checked column by
     column; one float64 matrix product, exact because every partial sum is
     an integer below 2**53, gives each token's 13-digit mantissa m and its
@@ -495,20 +492,11 @@ def parse_touchstone(text: str) -> tuple[OnePortTrace, TouchstoneFormat]:
     4. NonMonotonicFrequency: frequencies not finite, positive, increasing;
     5. WrongColumnCount: the first row whose S11 is not finite.
     """
-    header = _header_lines(text)
-    data = None
-    if header is not None:
-        comments, fmt, z0, start = _read_header(header)
-        data = _writer_rows(text, sum(map(len, header)))
+    comments, fmt, z0, start, at = _read_header(text)
+    data = _writer_rows(text, at) if text.isascii() else None
     if data is None:
-        lines = text.splitlines()
-        if header is None:
-            comments, fmt, z0, start = _read_header(lines)
-        body = lines[start:]
-        # each header line ends in one or two characters, so the body starts at
-        # or after this offset; a '!' found in the header instead only costs the walk
-        body_at = sum(map(len, lines[:start])) + start
-        if text.find("!", body_at) >= 0:
+        body = text[at:].splitlines()
+        if text.find("!", at) >= 0:
             marked = (_line_kind(raw) for raw in body if "!" in raw)
             comments += [note for kind, note in marked if kind == "!"]
         data = np.empty((0, 3))
@@ -517,9 +505,9 @@ def parse_touchstone(text: str) -> tuple[OnePortTrace, TouchstoneFormat]:
             try:
                 data = _table(body)
             except ValueError:
-                raise _body_error(lines, start) from None
+                raise _body_error(body, start) from None
             if data.shape[1] != 3:
-                raise _body_error(lines, start)
+                raise _body_error(body, start)
     if len(data) < 2:
         raise EmptyData(f"need at least 2 data rows, got {len(data)}")
     try:
@@ -530,7 +518,7 @@ def parse_touchstone(text: str) -> tuple[OnePortTrace, TouchstoneFormat]:
         s11 = _to_complex(fmt.value_format, data[:, 1], data[:, 2])
     bad = np.flatnonzero(~np.isfinite(s11))
     if bad.size:
-        raise _body_error(text.splitlines(), start, int(bad[0]))
+        raise _body_error(text[at:].splitlines(), start, int(bad[0]))
     # z0 passed POSITIVE_FINITE as a float, and each comment is one stripped '!' line
     trace = _trusted(OnePortTrace, frequencies=freqs, s11=s11, z0=z0, comments=tuple(comments))
     return trace, fmt

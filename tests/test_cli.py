@@ -8,7 +8,7 @@ import pytest
 
 from sawkit import cli, extract, mbvd, network
 from sawkit.errors import SawkitError
-from sawkit.touchstone import OnePortTrace, parse_touchstone, write_touchstone
+from sawkit.touchstone import OnePortTrace, TouchstoneFormat, parse_touchstone, write_touchstone
 
 from conftest import C_0, F_S, KEFF2, Q_M
 
@@ -124,6 +124,23 @@ def test_extract_q_trace_rows_are_percent_formatted(active_s1p, tmp_path):
     assert len(expected) == trace.frequencies.size
     flagged = [line for line in expected if line.endswith(",nan")]
     assert len(flagged) == q_trace.flagged.size > 0
+
+
+def test_a_failed_extraction_writes_no_output(tmp_path, capsys):
+    # a lossless trace flags every Bode-Q sample: the extraction exits 3, and
+    # the curve, like the report and the summary row, is never written
+    params = mbvd.params_from_metrics(F_S, KEFF2, float("inf"), C_0)
+    trace = mbvd.synthesize_s11(params, np.linspace(8.5e9, 10.5e9, 800))
+    s1p = tmp_path / "l.s1p"
+    s1p.write_text(write_touchstone(trace, TouchstoneFormat()))
+    outputs = [tmp_path / name for name in ("r.json", "r.csv", "q.csv")]
+    argv = ["extract", str(s1p), "-o", str(outputs[0]), "--csv", str(outputs[1]),
+            "--q-trace", str(outputs[2])]
+    capsys.readouterr()
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: no unflagged Bode-Q samples in [")
+    assert not any(path.exists() for path in outputs)
+    assert [path.name for path in tmp_path.iterdir()] == ["l.s1p"]
 
 
 def test_passivity_violations_are_one_warning_line(active_s1p, fixture_dir, tmp_path, capsys):

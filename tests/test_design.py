@@ -380,12 +380,6 @@ def test_lookup_keeps_the_searchsorted_interpolation(table):
         assert _at_ratio(table, r)[:2] == expected[:2], r
 
 
-def test_scale_to_frequency_rejects_a_bad_rel_tol(table):
-    for rel_tol in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError, match="rel_tol"):
-            scale_to_frequency(11e9, H_LN, table, rel_tol=rel_tol)
-
-
 def test_scale_to_frequency_is_exact_to_rounding(table):
     # a steep rising segment (its intercept a = v - s r is negative), a gentle
     # rising one, a constant one and a falling one; all of them invertible

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,18 @@ def test_synthesized_reflection_matches_admittance(device_params):
     expected = (1.0 - 50.0 * y) / (1.0 + 50.0 * y)
     np.testing.assert_allclose(trace.s11, expected, rtol=1e-14)
     assert trace.z0 == 50.0
+
+
+def test_synthesis_refuses_a_grid_whose_angular_frequency_overflows(device_params):
+    # 2 pi f past the largest float used to give S11 = -1 there, a plausible
+    # short, and overflow warnings; the grid is refused before any product
+    top = np.finfo(float).max / (2.0 * np.pi)
+    assert np.isfinite(2.0 * np.pi * top)
+    for grid in ([1e9, 1e300, 1e308], [1e9, np.nextafter(top, np.inf)]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="2 pi f is finite"):
+                synthesize_s11(device_params, np.array(grid))
 
 
 def test_lossless_reflection_is_unimodular():

@@ -456,8 +456,9 @@ def test_body_comments_follow_the_header_in_file_order():
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 def test_body_comments_are_found_whatever_the_line_ends(end):
-    # the search for body '!' lines starts at the earliest offset the body
-    # can have: a header '!' it reaches costs a walk, never a lost comment
+    # the search for body '!' lines starts at the body's offset, which the
+    # header walk gives exactly whatever the line ends: no comment is lost
+    # and none of the header's is read twice
     header = end.join(["! h1", "! h2!", "#", ""])
     with_note = header + end.join(["!b", "1 0 0", "2 0 0", ""])
     without = header + end.join(["1 0 0", "2 0 0", ""])
@@ -729,8 +730,6 @@ def _near_miss(name):
         "plus mantissa sign",
         "comment line",
         "non-ascii header comment",
-        "option line cut by the probe",
-        "header longer than the probe",
     ],
 )
 def test_near_miss_bodies_take_the_loadtxt_path(name, monkeypatch):
@@ -739,9 +738,51 @@ def test_near_miss_bodies_take_the_loadtxt_path(name, monkeypatch):
     tables = _spy_table(monkeypatch)
     got = parse_touchstone(text)
     assert tables == [4 + (name == "comment line") + (name == "leading blank line")]
-    # without the header probe, parse_touchstone is the splitlines/np.loadtxt path alone
-    monkeypatch.setattr(touchstone, "_header_lines", lambda text: None)
+    # without the writer-layout reader, parse_touchstone is the np.loadtxt path alone
+    monkeypatch.setattr(touchstone, "_writer_rows", lambda text, at: None)
     _assert_same_parse(got, parse_touchstone(text))
+
+
+@pytest.mark.parametrize("name", ["option line cut by the probe", "header longer than the probe"])
+def test_long_headers_keep_the_writer_path(name, monkeypatch):
+    # an option line past the probe is found by splitting the rest of the
+    # text, and the body after it is still read in numpy
+    text = _near_miss(name)
+    tables = _spy_table(monkeypatch)
+    got = parse_touchstone(text)
+    assert tables == []
+    monkeypatch.setattr(touchstone, "_writer_rows", lambda text, at: None)
+    want = parse_touchstone(text)
+    assert tables == [4]
+    _assert_same_parse(got, want)
+
+
+def _spy_line_kind(monkeypatch):
+    """Record the lines the classifier reads, one entry per call."""
+    calls = []
+    classify = touchstone._line_kind
+
+    def spied(raw):
+        calls.append(raw)
+        return classify(raw)
+
+    monkeypatch.setattr(touchstone, "_line_kind", spied)
+    return calls
+
+
+@pytest.mark.parametrize("comments", [1, 60], ids=["short header", "header longer than the probe"])
+def test_a_writer_header_is_read_once(comments, monkeypatch):
+    # each header line is classified once, and no body line at all
+    notes = tuple("! note %d %s" % (k, "x" * 70) for k in range(comments))
+    trace = _random_trace(np.random.default_rng(4001), n=4001)
+    text = write_touchstone(OnePortTrace(trace.frequencies, trace.s11, 50.0, notes), TouchstoneFormat())
+    assert (len(text.split("#", 1)[0]) > touchstone._PROBE_CHARS) == (comments == 60)
+    tables = _spy_table(monkeypatch)
+    kinds = _spy_line_kind(monkeypatch)
+    got, _ = parse_touchstone(text)
+    assert tables == []
+    assert kinds == [note + "\n" for note in notes] + ["# GHZ S RI R 50\n"]
+    assert got.comments == notes
 
 
 def _edit_row(text, row, edit):
