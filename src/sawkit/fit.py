@@ -6,14 +6,15 @@ the series peak and the parallel notch carry comparable weight.  The
 Jacobian is the closed-form dY/dlog(element) of the mBVD kernel, built
 from the terms the accepted trial step already evaluated (mbvd._terms,
 mbvd._jacobian), so an iteration evaluates the model once per trial step:
-never twice at one point of one sample set, never by finite differences.  The weights go
-into the Jacobian's three base vectors, and its rows are read through a
-float view, real and imaginary parts interleaved, which gives the same
-J J^T and J r as stacking them.  The damping ladder stops as soon as the
-damped step is below the step tolerance, since more damping only shortens
-it.  A step below it is still taken when it lowers the cost, then the
-descent stops.  The procedure is deterministic: no randomness, fixed
-traversal order.
+never twice at one point of one sample set, never by finite differences.
+The weights go into the Jacobian's three base vectors.  Each iteration
+makes one call to mbvd._normal_equations, which sums J J^T and J r over
+fixed blocks of samples and never holds the whole (6, n) Jacobian; the
+"Jacobian is not finite" check reads those sums.  The damping ladder
+stops as soon as the damped step is below the step tolerance, since more
+damping only shortens it.  A step below it is still taken when it lowers
+the cost, then the descent stops.  The procedure is deterministic: no
+randomness, fixed traversal order.
 
 The descent runs twice (coarse-to-fine continuation; Madsen, Nielsen &
 Tingleff 2004): first on every k-th sample with the weights the whole trace
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import NegativeStaticCapacitance, NonFiniteResidual, ResonanceNotBracketed
 from .extract import SCHEMA_VERSION, AdmittanceTrace, find_fs_fp
-from .mbvd import _CM_C0_CAP, MbvdParams, _jacobian, _terms, derived_fs, params_to_json
+from .mbvd import _CM_C0_CAP, MbvdParams, _normal_equations, _terms, derived_fs, params_to_json
 
 # initial_guess reads c_0 on samples farther than this from f_s, relative to f_s
 _OFF_RESONANCE = 0.01
@@ -127,15 +128,17 @@ def _elements(x: np.ndarray) -> np.ndarray:
 
 
 def _align_resonance(trace: AdmittanceTrace, init: MbvdParams) -> MbvdParams:
-    """Retune a supplied start so its series resonance sits on the conductance peak.
+    """Retune a start so its series resonance sits on the conductance peak.
 
-    initial_guess needs none of this (its f_s is find_fs_fp's); supplied
-    starts do (sawkit fit --init).  A high-Q model whose resonance misses
-    the measured peak by more than a few linewidths gives the descent
-    nothing to grab: the cheapest local move is to flatten the motional
-    branch, a useless basin.  Scaling l_m and c_m by a common factor moves
-    f_s and keeps their ratio, so the rest of the start survives untouched.
-    Best-effort: traces without a bracketed peak are left alone.
+    fit_mbvd runs this for every start.  For an initial_guess start it is a
+    no-op, whose cost is one more find_fs_fp (that start's f_s is already
+    find_fs_fp's); supplied starts need it (sawkit fit --init).  A high-Q
+    model whose resonance misses the measured peak by more than a few
+    linewidths gives the descent nothing to grab: the cheapest local move is
+    to flatten the motional branch, a useless basin.  Scaling l_m and c_m by
+    a common factor moves f_s and keeps their ratio, so the rest of the
+    start survives untouched.  Best-effort: traces without a bracketed peak
+    are left alone.
     """
     try:
         fs_data, _ = find_fs_fp(trace)
@@ -178,8 +181,7 @@ class _Samples(NamedTuple):
         # a resistance held at the floor does not move with its log-parameter
         values[:3][x[:3] < np.log(_R_FLOOR)] = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            jac = _jacobian(*values, self.w, self.inv_w, terms, self.sqrt_weight).view(float)
-        return jac @ jac.T, jac @ misfit
+            return _normal_equations(*values, self.w, self.inv_w, terms, self.sqrt_weight, misfit)
 
 
 class _Descent(NamedTuple):

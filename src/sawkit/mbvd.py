@@ -4,7 +4,11 @@ Topology: a series feed resistance r_s into the parallel combination of the
 motional branch (r_m, l_m, c_m in series) and the static branch (c_0 in
 series with its dielectric loss r_0).  One kernel, _terms, evaluates it
 without complex division and returns the terms _jacobian reuses; the public
-functions, synthesis and the fit all run through it.
+functions, synthesis and the fit all run through it.  The fit's normal
+equations J J^T and J r come from _normal_equations, which builds the
+Jacobian _BLOCK samples at a time into one scratch and reads each block
+through a float view, real and imaginary parts interleaved (the same sums
+as stacking them), so a build's memory does not grow with the trace.
 """
 
 from __future__ import annotations
@@ -23,6 +27,9 @@ _COUPLING_FACTOR = np.pi**2 / 8.0
 
 # c_m approaching this multiple of c_0 would put the coupling factor past 100%
 _CM_C0_CAP = 8.0
+# samples per block of a normal-equation build: its (6, _BLOCK) complex
+# scratch is 384 KiB, a quarter of a whole 16001-point Jacobian
+_BLOCK = 4096
 # the largest frequency whose angular frequency 2 pi f is finite
 _MAX_FREQUENCY = np.finfo(float).max / (2.0 * np.pi)
 
@@ -84,16 +91,18 @@ def _terms(r_s, r_0, r_m, l_m, c_m, c_0, w, inv_w):
     return y, zy, inv_d
 
 
-def _jacobian(r_s, r_0, r_m, l_m, c_m, c_0, w, inv_w, terms, weight):
+def _jacobian(r_s, r_0, r_m, l_m, c_m, c_0, w, inv_w, terms, weight, out=None):
     """(6, n) dY/dlog(element) times weight, from the _terms of the same point.
 
     Rows in the order r_s, r_0, r_m, l_m, c_m, c_0 (Larson et al. 2000, IEEE
     Ultrason. Symp.).  dY/dr_s = -Y^2, dY/dz_m = -1/d^2 and
     dY/dz_0 = -(z_m y_0/d)^2, each times the element's own impedance term:
-    r, j w l, or j/(w c) for a capacitor.  No branch is evaluated here, and
-    an element passed as 0 gets a zero row.
+    r, j w l, or j/(w c) for a capacitor.  So each row is one of the three
+    weighted squares, times 1, w or 1/w, times one scalar per element.  No
+    branch is evaluated here, and an element passed as 0 gets a zero row.
+    The rows are written into out, a (6, n) complex array, when it is given.
     """
-    rows = np.empty((6,) + w.shape, dtype=complex)
+    rows = np.empty((6,) + w.shape, dtype=complex) if out is None else out
     r_s_row, r_0_row, r_m_row, l_m_row, c_m_row, c_0_row = rows
     # the three weighted squares; the minus signs go into the factors
     for row, term in zip((r_s_row, r_0_row, r_m_row), terms):
@@ -110,11 +119,50 @@ def _jacobian(r_s, r_0, r_m, l_m, c_m, c_0, w, inv_w, terms, weight):
     return rows
 
 
+def _normal_equations(r_s, r_0, r_m, l_m, c_m, c_0, w, inv_w, terms, weight, misfit):
+    """J J^T and J misfit, for J the (6, 2n) float view of _jacobian's rows.
+
+    misfit holds 2n floats, real and imaginary parts interleaved as in that
+    view.  The rows are built _BLOCK samples at a time into one (6, _BLOCK)
+    scratch and each block adds its share to both sums, so no (6, n) array
+    is made.  Each block's rows carry their element scalars before the sums:
+    scaling the sums instead gives the same equations to rounding, but the
+    gradient near a minimum is a cancelling sum, and that rounding moved one
+    noisy 16001-point fit's resistances by 4e-8 relative.
+    """
+    elements = (r_s, r_0, r_m, l_m, c_m, c_0)
+    n = w.size
+    scratch = np.empty(6 * min(n, _BLOCK), dtype=complex)
+    jtj = np.zeros((6, 6))
+    jtr = np.zeros(6)
+    for start in range(0, n, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        size = min(n - start, _BLOCK)
+        block_terms = [term[block] for term in terms]
+        rows = _jacobian(
+            *elements, w[block], inv_w[block], block_terms, weight[block],
+            scratch[: 6 * size].reshape(6, size),
+        ).view(float)
+        jtj += rows @ rows.T
+        jtr += rows @ misfit[2 * start : 2 * (start + size)]
+    return jtj, jtr
+
+
 def element_admittance(r_s, r_0, r_m, l_m, c_m, c_0, f):
-    """Raw admittance kernel on unchecked element values (what synthesis runs)."""
+    """Raw admittance kernel on unchecked element values (what synthesis runs).
+
+    Raises ValueError where a product in the kernel overflows: an overflowed
+    square reads as a vanished branch, so for the fixtures the model would
+    give Y = 0, an open, from about 1e161 Hz on instead of 1/(r_s + r_0).
+    """
     w = 2.0 * np.pi * np.atleast_1d(np.asarray(f, dtype=float))  # in-place work needs arrays
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = _terms(r_s, r_0, r_m, l_m, c_m, c_0, w, 1.0 / w)[0]
+    try:
+        with np.errstate(over="raise", divide="ignore", invalid="ignore"):
+            y = _terms(r_s, r_0, r_m, l_m, c_m, c_0, w, 1.0 / w)[0]
+    except FloatingPointError:
+        raise ValueError(
+            "frequencies too far from resonance for the model: its admittance overflows"
+        ) from None
     # a denominator vanished against a unit numerator: the limit is a short;
     # at f = 0 both capacitive branches are open instead, and Y is 0
     y[~np.isfinite(y)] = complex(np.inf, 0.0)

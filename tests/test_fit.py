@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -251,16 +253,20 @@ NOISE_SIGMA = 1e-3
 NOISE_SEED = 402
 
 
-@pytest.fixture(scope="module")
-def noisy_wide_trace(device_params):
+def _noisy_trace(params, n):
     # complex S11 noise of rms NOISE_SIGMA, as on a measured trace
-    grid = np.linspace(0.85 * F_S, 1.15 * mbvd.derived_fp(device_params), 4001)
-    clean = mbvd.synthesize_s11(device_params, grid, z0=50.0)
+    grid = np.linspace(0.85 * F_S, 1.15 * mbvd.derived_fp(params), n)
+    clean = mbvd.synthesize_s11(params, grid, z0=50.0)
     rng = np.random.default_rng(NOISE_SEED)
     noise = NOISE_SIGMA * (
         rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
     ) / np.sqrt(2.0)
     return s_to_y(OnePortTrace(grid, clean.s11 + noise, z0=50.0))
+
+
+@pytest.fixture(scope="module")
+def noisy_wide_trace(device_params):
+    return _noisy_trace(device_params, 4001)
 
 
 def _logged_fit(trace, monkeypatch, **kwargs):
@@ -270,21 +276,21 @@ def _logged_fit(trace, monkeypatch, **kwargs):
     between the two.
     """
     log = []
-    kernel, jacobian = fit._terms, fit._jacobian
+    kernel, build = fit._terms, fit._normal_equations
 
     def logged_kernel(*args):
         log.append("k")
         return kernel(*args)
 
-    def logged_jacobian(*args):
+    def logged_build(*args):
         log.append("j")
-        rows = jacobian(*args)
+        sums = build(*args)
         log.append("/j")
-        return rows
+        return sums
 
     for module in (fit, mbvd):
         monkeypatch.setattr(module, "_terms", logged_kernel)
-    monkeypatch.setattr(fit, "_jacobian", logged_jacobian)
+    monkeypatch.setattr(fit, "_normal_equations", logged_build)
     return fit_mbvd(trace, initial_guess(trace), **kwargs), log
 
 
@@ -317,33 +323,33 @@ def floored_trace():
 def test_fit_outputs_come_from_the_kept_model(trace_name, request, monkeypatch):
     trace = request.getfixturevalue(trace_name)
     freqs, target = trace.frequencies, trace.y
-    evaluations, jacobians = [], []
-    kernel, jacobian = fit._terms, fit._jacobian
+    evaluations, builds = [], []
+    kernel, build = fit._terms, fit._normal_equations
 
     def logged_kernel(*args):
         terms = kernel(*args)
         evaluations.append((args[:6], terms))
         return terms
 
-    def logged_jacobian(*args):
-        rows = jacobian(*args)
-        jacobians.append((args[6], args[8], rows))
-        return rows
+    def logged_build(*args):
+        sums = build(*args)
+        builds.append((args[6], args[8], sums))
+        return sums
 
     monkeypatch.setattr(fit, "_terms", logged_kernel)
-    monkeypatch.setattr(fit, "_jacobian", logged_jacobian)
+    monkeypatch.setattr(fit, "_normal_equations", logged_build)
     result = fit_mbvd(trace, initial_guess(trace))
     assert result.converged
     model = mbvd.admittance(result.params, freqs)
     rms = np.sqrt(np.mean(np.abs(model - target) ** 2))
     assert result.rms_residual == pytest.approx(rms, rel=1e-12, abs=0.0)
-    # each Jacobian, coarse ones included, is the weighted public one at the
-    # point whose terms it reused, on the samples it was built on, with the
-    # rows of floored resistances zeroed
+    # each build, coarse ones included, is the stacked product of the weighted
+    # public Jacobian at the point whose terms it reused, on the samples it
+    # was built on, with the rows of floored resistances zeroed
     weight = 1.0 / np.maximum(np.abs(target), 0.01 * np.abs(target).max())
     floored_rows = 0
     full_w = 2.0 * np.pi * freqs
-    for w, terms, rows in jacobians:
+    for w, terms, (jtj, jtr) in builds:
         samples = np.searchsorted(full_w, w)
         assert np.array_equal(full_w[samples], w)
         elements = next(args for args, kept in evaluations if kept is terms)
@@ -352,29 +358,81 @@ def test_fit_outputs_come_from_the_kept_model(trace_name, request, monkeypatch):
         for k in range(6):
             if k < 3 and elements[k] == fit._R_FLOOR:
                 floored_rows += 1
-                assert not np.any(rows[k])
-            else:
-                assert np.abs(rows[k] - want[k]).max() <= 1e-13 * np.abs(want[k]).max()
-    assert len(jacobians) == result.iterations
+                assert not np.any(jtj[k]) and not np.any(jtj[:, k]) and jtr[k] == 0.0
+                want[k] = 0.0
+        residual = (terms[0] - target[samples]) * weight[samples]
+        stacked = np.concatenate([want.real, want.imag], axis=1)
+        want_jtj = stacked @ stacked.T
+        want_jtr = stacked @ np.concatenate([residual.real, residual.imag])
+        # entries against the sizes Cauchy-Schwarz bounds them by
+        norms = np.sqrt(np.diag(want_jtj))
+        assert np.all(np.abs(jtj - want_jtj) <= 1e-13 * np.outer(norms, norms))
+        assert np.all(np.abs(jtr - want_jtr) <= 1e-13 * norms * np.linalg.norm(residual))
+    assert len(builds) == result.iterations
     assert floored_rows > 0 if trace_name == "floored_trace" else floored_rows == 0
 
 
-def test_interleaved_normal_equations_match_stacked(noisy_wide_trace):
-    freqs, target = noisy_wide_trace.frequencies, noisy_wide_trace.y
-    start = initial_guess(noisy_wide_trace)
-    elements = tuple(getattr(start, f) for f in PARAM_FIELDS)
+def _full_samples(trace):
+    target = trace.y
+    w = 2.0 * np.pi * trace.frequencies
+    weight = 1.0 / np.maximum(np.abs(target), 0.01 * np.abs(target).max())
+    return fit._Samples(w, 1 / w, target, weight)
+
+
+B = mbvd._BLOCK
+
+
+def test_interleaved_normal_equations_match_stacked(device_params):
+    # around and across block edges, from a start and from one with r_s and
+    # r_0 below the resistance floor, whose rows the build gets as zeros
+    for n in (4001, B - 1, B, B + 1, 3 * B + 5, 16001):
+        trace = _noisy_trace(device_params, n)
+        for floored in (False, True):
+            _check_normal_equations(trace, floored)
+
+
+def _check_normal_equations(trace, floored):
+    freqs, target = trace.frequencies, trace.y
+    x = fit._log_vector(initial_guess(trace))
+    if floored:
+        x[:2] = np.log(fit._R_FLOOR) - 1.0
+    elements = fit._elements(x)
     weight = 1.0 / np.maximum(np.abs(target), 0.01 * np.abs(target).max())
     w = 2.0 * np.pi * freqs
     rows = mbvd._jacobian(*elements, w, 1 / w, mbvd._terms(*elements, w, 1 / w), 1.0) * weight
+    if floored:
+        rows[:2] = 0.0
     diff = (mbvd.element_admittance(*elements, freqs) - target) * weight
     stacked = np.concatenate([rows.real, rows.imag], axis=1)
     stacked_residual = np.concatenate([diff.real, diff.imag])
     interleaved = rows.view(float)
-    for got, want in (
-        (interleaved @ interleaved.T, stacked @ stacked.T),
-        (interleaved @ diff.view(float), stacked @ stacked_residual),
+    samples = _full_samples(trace)
+    blocked = samples.normal_equations(x, *samples.evaluate(x))
+    for got, blocks, want in (
+        (interleaved @ interleaved.T, blocked[0], stacked @ stacked.T),
+        (interleaved @ diff.view(float), blocked[1], stacked @ stacked_residual),
     ):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(blocks - want).max() <= 1e-12 * np.abs(want).max()
+    if floored:
+        jtj, jtr = blocked
+        assert not np.any(jtj[:2]) and not np.any(jtj[:, :2]) and not np.any(jtr[:2])
+
+
+@pytest.mark.parametrize("n", [16001, 64001])
+def test_a_whole_trace_build_allocates_one_block_of_rows(device_params, n):
+    # the (6, _BLOCK) complex scratch, not (6, n) rows, bounds a build's
+    # memory, with numpy's buffer for casting one block row to complex
+    samples = _full_samples(_wide_trace(device_params, n=n))
+    x = fit._log_vector(device_params)
+    terms, misfit = samples.evaluate(x)
+    tracemalloc.start()
+    try:
+        samples.normal_equations(x, terms, misfit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (6 + 1) * B * 16 + 16384
 
 
 def test_fit_records_why_it_stopped(device_params, wide_trace):
@@ -513,13 +571,13 @@ def test_coarse_stage_never_costs_fit_quality(device_params, noisy_wide_trace, m
 
 def test_fit_builds_at_most_three_full_trace_jacobians(noisy_wide_trace, monkeypatch):
     sizes = []
-    jacobian = fit._jacobian
+    build = fit._normal_equations
 
-    def logged_jacobian(*args):
+    def logged_build(*args):
         sizes.append(args[6].size)
-        return jacobian(*args)
+        return build(*args)
 
-    monkeypatch.setattr(fit, "_jacobian", logged_jacobian)
+    monkeypatch.setattr(fit, "_normal_equations", logged_build)
     result = fit_mbvd(noisy_wide_trace, initial_guess(noisy_wide_trace))
     n = noisy_wide_trace.frequencies.size
     assert result.converged
@@ -557,9 +615,9 @@ def test_a_step_below_the_step_tolerance_is_tried_once(device_params, wide_trace
     # at the generating elements every step is below tolerance: each stage
     # tries it once, keeps it only if it lowers the cost, and stops
     log = []
-    kernel, jacobian = fit._terms, fit._jacobian
+    kernel, build = fit._terms, fit._normal_equations
     monkeypatch.setattr(fit, "_terms", lambda *args: log.append("k") or kernel(*args))
-    monkeypatch.setattr(fit, "_jacobian", lambda *args: log.append("j") or jacobian(*args))
+    monkeypatch.setattr(fit, "_normal_equations", lambda *args: log.append("j") or build(*args))
     result = fit_mbvd(wide_trace, device_params)
     assert result.stop_reason == "step_tolerance" and result.coarse_iterations == 1
     # start (whole trace), coarse start, its step, the coarse result on the

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sawkit import cli
 from sawkit.mbvd import (
     MbvdParams,
     _jacobian,
@@ -216,6 +217,24 @@ def test_synthesis_refuses_a_grid_whose_angular_frequency_overflows(device_param
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="2 pi f is finite"):
                 synthesize_s11(device_params, np.array(grid))
+
+
+def test_the_model_refuses_frequencies_where_its_kernel_overflows():
+    # far above resonance Y tends to the r_s + r_0 ladder; where a square in
+    # the kernel overflows, its result would read 0j, an open (S11 = +1), so
+    # the model refuses those frequencies, without an overflow warning
+    p = cli.fixture_params("A")
+    ladder = 1.0 / (p.r_s + p.r_0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert admittance(p, 1e160) == pytest.approx(ladder, rel=1e-12)
+        s11 = synthesize_s11(p, np.array([1e9, 1e160])).s11[-1]
+        assert s11 == pytest.approx((1.0 - 50.0 * ladder) / (1.0 + 50.0 * ladder), rel=1e-12)
+        for f in (1e200, 1e300):
+            with pytest.raises(ValueError, match="too far from resonance"):
+                admittance(p, f)
+            with pytest.raises(ValueError, match="too far from resonance"):
+                synthesize_s11(p, np.array([1e9, f]))
 
 
 def test_lossless_reflection_is_unimodular():
