@@ -6,7 +6,8 @@ make-fixtures generator for self-contained test data.  Exit codes: 0 ok,
 4 file I/O, 5 fit did not converge.  Commands raise on failure, and `main`
 alone maps an escaping exception to its exit code; `fit` returns 5 itself,
 after writing its JSON.  Diagnostics go to stderr; stdout carries data
-only when an output path of '-' is chosen.  A trace with negative
+only when an output path of '-' is chosen.  Files are read as UTF-8, a
+byte-order mark dropped, and written as UTF-8.  A trace with negative
 conductance gets one 'warning:' line from extract and fit.
 """
 
@@ -54,10 +55,13 @@ def _diag(message: str) -> None:
 
 
 def _read_text(path: str) -> str:
+    """The file as UTF-8 text, a byte-order mark dropped."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise _CliIOError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _write_text(path: str, text: str) -> None:
@@ -65,7 +69,7 @@ def _write_text(path: str, text: str) -> None:
         sys.stdout.write(text)
         return
     try:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise _CliIOError(f"cannot write {path}: {exc}") from exc
 
@@ -170,9 +174,11 @@ def cmd_fit(args) -> int:
     result = fit.fit_mbvd(admittance, init, args.max_iter)
     payload = fit.result_to_json(result)
     if args.report:
-        # the resonance pair only: no tuning, Bode-Q or S11 synthesis
+        # the resonance pair only: no tuning, Bode-Q or S11 synthesis, and the
+        # model is built on the grid the parse has already checked
         freqs = admittance.frequencies
-        model = network.AdmittanceTrace(freqs, mbvd.admittance(result.params, freqs))
+        model = touchstone._trusted(network.AdmittanceTrace, frequencies=freqs,
+                                    y=mbvd.admittance(result.params, freqs))
         payload["comparison"] = comparison = {
             "keff2_measured": extract.keff2(*extract.find_fs_fp(admittance)),
             "keff2_fitted_model": extract.keff2(*extract.find_fs_fp(model)),
@@ -338,10 +344,12 @@ def cmd_make_fixtures(args) -> int:
         f_p = mbvd.derived_fp(params)
         grid = np.linspace(0.9 * f_s, 1.1 * f_p, args.points)
         trace = mbvd.synthesize_s11(params, grid, z0=50.0)
-        trace = touchstone.OnePortTrace(
-            trace.frequencies,
-            trace.s11,
-            trace.z0,
+        # synthesis has checked the grid: the comment is the one new field
+        trace = touchstone._trusted(
+            touchstone.OnePortTrace,
+            frequencies=trace.frequencies,
+            s11=trace.s11,
+            z0=trace.z0,
             comments=(
                 f"! fixture device {device}: lambda {lambda_nm:g} nm, "
                 f"target f_s {f_s / 1e9:g} GHz, keff2 {coupling * 100:g} %, Q_m {q_m:g}",

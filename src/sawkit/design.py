@@ -15,13 +15,15 @@ rows that warn or fail, by mapping a %-template over their numbers, and a
 duty's fallback note is one tuple shared by the rows it covers; the rows are
 built by tuple.__new__, with no Python frame each.  predict is the one-row
 sweep over a geometry's own wavelength.  What depends on the table alone
-(each family's groups in fallback order, each group's segments,
-invertibility, reach and anchor products) is computed once when the table is
-built.  A duty without anchors falls back to the nearest duty whose group
-can serve the request, and three calls share this one chooser: sweep,
-predict and scale_to_frequency.  The chooser stops scanning at the first
-group once every request has the group of its own duty, so a duty with the
-best-populated group asks serves once.
+(each family's groups in fallback order, each group's segments and the
+intercept and slope of each, invertibility, reach and anchor products) is
+computed once when the table is built, and scale_to_frequency reads it.
+_has_segments is the one spelling of the one-anchor rule: a single anchor
+cannot interpolate, extrapolate or be inverted.  A duty without anchors
+falls back to the nearest duty whose group can serve the request, and three
+calls share this one chooser: sweep, predict and scale_to_frequency.  The
+chooser stops scanning at the first group once every request has the group
+of its own duty, so a duty with the best-populated group asks serves once.
 
 A DeviceGeometry holds only what the model reads: wavelength, h_ln, h_elec
 and duty.  Its geometry JSON has one key for each and may carry others,
@@ -117,12 +119,14 @@ class DispersionAnchor:
 
 class _Group(NamedTuple):
     ratios: tuple[float, ...]
-    v_p: tuple[float, ...]
     # v_k r_k at each anchor (= f_s h_ln there), which scale_to_frequency
     # searches for the segment that brackets a target
     products: tuple[float, ...]
-    # f_s(lambda) = v_p(h_ln/lambda) / lambda is strictly monotone, so
-    # scale_to_frequency can invert it
+    # (intercept, slope) of v_p = a + s r on each segment, worked out once
+    # from starts, spans, columns and steps, for scale_to_frequency to read
+    lines: tuple[tuple[float, float], ...]
+    # f_s(lambda) = v_p(h_ln/lambda) / lambda is strictly monotone (d(v r)/dr
+    # = v + r s > 0 at both ends of every segment), so it can be inverted
     invertible: bool
     # thickness ratios the group serves without extrapolating: the hull plus
     # the rounding slack, or the single anchor within _RATIO_MATCH_RTOL
@@ -152,35 +156,30 @@ _MISMATCH = "h_elec/lambda = %g differs from the anchor value %g; electrode load
 
 
 def _has_segments(group: _Group) -> bool:
-    """Whether scale_to_frequency can invert group: it has two anchors or more."""
+    """The one-anchor rule: a group can interpolate, extrapolate and be
+    inverted by scale_to_frequency only with two anchors or more."""
     return len(group.ratios) > 1
-
-
-def _is_invertible(ratios: tuple[float, ...], v_p: tuple[float, ...]) -> bool:
-    """d(v*r)/dr = v + r dv/dr stays positive at both ends of every segment."""
-    for i in range(len(ratios) - 1):
-        slope = (v_p[i + 1] - v_p[i]) / (ratios[i + 1] - ratios[i])
-        if not (v_p[i] + ratios[i] * slope > 0 and v_p[i + 1] + ratios[i + 1] * slope > 0):
-            return False
-    return True
 
 
 def _build_group(members: list[DispersionAnchor]) -> _Group:
     ratios = tuple(float(a.h_ln_over_lambda) for a in members)
-    v_p = tuple(float(a.v_p) for a in members)
     slack = 1e-9 if len(ratios) > 1 else _RATIO_MATCH_RTOL
     r = np.array(ratios)
-    c = np.array([v_p, [a.keff2 for a in members], [a.h_elec_over_lambda for a in members]],
-                 dtype=float)
+    c = np.array([[a.v_p for a in members], [a.keff2 for a in members],
+                  [a.h_elec_over_lambda for a in members]], dtype=float)
     if len(ratios) == 1:
         starts, spans, columns, steps = r, np.ones(1), c, np.zeros((3, 1))
     else:
         starts, spans, columns, steps = r[:-1], np.diff(r), c[:, :-1], np.diff(c)
+    slopes = steps[0] / spans
+    intercepts = columns[0] - slopes * starts
+    v = c[0]
+    rising = (v[:-1] + r[:-1] * slopes > 0) & (v[1:] + r[1:] * slopes > 0)
     return _Group(
         ratios=ratios,
-        v_p=v_p,
-        products=tuple(v * r for v, r in zip(v_p, ratios)),
-        invertible=_is_invertible(ratios, v_p),
+        products=tuple((v * r).tolist()),
+        lines=tuple(zip(intercepts.tolist(), slopes.tolist())),
+        invertible=bool(rising.all()),
         reach=(ratios[0] * (1.0 - slack), ratios[-1] * (1.0 + slack)),
         inner=r[1:-1],
         starts=starts,
@@ -285,7 +284,7 @@ class DispersionTable:
         members = self._members(family)
 
         def serves(group):
-            multi = extrapolate and len(group.ratios) > 1
+            multi = extrapolate and _has_segments(group)
             return ((group.reach[0] <= ratio) & (ratio <= group.reach[1])) | multi
 
         choice, fell_back = self._choose(family, duty, serves)
@@ -312,7 +311,7 @@ class DispersionTable:
             r = ratio[rows]
             lo, hi = group.ratios[0], group.ratios[-1]
             in_reach = (group.reach[0] <= r) & (r <= group.reach[1])
-            extrapolated = ~in_reach & (extrapolate and len(group.ratios) > 1)
+            extrapolated = ~in_reach & (extrapolate and _has_segments(group))
             clipped = np.where(extrapolated, r, np.clip(r, lo, hi))
             i = np.searchsorted(group.inner, clipped)
             with np.errstate(all="ignore"):  # far extrapolation may overflow
@@ -324,7 +323,7 @@ class DispersionTable:
                 continue
             hull = f"[{lo:g}, {hi:g}]"
             rows, r = rows[missed].tolist(), r[missed].tolist()
-            if len(group.ratios) == 1:
+            if not _has_segments(group):
                 template = (f"family {quoted} at duty %g has a single anchor at "
                             f"h_ln/lambda = {lo:g}; cannot interpolate to %g")
                 errors.update(zip(rows, map(template.__mod__, zip(duty[rows].tolist(), r))))
@@ -406,7 +405,8 @@ def scale_to_frequency(
 ) -> float:
     """Wavelength that puts the predicted f_s at the target, in closed form.
 
-    Inside a segment v_p = a + s r with r = h_ln/lambda, so
+    Inside a segment v_p = a + s r with r = h_ln/lambda (the group's lines,
+    worked out when the table is built), so
     f_s = a/lambda + s h_ln/lambda**2, and the root on the branch where f_s
     falls as lambda grows is lambda = (a + sqrt(a**2 + 4 f_s s h_ln)) / (2 f_s).
     The segment is the one whose anchor products v_k r_k (= f_s h_ln at the
@@ -427,23 +427,21 @@ def scale_to_frequency(
         raise ValueError("target_fs must be positive and finite and h_ln positive and finite")
     k, _ = table._choose(family, duty, _has_segments)
     group = table._members(family)[k][1]
-    ratios, v_p, products = group.ratios, group.v_p, group.products
-    if len(ratios) < 2:
+    if not _has_segments(group):
         raise TargetOutOfRange(
             f"family {family!r} at duty {duty:g} has a single anchor; cannot invert"
         )
     if not group.invertible:
         raise ValueError("dispersion table is not monotone enough to invert f_s(lambda)")
-    f_min = products[0] / h_ln
-    f_max = products[-1] / h_ln
+    f_min = group.products[0] / h_ln
+    f_max = group.products[-1] / h_ln
     if not f_min * (1.0 - 1e-12) <= target_fs <= f_max * (1.0 + 1e-12):
         raise TargetOutOfRange(
             f"target {target_fs:g} Hz outside achievable [{f_min:g}, {f_max:g}] Hz "
             f"for h_ln = {h_ln:g} m"
         )
-    i = min(max(bisect_left(products, target_fs * h_ln), 1), len(ratios) - 1) - 1
-    slope = (v_p[i + 1] - v_p[i]) / (ratios[i + 1] - ratios[i])
-    a = v_p[i] - slope * ratios[i]
+    i = bisect_left(group.products, target_fs * h_ln)
+    a, slope = group.lines[min(max(i, 1), len(group.lines)) - 1]
     return (a + math.sqrt(a * a + 4.0 * target_fs * slope * h_ln)) / (2.0 * target_fs)
 
 

@@ -2,11 +2,12 @@ import csv
 import json
 import re
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from sawkit import cli, extract, mbvd, network
+from sawkit import cli, extract, mbvd, network, touchstone
 from sawkit.errors import SawkitError
 from sawkit.touchstone import OnePortTrace, TouchstoneFormat, parse_touchstone, write_touchstone
 
@@ -52,6 +53,21 @@ def test_make_fixtures_writes_all_devices(fixture_dir):
         params = json.loads((fixture_dir / f"device{device}.params.json").read_text())
         assert params["schema_version"] == 1
         assert params["c_0_f"] == pytest.approx(100e-15)
+
+
+def test_make_fixtures_runs_the_grid_rule_once_per_device(tmp_path, monkeypatch):
+    # synthesis checks each device's grid, and the commented trace keeps it
+    calls = []
+
+    def grid_rule(values):
+        calls.append(len(values))
+        return as_frequency_grid(values)
+
+    as_frequency_grid = touchstone._as_frequency_grid
+    for module in (touchstone, network, mbvd):
+        monkeypatch.setattr(module, "_as_frequency_grid", grid_rule)
+    assert cli.main(["make-fixtures", "-o", str(tmp_path), "--points", "11"]) == 0
+    assert calls == [11] * len(cli.FIXTURE_DEVICES)
 
 
 def test_extract_summary_row(fixture_dir, tmp_path):
@@ -234,6 +250,35 @@ def test_extract_rejects_malformed_file(tmp_path, capsys):
     assert "bad.s1p" in capsys.readouterr().err
 
 
+def test_inputs_read_the_same_with_a_byte_order_mark(fixture_dir, tmp_path):
+    # a UTF-8 byte-order mark on a trace, a params JSON or a dispersion CSV
+    # changes no output byte
+    table = tmp_path / "table.csv"
+    table.write_bytes((resources.files("sawkit") / "data/dispersion.csv").read_bytes())
+    geometry = tmp_path / "geometry.json"
+    geometry.write_text(json.dumps({"lambda_m": 4e-7, "h_ln_m": 7e-7, "h_elec_m": 4e-8, "duty": 0.5}))
+    inputs = {
+        "trace": fixture_dir / "deviceA.s1p",
+        "params": fixture_dir / "deviceA.params.json",
+        "table": table,
+    }
+    commands = {
+        "trace": "extract {trace} -o {out}",
+        "params": f"fit {inputs['trace']} --init {{params}} -o {{out}}",
+        "table": f"sweep {geometry} --axis lambda --values 4e-7,2.4e-7 --table {{table}} -o {{out}}",
+    }
+    for name, path in inputs.items():
+        bom = tmp_path / f"bom-{path.name}"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        outputs = []
+        for source in (path, bom):
+            out = tmp_path / f"{name}-{source.name}.out"
+            argv = commands[name].format(**{name: source, "out": out}).split()
+            assert cli.main(argv) == 0, argv
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1], name
+
+
 def test_convert_formats_agree(fixture_dir, tmp_path):
     src = fixture_dir / "deviceB.s1p"
     ma = tmp_path / "b_ma.s1p"
@@ -346,9 +391,10 @@ def test_fit_with_automatic_guess_and_report(wide_s1p, tmp_path, capsys, monkeyp
     trace, _ = parse_touchstone(wide_s1p.read_text())
     measured = extract.full_extraction(trace).keff2
     # operation counts: the comparison needs the resonance pairs only, so no
-    # extraction, tuning, Bode-Q or S11 synthesis runs under fit --report
+    # extraction, tuning, Bode-Q or S11 synthesis runs under fit --report, and
+    # the model keeps the parsed grid: the grid rule runs once, in the parse
     calls = dict.fromkeys(
-        ("full_extraction", "tune_source_impedance", "bode_q", "synthesize_s11"), 0
+        ("full_extraction", "tune_source_impedance", "bode_q", "synthesize_s11", "grid_rule"), 0
     )
 
     def counted(name, fn):
@@ -363,10 +409,13 @@ def test_fit_with_automatic_guess_and_report(wide_s1p, tmp_path, capsys, monkeyp
         (network, "tune_source_impedance"), (extract, "bode_q"), (mbvd, "synthesize_s11"),
     ):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    grid_rule = counted("grid_rule", touchstone._as_frequency_grid)
+    for module in (touchstone, network, mbvd):
+        monkeypatch.setattr(module, "_as_frequency_grid", grid_rule)
     out = tmp_path / "fit.json"
     rc = cli.main(["fit", str(wide_s1p), "-o", str(out), "--report"])
     assert rc == 0
-    assert calls == dict.fromkeys(calls, 0)
+    assert calls == {**dict.fromkeys(calls, 0), "grid_rule": 1}
     obj = json.loads(out.read_text())
     assert obj["converged"] is True
     comparison = obj["comparison"]
@@ -678,6 +727,11 @@ def bad_inputs(fixture_dir, tmp_path_factory):
         "h_ln_over_lambda,h_elec_over_lambda,duty,v_p_mps,keff2,family,provenance\n"
         "1.75,0.1,0.5,inf,0.16,measured,x\n"
     )
+    # a latin-1 degree sign in a comment and in a device name: not UTF-8
+    (out / "latin1.s1p").write_bytes(("! at 25 \u00b0C\n" + device_a).encode("latin-1"))
+    (out / "latin1.json").write_bytes(
+        json.dumps({**metrics, "device": "A at 25 \u00b0C"}, ensure_ascii=False).encode("latin-1")
+    )
     return out
 
 
@@ -710,6 +764,9 @@ EXIT_CODE_CASES = {
     "convert-malformed": ("convert {bad}/bad.s1p {tmp}/o.s1p", 2, "bad.s1p: line"),
     "extract-malformed": ("extract {bad}/bad.s1p", 2, "bad.s1p: line"),
     "fit-malformed": ("fit {bad}/bad.s1p", 2, "bad.s1p: line"),
+    # a file that is not UTF-8 -> 2, the message naming it
+    "convert-not-utf8": ("convert {bad}/latin1.s1p {tmp}/o.s1p", 2, "latin1.s1p: not UTF-8"),
+    "report-not-utf8": ("report {bad}/latin1.json", 2, "latin1.json: not UTF-8"),
     # extraction or domain failure -> 3
     "convert-singular": ("convert {bad}/singular.s1p {tmp}/o.s1p --z0 75", 3, "S11 = -1"),
     "extract-singular": ("extract {bad}/singular.s1p -o {tmp}/r.json", 3, "S11 = -1"),

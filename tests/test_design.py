@@ -407,6 +407,26 @@ def test_scale_to_frequency_is_exact_to_rounding(table):
                 assert abs(lam / (h_ln / r) - 1.0) <= 1e-15, (family, h_ln, r)
 
 
+def test_segment_lines_keep_the_scalar_arithmetic(table):
+    # each segment's (intercept, slope) and the invertibility test are worked
+    # out once, on arrays, and keep the per-segment scalar formulas' values;
+    # the last synthetic segment turns f_s(lambda) over (700 + 3.5 s < 0)
+    shapes = [(0.5, 1000.0), (1.0, 3000.0), (1.5, 3300.0), (2.0, 3300.0), (3.0, 2900.0),
+              (3.5, 700.0)]
+    measured = [(a.h_ln_over_lambda, a.v_p) for a in table.anchors
+                if (a.family, a.duty) == ("measured", 0.5)]
+    for anchors in [measured] + [shapes[:k] for k in range(2, len(shapes) + 1)]:
+        group = DispersionTable(
+            DispersionAnchor(r, 0.1, 0.5, v, 0.1, "s") for r, v in anchors
+        )._families["s"][0][1]
+        lines, invertible = [], True
+        for (r0, v0), (r1, v1) in zip(anchors, anchors[1:]):
+            slope = (v1 - v0) / (r1 - r0)
+            lines.append((v0 - slope * r0, slope))
+            invertible = invertible and v0 + r0 * slope > 0 and v1 + r1 * slope > 0
+        assert (group.lines, group.invertible) == (tuple(lines), invertible), anchors
+
+
 # --- golden sweep --------------------------------------------------------
 #
 # tests/data/sweep_golden.json was written by the per-row sweep that walked
