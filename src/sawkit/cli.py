@@ -20,7 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import design, extract, fit, mbvd, network, touchstone
+# fit and design are imported inside the one command that uses each, so the
+# other commands compile neither
+from . import extract, mbvd, network, touchstone
 from .errors import FINITE_NONNEGATIVE, SawkitError, is_json_number, require
 from .extract import SCHEMA_VERSION, format_number as _fmt
 
@@ -164,6 +166,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from . import fit
+
     trace, _ = _parse_trace(args.input)
     admittance = network.s_to_y(trace)
     _warn_passivity(Path(args.input).stem, *network.passivity_violations(admittance))
@@ -235,6 +239,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import design
+
     geometry = design.geometry_from_json(_read_json(args.geometry))
     if args.table:
         table = design.load_dispersion_csv(_read_text(args.table))
